@@ -2,7 +2,8 @@
 
 Subcommands: partition, resynth, equiv, metrics, split, flow. Every flag
 can be overridden by an environment variable named SLLRESUB_<FLAG>
-(dashes as underscores, upper case), e.g. SLLRESUB_SEED=7.
+(dashes as underscores, upper case), e.g. SLLRESUB_SEED=7. A value the
+flag would not accept is a usage error.
 
 Exit codes: 0 success/equivalent, 1 verification counterexample,
 2 usage or stage error.
@@ -29,15 +30,34 @@ from .windows import ResynthError
 _ENV_PREFIX = "SLLRESUB_"
 
 _MODE_NAMES = {"fm": "fm_mincut", "hash": "hash_label", "file": "external_file"}
+_PARTITION_MODES = tuple(_MODE_NAMES)
+_SLL_COUNTS = ("per-die", "raw-net")
+_VERIFY_MODES = ("auto", "exhaustive", "random")
 
 
-def _envd(flag: str, default, cast=str):
-    raw = os.environ.get(_ENV_PREFIX + flag.upper().replace("-", "_"))
+class UsageError(Exception):
+    pass
+
+
+def _envd(flag: str, default, cast=str, choices=None):
+    """The flag's default, overridden by its SLLRESUB_* variable when set."""
+    var = _ENV_PREFIX + flag.upper().replace("-", "_")
+    raw = os.environ.get(var)
     if raw is None:
         return default
     if cast is bool:
-        return raw.lower() not in ("0", "false", "no", "")
-    return cast(raw)
+        if raw.lower() in ("1", "true", "yes", "on"):
+            return True
+        if raw.lower() in ("0", "false", "no", ""):
+            return False
+        raise UsageError("%s=%s is not a yes/no value" % (var, raw))
+    try:
+        value = cast(raw)
+    except ValueError:
+        raise UsageError("%s=%s is not a valid value for --%s" % (var, raw, flag)) from None
+    if choices is not None and value not in choices:
+        raise UsageError("%s=%s is not one of %s" % (var, raw, ", ".join(choices)))
+    return value
 
 
 def _add_common(p: argparse.ArgumentParser):
@@ -52,8 +72,8 @@ def _add_partition_flags(p: argparse.ArgumentParser):
     p.add_argument("--dies", type=int, default=_envd("dies", 2, int))
     p.add_argument("--ub", type=float, default=_envd("ub", 1.25, float),
                    help="imbalance upper bound (default 1.25)")
-    p.add_argument("--partition-mode", choices=("fm", "hash", "file"),
-                   default=_envd("partition-mode", "fm"))
+    p.add_argument("--partition-mode", choices=_PARTITION_MODES,
+                   default=_envd("partition-mode", "fm", choices=_PARTITION_MODES))
     p.add_argument("--partition-file", default=_envd("partition-file", None))
 
 
@@ -65,8 +85,7 @@ def _add_resyn_flags(p: argparse.ArgumentParser):
     p.add_argument("--window-pi-cap", type=int, default=_envd("window-pi-cap", 14, int))
     p.add_argument("--divisor-cap", type=int, default=_envd("divisor-cap", 150, int))
     p.add_argument("--max-augment", type=int, default=_envd("max-augment", 1, int))
-    p.add_argument("--freeze-die", type=int, default=_envd("freeze-die", None,
-                                                           lambda s: int(s)))
+    p.add_argument("--freeze-die", type=int, default=_envd("freeze-die", None, int))
     p.add_argument("--inject-care", default=_envd("inject-care", None),
                    help="test hook: care predicate BLIF over primary inputs")
     p.add_argument("--no-verify-commits", action="store_true",
@@ -240,8 +259,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lsll", type=float, default=_envd("lsll", 1.0, float))
     p.add_argument("--q-table", default=None,
                    help="JSON file mapping terminal count to HPWL weight")
-    p.add_argument("--sll-count", choices=("per-die", "raw-net"),
-                   default=_envd("sll-count", "per-die"))
+    p.add_argument("--sll-count", choices=_SLL_COUNTS,
+                   default=_envd("sll-count", "per-die", choices=_SLL_COUNTS))
     p.add_argument("--json", default=None)
     _add_common(p)
     p.set_defaults(func=cmd_metrics)
@@ -256,11 +275,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("flow", help="partition + resynth + verify + split + report")
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--outdir", required=True)
-    p.add_argument("--verify", choices=("auto", "exhaustive", "random"),
-                   default=_envd("verify", "auto"))
+    p.add_argument("--verify", choices=_VERIFY_MODES,
+                   default=_envd("verify", "auto", choices=_VERIFY_MODES))
     p.add_argument("--vectors", type=int, default=_envd("vectors", 100_000, int))
-    p.add_argument("--sll-count", choices=("per-die", "raw-net"),
-                   default=_envd("sll-count", "per-die"))
+    p.add_argument("--sll-count", choices=_SLL_COUNTS,
+                   default=_envd("sll-count", "per-die", choices=_SLL_COUNTS))
     _add_partition_flags(p)
     _add_resyn_flags(p)
     _add_common(p)
@@ -276,7 +295,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        parser = build_parser()
+    except UsageError as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return 2
+    args = parser.parse_args(argv)
     try:
         return args.func(args)
     except (BlifParseError, NetlistError, PartitionError, ResynthError,

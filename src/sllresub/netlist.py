@@ -3,13 +3,16 @@
 A netlist is a DAG of k-input LUT nodes plus opaque latch elements.
 Latches act as sequential boundaries everywhere: a latch output is a
 pseudo primary input and a latch input is a pseudo primary output for
-all combinational analyses. A Netlist is treated as immutable once
-built; the mutation helpers used by resubstitution require exclusive
-access (no internal locking).
+all combinational analyses. Node levels are computed on the first
+`levels()` call and from then on kept current by every edit, so the
+mutation helpers used by resubstitution (`replace_node`, `remove_node`,
+`sweep_dead`) cost time in proportion to the logic they touch. Edits
+require exclusive access (no internal locking).
 """
 
 from __future__ import annotations
 
+import heapq
 import io
 from collections import deque
 from dataclasses import dataclass, field
@@ -75,15 +78,10 @@ class Netlist:
         self._latch_of_net: dict[str, int] = {}
         self._pi_set: set[str] = set()
         self._uses: dict[str, _NetUse] = {}
-        self._version = 0
-        self._level_cache: tuple[int, dict[int, int]] | None = None
+        self._level: dict[int, int] | None = None   # built by the first levels() call
 
     # ------------------------------------------------------------------
     # construction
-
-    def _touch(self):
-        self._version += 1
-        self._level_cache = None
 
     def _use(self, net: str) -> _NetUse:
         u = self._uses.get(net)
@@ -99,14 +97,12 @@ class Netlist:
         self._check_new_driver(name)
         self.primary_inputs.append(name)
         self._pi_set.add(name)
-        self._touch()
 
     def add_output(self, name: str):
         if name in self.primary_outputs:
             raise NetlistError("output %r declared twice" % name)
         self.primary_outputs.append(name)
         self._use(name).is_po = True
-        self._touch()
 
     def add_node(self, output_net: str, fanins: list[str], function: TruthTable) -> LutNode:
         self._check_new_driver(output_net)
@@ -124,7 +120,8 @@ class Netlist:
         self._node_of_net[output_net] = node.id
         for f in fanins:
             self._use(f).node_ids.append(node.id)
-        self._touch()
+        if self._level is not None:
+            self._relevel(node.id)
         return node
 
     def add_latch(self, input_net: str, output_net: str, init_value: str = "unknown") -> LatchElement:
@@ -136,7 +133,6 @@ class Netlist:
         self.latches.append(latch)
         self._latch_of_net[output_net] = idx
         self._use(input_net).latch_idxs.append(idx)
-        self._touch()
         return latch
 
     # ------------------------------------------------------------------
@@ -159,7 +155,8 @@ class Netlist:
         return self.nodes[nid] if nid is not None else None
 
     def readers_of(self, net: str) -> _NetUse:
-        return self._uses.get(net, _NetUse())
+        use = self._uses.get(net)
+        return use if use is not None else _NetUse()
 
     def net_index(self) -> dict[str, tuple]:
         """Map net -> (driver, (reader kinds...)) snapshot for inspection."""
@@ -208,38 +205,68 @@ class Netlist:
         self.levels()  # raises on combinational cycles
 
     def levels(self) -> dict[int, int]:
-        """Topological level per node id (longest path from a source)."""
-        if self._level_cache is not None and self._level_cache[0] == self._version:
-            return self._level_cache[1]
+        """Topological level per node id (longest path from a source).
+
+        The returned dict is live: later edits update it in place.
+        """
+        if self._level is None:
+            self._level = self._levels_from_scratch()
+        return self._level
+
+    def _levels_from_scratch(self) -> dict[int, int]:
+        indeg = {nid: sum(1 for f in node.fanins if f in self._node_of_net)
+                 for nid, node in self.nodes.items()}
+        ready = deque(nid for nid, d in indeg.items() if d == 0)
         level: dict[int, int] = {}
-        indeg: dict[int, int] = {}
-        ready = deque()
-        for nid, node in self.nodes.items():
-            d = sum(1 for f in node.fanins if self.driver_of(f) is not None
-                    and self.driver_of(f)[0] == NODE)
-            indeg[nid] = d
-            if d == 0:
-                ready.append(nid)
-        seen = 0
         while ready:
             nid = ready.popleft()
-            seen += 1
             node = self.nodes[nid]
-            lvl = 0
-            for f in node.fanins:
-                drv = self.driver_of(f)
-                if drv is not None and drv[0] == NODE:
-                    lvl = max(lvl, level[drv[1]])
-            level[nid] = lvl + 1
+            level[nid] = self._fanin_level(node, level)
             for rid in self.readers_of(node.output_net).node_ids:
                 indeg[rid] -= 1
                 if indeg[rid] == 0:
                     ready.append(rid)
-        if seen != len(self.nodes):
+        if len(level) != len(self.nodes):
             stuck = sorted(self.nodes[n].output_net for n, d in indeg.items() if d > 0)
             raise NetlistError("combinational cycle through: %s" % ", ".join(stuck[:8]))
-        self._level_cache = (self._version, level)
         return level
+
+    def _fanin_level(self, node: LutNode, level: dict[int, int]) -> int:
+        """One above the highest `level` among the LUTs driving `node`."""
+        lvl = 0
+        for f in node.fanins:
+            drv = self._node_of_net.get(f)
+            if drv is not None and level[drv] > lvl:
+                lvl = level[drv]
+        return lvl + 1
+
+    def _relevel(self, nid: int):
+        """Level the new node `nid` and carry any change forward to its readers.
+
+        Readers are re-levelled in order of their previous level: every
+        fanin whose level changes has a lower previous level than its
+        reader, so each reader is recomputed once, after all of them.
+        Reaching `nid` again means the edit closed a combinational cycle;
+        the levels are then dropped so that the next `levels()` call
+        reports the cycle.
+        """
+        level = self._level
+        level[nid] = 0          # read only when nid feeds itself
+        heap = [(-1, nid)]      # -1 is no level, so nid is always levelled
+        queued = {nid}
+        while heap:
+            old, cur = heapq.heappop(heap)
+            new = self._fanin_level(self.nodes[cur], level)
+            if new == old:
+                continue
+            level[cur] = new
+            for rid in self.readers_of(self.nodes[cur].output_net).node_ids:
+                if rid == nid:
+                    self._level = None
+                    return
+                if rid not in queued:
+                    queued.add(rid)
+                    heapq.heappush(heap, (level[rid], rid))
 
     def topological_order(self) -> list[LutNode]:
         """Nodes ordered by (level, id); deterministic for a fixed netlist."""
@@ -363,8 +390,9 @@ class Netlist:
             self._uses[f].node_ids.remove(nid)
         del self.nodes[nid]
         del self._node_of_net[old.output_net]
-        new = self.add_node(old.output_net, fanins, function)
-        return new
+        if self._level is not None:
+            del self._level[nid]
+        return self.add_node(old.output_net, fanins, function)
 
     def remove_node(self, node):
         """Delete a node with no readers of its output net."""
@@ -377,13 +405,14 @@ class Netlist:
             self._uses[f].node_ids.remove(nid)
         del self.nodes[nid]
         del self._node_of_net[n.output_net]
-        self._touch()
+        if self._level is not None:
+            del self._level[nid]
 
-    def sweep_dead(self, seed_nets=None) -> list[str]:
+    def sweep_dead(self, seed_nets=None) -> list[LutNode]:
         """Remove nodes whose nets have no readers, cascading through fanins.
 
         Restricted to the cone over `seed_nets` when given. Returns the
-        removed node names sorted by name.
+        removed nodes sorted by output net name.
         """
         if seed_nets is None:
             work = deque(n.output_net for n in self.nodes.values())
@@ -398,11 +427,11 @@ class Netlist:
             use = self.readers_of(net)
             if use.node_ids or use.latch_idxs or use.is_po:
                 continue
-            fanins = list(self.nodes[nid].fanins)
+            node = self.nodes[nid]
             self.remove_node(nid)
-            removed.append(net)
-            work.extend(fanins)
-        return sorted(removed)
+            removed.append(node)
+            work.extend(node.fanins)
+        return sorted(removed, key=lambda n: n.output_net)
 
     def copy(self) -> "Netlist":
         out = Netlist(self.model_name, self.k_max)

@@ -103,10 +103,6 @@ class ResynReport:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
-def cross_die_fanins(netlist: Netlist, assignment: DieAssignment, node: LutNode) -> list[str]:
-    return node_cross_die_fanins(netlist, assignment, node)
-
-
 def select_cross_die_fanin(netlist: Netlist, assignment: DieAssignment,
                            node: LutNode) -> str | None:
     """Deepest cross-die fanin (highest driver level), ties by fanin position."""
@@ -150,36 +146,67 @@ def find_equiv_func(netlist: Netlist, window: Window, divisors: DivisorSet,
     return None
 
 
+def _in_fanout_cone(netlist: Netlist, pivot: int, net: str) -> bool:
+    """True when `net` is driven by `pivot` or by a node in its TFO.
+
+    Walks back from `net` through drivers above the pivot's level only:
+    every node in the TFO sits above it, so the walk stays local.
+    """
+    level = netlist.levels()
+    floor = level[pivot]
+    stack, seen = [net], {net}
+    while stack:
+        drv = netlist.node_of_net(stack.pop())
+        if drv is None or level[drv.id] < floor:
+            continue
+        if drv.id == pivot:
+            return True
+        if level[drv.id] > floor:
+            for f in drv.fanins:
+                if f not in seen:
+                    seen.add(f)
+                    stack.append(f)
+    return False
+
+
 def apply_resubstitution(netlist: Netlist, assignment: DieAssignment,
                          candidate: ResubCandidate) -> dict:
     """Commit a certified candidate: swap the pivot's fanins/function in
     as a fresh node on the same net and die, then sweep the dead cone.
 
     Raises ResynthError (netlist untouched) when a support net lies in
-    the pivot's TFO, which would create a combinational cycle.
+    the pivot's TFO, which would create a combinational cycle. Besides
+    the edit itself, the returned dict holds the commit's effect on the
+    metrics: `n_sll_fo_delta` (crossing driver->sink edges) and
+    `die_weight_delta` (logic weight per die).
     """
     node = netlist.node_of_net(candidate.pivot_net)
     if node is None:
         raise ResynthError("pivot %r is not in the netlist" % candidate.pivot_net)
-    tfo_ids = netlist.tfo(node.id, None)
     for s in candidate.new_support:
-        drv = netlist.driver_of(s)
-        if drv is None:
+        if netlist.driver_of(s) is None:
             raise ResynthError("support net %r has no driver" % s)
-        if drv[0] == NODE and (drv[1] in tfo_ids or drv[1] == node.id):
+        if _in_fanout_cone(netlist, node.id, s):
             raise ResynthError("support net %r is in the pivot's fanout cone" % s)
     old_fanins = list(node.fanins)
+    fo_delta = -len(node_cross_die_fanins(netlist, assignment, node))
     new_node = netlist.replace_node(node.id, candidate.new_support, candidate.new_function)
+    fo_delta += len(node_cross_die_fanins(netlist, assignment, new_node))
     removed = netlist.sweep_dead(old_fanins)
-    for name in removed:
-        assignment.die_of.pop(name, None)
-        assignment.weights.pop(name, None)
+    # a swept node takes its fanin edges with it; nothing read it any more
+    fo_delta -= sum(len(node_cross_die_fanins(netlist, assignment, r)) for r in removed)
+    weight_delta = [0] * assignment.num_dies
+    for r in removed:
+        die = assignment.die_of.pop(r.output_net)
+        weight_delta[die] -= assignment.weights.pop(r.output_net, 0)
     return {
         "pivot": candidate.pivot_net,
         "removed_fanin": candidate.removed_fanin,
         "new_support": list(candidate.new_support),
-        "removed_nodes": removed,
+        "removed_nodes": [r.output_net for r in removed],
         "new_node_id": new_node.id,
+        "n_sll_fo_delta": fo_delta,
+        "die_weight_delta": weight_delta,
     }
 
 
@@ -215,6 +242,10 @@ def resynthesize(netlist: Netlist, assignment: DieAssignment, config: ResynConfi
             "latch_weighting": "latches weigh 1 in the imbalance ratio",
         },
     )
+    # running totals for the per-commit audit, moved by each commit's delta
+    n_sll_fo = report.before["n_sll_fo"]
+    die_weights = asg.die_weights()
+    total_weight = asg.total_weight()
     pass_no = 0
     while True:
         pass_no += 1
@@ -227,7 +258,7 @@ def resynthesize(netlist: Netlist, assignment: DieAssignment, config: ResynConfi
             die = asg.die(node.output_net)
             if config.freeze_die is not None and die != config.freeze_die:
                 continue
-            cross = cross_die_fanins(work, asg, node)
+            cross = node_cross_die_fanins(work, asg, node)
             if not cross:
                 report.audit.append(PivotAudit(pass_no, node.output_net, die, "skipped"))
                 continue
@@ -270,15 +301,19 @@ def resynthesize(netlist: Netlist, assignment: DieAssignment, config: ResynConfi
                         % (node.output_net, verdict.counterexample))
             commits_this_pass += 1
             report.commits += 1
+            n_sll_fo += change["n_sll_fo_delta"]
+            for d, w in enumerate(change["die_weight_delta"]):
+                die_weights[d] += w
+                total_weight += w
             report.audit.append(PivotAudit(
                 pass_no, node.output_net, die, "committed", len(cross),
                 removed_fanin=change["removed_fanin"],
                 new_support=change["new_support"],
                 removed_nodes=change["removed_nodes"],
                 window_pis=window.num_pis,
-                n_sll_fo_after=count_sll_fo(work, asg),
+                n_sll_fo_after=n_sll_fo,
                 lut_count_after=work.lut_count(),
-                rho_after=asg.imbalance(),
+                rho_after=max(die_weights) * asg.num_dies / total_weight,
             ))
         report.passes_run = pass_no
         if config.passes == -1:

@@ -8,6 +8,7 @@ keeps existence checks and interpolation exact.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 
 from .netlist import NODE, LutNode, Netlist, NetlistError
@@ -28,6 +29,7 @@ class Window:
     tfi_leaves: set[str]            # window PIs on paths into the pivot's TFI cone
     d1: int
     d2: int
+    tfo: set[int]                   # the pivot's whole transitive fanout (node ids)
 
     @property
     def num_pis(self) -> int:
@@ -38,8 +40,13 @@ class Window:
         return 1 << len(self.window_pis)
 
 
-def _grow_window(netlist: Netlist, pivot: int, d1: int, d2: int) -> tuple[set[int], set[str]]:
-    """Internal node set and TFI leaf nets for the given depth bounds."""
+def _grow_window(netlist: Netlist, pivot: int, d1: int, d2: int,
+                 full_tfo: set[int]) -> tuple[set[int], set[str]]:
+    """Internal node set and TFI leaf nets for the given depth bounds.
+
+    `full_tfo` is the pivot's whole transitive fanout; no node in it
+    becomes side logic.
+    """
     tfo_ids = netlist.tfo(pivot, d1) if d1 > 0 else set()
     tfi_ids = netlist.tfi(pivot, d2)
     core = {pivot} | tfo_ids | tfi_ids
@@ -53,38 +60,52 @@ def _grow_window(netlist: Netlist, pivot: int, d1: int, d2: int) -> tuple[set[in
     window = set(core)
     if d1 == 0:
         return window, leaves
-    full_tfo = netlist.tfo(pivot, None)
     depth_cap = d1 + d2
     window_nets = {netlist.nodes[n].output_net for n in window}
     free = set(netlist.primary_inputs) | {l.output_net for l in netlist.latches}
     depth: dict[str, int] = {net: 0 for net in leaves}
     level = netlist.levels()
-    candidates = sorted((n for n in netlist.nodes if n not in window and n not in full_tfo),
-                        key=lambda n: (level[n], n))
-    changed = True
-    while changed:
-        changed = False
-        for nid in candidates:
-            if nid in window:
-                continue
-            node = netlist.nodes[nid]
-            ok = True
-            d = 0
-            feeds_leaf = False
-            for f in node.fanins:
-                if f in window_nets or f in leaves:
-                    d = max(d, depth.get(f, 0) + 1)
-                    feeds_leaf = True
-                elif f in free:
-                    d = max(d, 1)
-                else:
-                    ok = False
-                    break
-            if ok and feeds_leaf and d <= depth_cap:
-                window.add(nid)
-                window_nets.add(node.output_net)
-                depth[node.output_net] = d
-                changed = True
+
+    # Visit order rule. The result depends on the order in which side
+    # nodes are tried: a leaf net's depth rises from 0 when its driver
+    # joins the window, so a reader tried before that join keeps a lower
+    # depth than one tried after it, and may be the only one to fit under
+    # depth_cap. Nodes are tried in (level, id) order. A reader sits above
+    # every node it reads, so this order is topological: each node is
+    # tried once, after every fanin driver that can still join. Only
+    # readers of window nets and leaves can join, so those are the ones
+    # queued: the readers of the initial window and leaves, then the
+    # readers of each node that joins.
+    def queue_readers(net):
+        for r in netlist.readers_of(net).node_ids:
+            if r not in queued and r not in window and r not in full_tfo:
+                queued.add(r)
+                heapq.heappush(heap, (level[r], r))
+
+    heap: list[tuple[int, int]] = []
+    queued: set[int] = set()
+    for net in window_nets | leaves:
+        queue_readers(net)
+    while heap:
+        nid = heapq.heappop(heap)[1]
+        node = netlist.nodes[nid]
+        ok = True
+        d = 0
+        feeds_leaf = False
+        for f in node.fanins:
+            if f in window_nets or f in leaves:
+                d = max(d, depth.get(f, 0) + 1)
+                feeds_leaf = True
+            elif f in free:
+                d = max(d, 1)
+            else:
+                ok = False
+                break
+        if ok and feeds_leaf and d <= depth_cap:
+            window.add(nid)
+            window_nets.add(node.output_net)
+            depth[node.output_net] = d
+            queue_readers(node.output_net)
     return window, leaves
 
 
@@ -98,8 +119,9 @@ def build_window(netlist: Netlist, pivot, config) -> Window | None:
     if node is None or node.id not in netlist.nodes:
         raise ResynthError("pivot is not a LUT node in this netlist")
     d1, d2 = config.d1, config.d2
+    full_tfo = netlist.tfo(node.id, None)
     while True:
-        internal_set, leaves = _grow_window(netlist, node.id, d1, d2)
+        internal_set, leaves = _grow_window(netlist, node.id, d1, d2, full_tfo)
         while True:
             internal_nets = {netlist.nodes[n].output_net for n in internal_set}
             pis = set()
@@ -154,7 +176,8 @@ def build_window(netlist: Netlist, pivot, config) -> Window | None:
                         and drv[1] not in seen:
                     seen.add(drv[1])
                     stack.append(drv[1])
-    return Window(node.id, window_pis, internal, sorted(outputs), tfi_related, d1, d2)
+    return Window(node.id, window_pis, internal, sorted(outputs), tfi_related, d1, d2,
+                  full_tfo)
 
 
 class WindowSim:
@@ -167,11 +190,17 @@ class WindowSim:
         self.values: dict[str, int] = {
             net: var_mask(i, window.num_pis) for i, net in enumerate(window.window_pis)
         }
+        self.pivot_net = netlist.nodes[window.pivot].output_net
+        # window nodes the pivot feeds, in topological order
+        self.pivot_fanout: list[LutNode] = []
+        fed = {self.pivot_net}
         for nid in window.internal:
             node = netlist.nodes[nid]
             self.values[node.output_net] = node.function.eval_masks(
                 [self.values[f] for f in node.fanins], self.width)
-        self.pivot_net = netlist.nodes[window.pivot].output_net
+            if not fed.isdisjoint(node.fanins):
+                fed.add(node.output_net)
+                self.pivot_fanout.append(node)
         self.pivot_mask = self.values[self.pivot_net]
 
     def value_of(self, net: str) -> int:
@@ -180,14 +209,15 @@ class WindowSim:
         except KeyError:
             raise ResynthError("net %r is not evaluable in the window" % net) from None
 
-    def resim_with_pivot(self, netlist: Netlist, forced: int) -> dict[str, int]:
-        """Window values with the pivot output forced to a constant."""
+    def resim_with_pivot(self, forced: int) -> dict[str, int]:
+        """Window values with the pivot output forced to a constant.
+
+        Only the nodes the pivot feeds are evaluated again; every other
+        net keeps its value from the first simulation.
+        """
         values = dict(self.values)
         values[self.pivot_net] = self.full if forced else 0
-        for nid in self.window.internal:
-            node = netlist.nodes[nid]
-            if node.output_net == self.pivot_net:
-                continue
+        for node in self.pivot_fanout:
             values[node.output_net] = node.function.eval_masks(
                 [values[f] for f in node.fanins], self.width)
         return values
@@ -223,8 +253,8 @@ def extract_care_set(netlist: Netlist, window: Window, sim: WindowSim | None = N
     if pivot_net in window.outputs:
         care = sim.full
     else:
-        v0 = sim.resim_with_pivot(netlist, 0)
-        v1 = sim.resim_with_pivot(netlist, 1)
+        v0 = sim.resim_with_pivot(0)
+        v1 = sim.resim_with_pivot(1)
         care = 0
         for out in window.outputs:
             care |= v0[out] ^ v1[out]
@@ -258,10 +288,8 @@ def collect_divisors(netlist: Netlist, window: Window, assignment: DieAssignment
     the divisor cap; `in_die` keeps the ones sharing the pivot's die.
     """
     pivot_node = netlist.nodes[window.pivot]
-    internal_set = set(window.internal)
     excluded = {netlist.nodes[n].output_net for n in netlist.mffc(window.pivot)}
-    tfo_ids = netlist.tfo(window.pivot, None)
-    excluded.update(netlist.nodes[n].output_net for n in tfo_ids if n in internal_set)
+    excluded.update(netlist.nodes[n].output_net for n in window.internal if n in window.tfo)
     excluded.add(pivot_node.output_net)
 
     levels: dict[str, int] = {net: 0 for net in window.window_pis}

@@ -1,0 +1,126 @@
+"""Exit codes of every CLI subcommand: 0 ok, 1 counterexample, 2 usage or stage error."""
+
+import os
+
+import pytest
+
+from sllresub import cli, flow
+from sllresub.equiv import EquivVerdict
+
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+DEMO = os.path.join(REPO, "demo", "twodie_xor.blif")
+DIES = os.path.join(REPO, "demo", "twodie_xor.dies")
+CARE = os.path.join(REPO, "demo", "twodie_xor_care.blif")
+
+
+def run(*argv) -> int:
+    """`sllresub <argv>` in this process; argparse's own usage errors exit 2."""
+    try:
+        return cli.main([str(a) for a in argv])
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.fixture(autouse=True)
+def no_env_overrides(monkeypatch):
+    for var in [v for v in os.environ if v.startswith("SLLRESUB_")]:
+        monkeypatch.delenv(var)
+
+
+@pytest.fixture
+def mutated(tmp_path):
+    """The demo circuit with F's function complemented."""
+    with open(DEMO, encoding="utf-8") as fh:
+        text = fh.read()
+    path = tmp_path / "mutated.blif"
+    path.write_text(text.replace(".names a d F\n10 1\n01 1\n", ".names a d F\n00 1\n11 1\n"))
+    return path
+
+
+@pytest.fixture
+def bad_dies(tmp_path):
+    path = tmp_path / "bad.dies"
+    path.write_text("# dies 2\nnot_a_node 0\n")
+    return path
+
+
+def test_partition_exit_codes(tmp_path):
+    assert run("partition", DEMO, "-o", tmp_path / "p.txt") == 0
+    assert (tmp_path / "p.txt").read_text().startswith("# dies 2\n")
+    assert run("partition", tmp_path / "missing.blif", "-o", tmp_path / "q.txt") == 2
+    assert run("partition", DEMO, "-o", tmp_path / "q.txt", "--dies", "two") == 2
+
+
+def test_resynth_exit_codes(tmp_path, bad_dies):
+    out = tmp_path / "post.blif"
+    assert run("resynth", "--in", DEMO, "--partition", DIES, "--out", out,
+               "--inject-care", CARE, "--report", tmp_path / "r.json") == 0
+    assert ".names d Y F" in out.read_text()
+    assert run("resynth", "--in", DEMO, "--partition", bad_dies, "--out", out) == 2
+    assert run("resynth", "--in", DEMO, "--partition", DIES, "--out", out,
+               "--d2", "0") == 2
+
+
+def test_equiv_exit_codes(tmp_path, mutated, capsys):
+    assert run("equiv", DEMO, DEMO) == 0
+    assert capsys.readouterr().out.startswith("EQUIVALENT")
+    assert run("equiv", DEMO, mutated) == 1
+    assert capsys.readouterr().out.startswith("MISMATCH on F")
+    assert run("equiv", DEMO, CARE) == 2           # interfaces differ
+
+
+def test_metrics_exit_codes(tmp_path, bad_dies):
+    assert run("metrics", "--in", DEMO, "--partition", DIES,
+               "--json", tmp_path / "m.json") == 0
+    assert run("metrics", "--in", DEMO, "--partition", bad_dies) == 2
+    assert run("metrics", "--in", DEMO, "--partition", DIES, "--sll-count", "x") == 2
+
+
+def test_split_exit_codes(tmp_path, bad_dies):
+    assert run("split", "--in", DEMO, "--partition", DIES, "--outdir", tmp_path / "d") == 0
+    assert sorted(os.listdir(tmp_path / "d")) == ["die0.blif", "die1.blif"]
+    assert run("split", "--in", DEMO, "--partition", bad_dies, "--outdir", tmp_path / "e") == 2
+
+
+def test_flow_exit_codes(tmp_path, monkeypatch):
+    args = ("flow", "--in", DEMO, "--partition-mode", "file", "--partition-file", DIES,
+            "--inject-care", CARE)
+    assert run(*args, "--outdir", tmp_path / "ok") == 0
+    assert run("flow", "--in", tmp_path / "missing.blif", "--outdir", tmp_path / "x") == 2
+
+    def refuted(*_args, **_kwargs):
+        return EquivVerdict(False, "exhaustive", 16, {"a": 1}, "F")
+
+    monkeypatch.setattr(flow, "check_equivalence", refuted)
+    assert run(*args, "--outdir", tmp_path / "bad") == 1
+
+
+def test_bench_exit_codes(tmp_path):
+    assert run("bench", "voter", "-o", tmp_path / "v.blif") == 0
+    assert (tmp_path / "v.blif").read_text().startswith(".model")
+    assert run("bench", "no_such_circuit") == 2
+
+
+def test_env_override_sets_the_flag_default(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("SLLRESUB_VERBOSE", "yes")
+    monkeypatch.setenv("SLLRESUB_DIES", "3")
+    assert run("partition", DEMO, "-o", tmp_path / "p.txt", "--partition-mode", "hash") == 0
+    assert (tmp_path / "p.txt").read_text().startswith("# dies 3\n")
+    assert "cut=" in capsys.readouterr().err
+    # the command line still wins over the environment
+    assert run("partition", DEMO, "-o", tmp_path / "q.txt", "--dies", "2") == 0
+    assert (tmp_path / "q.txt").read_text().startswith("# dies 2\n")
+
+
+@pytest.mark.parametrize("var, value", [
+    ("SLLRESUB_SEED", "abc"),
+    ("SLLRESUB_UB", "high"),
+    ("SLLRESUB_FREEZE_DIE", "x"),
+    ("SLLRESUB_PARTITION_MODE", "bogus"),
+    ("SLLRESUB_VERBOSE", "flase"),
+])
+def test_bad_env_value_is_a_usage_error(tmp_path, monkeypatch, capsys, var, value):
+    monkeypatch.setenv(var, value)
+    assert run("partition", DEMO, "-o", tmp_path / "p.txt") == 2
+    assert "%s=%s" % (var, value) in capsys.readouterr().err
+    assert not (tmp_path / "p.txt").exists()

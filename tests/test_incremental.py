@@ -1,0 +1,171 @@
+"""Oracle and property tests for the state the sweep keeps up to date per pivot
+and per commit: window growth, node levels, the audit totals and the
+forced-pivot resimulation. Each is checked against a from-scratch
+recomputation.
+"""
+
+import random
+from unittest import mock
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from sllresub import bench, resynth
+from sllresub.metrics import count_sll_fo
+from sllresub.netlist import NetlistError
+from sllresub.partition import partition_hash
+from sllresub.resynth import ResynConfig, resynthesize
+from sllresub.truthtab import TruthTable
+from sllresub.windows import WindowSim, _grow_window, build_window
+
+
+def _reference_grow_window(netlist, pivot, d1, d2):
+    """Side-logic growth by repeated sweeps over every node in (level, id) order."""
+    tfo_ids = netlist.tfo(pivot, d1) if d1 > 0 else set()
+    tfi_ids = netlist.tfi(pivot, d2)
+    core = {pivot} | tfo_ids | tfi_ids
+    leaves = set(netlist.cone_input_nets(tfi_ids | {pivot}))
+    window = set(core)
+    if d1 == 0:
+        return window, leaves
+    full_tfo = netlist.tfo(pivot, None)
+    depth_cap = d1 + d2
+    window_nets = {netlist.nodes[n].output_net for n in window}
+    free = set(netlist.primary_inputs) | {l.output_net for l in netlist.latches}
+    depth = {net: 0 for net in leaves}
+    level = netlist.levels()
+    candidates = sorted((n for n in netlist.nodes if n not in window and n not in full_tfo),
+                        key=lambda n: (level[n], n))
+    changed = True
+    while changed:
+        changed = False
+        for nid in candidates:
+            if nid in window:
+                continue
+            node = netlist.nodes[nid]
+            ok = True
+            d = 0
+            feeds_leaf = False
+            for f in node.fanins:
+                if f in window_nets or f in leaves:
+                    d = max(d, depth.get(f, 0) + 1)
+                    feeds_leaf = True
+                elif f in free:
+                    d = max(d, 1)
+                else:
+                    ok = False
+                    break
+            if ok and feeds_leaf and d <= depth_cap:
+                window.add(nid)
+                window_nets.add(node.output_net)
+                depth[node.output_net] = d
+                changed = True
+    return window, leaves
+
+
+@pytest.mark.parametrize("name", bench.BENCH_NAMES)
+def test_grow_window_matches_global_scan_on_every_pivot(name):
+    built = bench.build(name, 4)
+    # after a sweep, replaced nodes carry fresh ids, so id order is no
+    # longer topological there
+    swept = resynthesize(built, partition_hash(built, 2),
+                         ResynConfig(verify_each_commit=False)).netlist
+    for n in (built, swept):
+        for pivot in sorted(n.nodes):
+            full_tfo = n.tfo(pivot, None)
+            for d1, d2 in ((2, 8), (1, 3)):
+                assert _grow_window(n, pivot, d1, d2, full_tfo) \
+                    == _reference_grow_window(n, pivot, d1, d2), (pivot, d1, d2)
+
+
+def _levels_by_name(netlist):
+    level = netlist.levels()
+    return {node.output_net: level[nid] for nid, node in netlist.nodes.items()}
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10**6), dies=st.integers(2, 4), latches=st.integers(0, 2),
+       passes=st.sampled_from([1, -1]))
+def test_commit_state_matches_recomputation(seed, dies, latches, passes):
+    n = bench.random_netlist(seed, num_pis=6, num_nodes=24, k=4, num_pos=4,
+                             num_latches=latches)
+    asg = partition_hash(n, dies)
+    seen = []
+    apply = resynth.apply_resubstitution
+
+    def checked(netlist, assignment, candidate):
+        """The commit, then its levels against a rebuild and its exact metrics."""
+        change = apply(netlist, assignment, candidate)
+        assert _levels_by_name(netlist) == _levels_by_name(netlist.copy())
+        seen.append((count_sll_fo(netlist, assignment), netlist.lut_count(),
+                     assignment.imbalance()))
+        return change
+
+    with mock.patch.object(resynth, "apply_resubstitution", checked):
+        res = resynthesize(n, asg, ResynConfig(passes=passes, verify_each_commit=False))
+    audit = [(a.n_sll_fo_after, a.lut_count_after, a.rho_after)
+             for a in res.report.committed()]
+    assert audit == seen
+    assert res.report.after["n_sll_fo"] == (audit[-1][0] if audit
+                                            else res.report.before["n_sll_fo"])
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10**6), edits=st.integers(1, 12))
+def test_levels_follow_random_edits(seed, edits):
+    rng = random.Random(seed)
+    n = bench.random_netlist(seed, num_pis=5, num_nodes=20, k=4, num_pos=3)
+    n.levels()
+    for _ in range(edits):
+        nid = rng.choice(sorted(n.nodes))
+        banned = n.tfo(nid) | {nid}
+        pool = sorted(net for net in n.source_nets() + [x.output_net for x in n.nodes.values()]
+                      if n.node_of_net(net) is None or n.node_of_net(net).id not in banned)
+        fanins = rng.sample(pool, rng.randint(1, min(4, len(pool))))
+        table = TruthTable(len(fanins), rng.getrandbits(1 << len(fanins)))
+        node = n.replace_node(nid, fanins, table)
+        n.sweep_dead(pool)
+        assert _levels_by_name(n) == _levels_by_name(n.copy())
+        if node.id not in n.nodes:
+            break
+
+
+def test_edit_that_closes_a_cycle_is_reported_by_levels():
+    n = bench.random_netlist(3, num_pis=4, num_nodes=12, k=4, num_pos=2)
+    n.levels()
+    deep = max(n.nodes, key=lambda nid: n.levels()[nid])
+    first = next(nid for nid in sorted(n.nodes) if deep in n.tfo(nid))
+    n.replace_node(first, [n.nodes[deep].output_net], TruthTable(1, 0b10))
+    with pytest.raises(NetlistError, match="cycle"):
+        n.levels()
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_fanout_cone_check_matches_tfo(seed):
+    n = bench.random_netlist(seed, num_pis=5, num_nodes=25, k=4, num_pos=4, num_latches=seed % 2)
+    nets = n.source_nets() + [node.output_net for node in n.nodes.values()]
+    for pivot in n.nodes:
+        cone = n.tfo(pivot) | {pivot}
+        for net in nets:
+            drv = n.node_of_net(net)
+            assert resynth._in_fanout_cone(n, pivot, net) == (drv is not None and drv.id in cone)
+
+
+@pytest.mark.parametrize("name", ["sin", "square", "i2c", "router", "voter"])
+def test_forced_pivot_resim_matches_full_window_resim(name):
+    n = bench.build(name, 4)
+    config = ResynConfig()
+    for pivot in sorted(n.nodes):
+        window = build_window(n, pivot, config)
+        if window is None:
+            continue
+        sim = WindowSim(n, window)
+        for forced in (0, 1):
+            full = dict(sim.values)
+            full[sim.pivot_net] = sim.full if forced else 0
+            for nid in window.internal:
+                node = n.nodes[nid]
+                if node.output_net != sim.pivot_net:
+                    full[node.output_net] = node.function.eval_masks(
+                        [full[f] for f in node.fanins], sim.width)
+            assert sim.resim_with_pivot(forced) == full
