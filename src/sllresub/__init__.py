@@ -11,8 +11,8 @@ from .equiv import EquivVerdict, check_equivalence
 from .flow import FlowConfig, run_flow, split_per_die, stitch
 from .metrics import PlacementData, bbox_cost_md, bbox_cost_sd, count_sll, count_sll_fo
 from .netlist import LatchElement, LutNode, Netlist, parse_blif, parse_blif_file, write_blif
-from .partition import (DieAssignment, PartitionConfig, imbalance, load_assignment,
-                        partition_fm, partition_hash, save_assignment)
+from .partition import (DieAssignment, PartitionConfig, load_assignment, partition_fm,
+                        partition_hash, save_assignment)
 from .resynth import ResynConfig, ResynResult, apply_resubstitution, resynthesize
 from .truthtab import TruthTable
 from .windows import (CareSet, DivisorSet, Window, build_window, collect_divisors,

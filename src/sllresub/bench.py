@@ -641,11 +641,6 @@ EPFL_NAMES = tuple(sorted(_EPFL_BUILDERS))
 MCNC_NAMES = tuple(sorted(_MCNC_BUILDERS))
 BENCH_NAMES = EPFL_NAMES + MCNC_NAMES
 
-# Table-style list used by the LUT-size sensitivity harness.
-SENSITIVITY_NAMES = ("int2float", "ctrl", "router", "cavlc", "priority", "dec",
-                     "i2c", "arbiter", "mem_ctrl", "sin", "max", "square",
-                     "sqrt", "multiplier", "log2", "div", "voter")
-
 
 def gate_network(name: str) -> GateNetwork:
     builders = {**_EPFL_BUILDERS, **_MCNC_BUILDERS}

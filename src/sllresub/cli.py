@@ -16,7 +16,7 @@ import os
 import sys
 
 from . import bench
-from .equiv import EquivError, check_equivalence
+from .equiv import DEFAULT_VECTOR_BUDGET, EquivError, check_equivalence
 from .flow import FlowConfig, FlowError, run_flow, split_per_die
 from .metrics import (MetricsError, load_placement, load_q_table,
                       report as metrics_report)
@@ -139,14 +139,13 @@ def cmd_equiv(args) -> int:
     a = parse_blif_file(args.a, args.k_max)
     b = parse_blif_file(args.b, args.k_max)
     care = parse_blif_file(args.care, args.k_max) if args.care else None
+    mode, budget = "auto", DEFAULT_VECTOR_BUDGET
     if args.exhaustive:
-        mode, budget = "exhaustive", 0
+        mode = "exhaustive"
     elif args.random is not None:
         mode, budget = "random", args.random
-    else:
-        mode, budget = "auto", 100_000
     verdict = check_equivalence(a, b, mode=mode, seed=args.seed,
-                                vector_budget=budget or 100_000, care=care)
+                                vector_budget=budget, care=care)
     if verdict.equivalent:
         print("EQUIVALENT (%s, %d vectors)" % (verdict.mode, verdict.vectors_checked))
         return 0

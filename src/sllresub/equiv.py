@@ -11,8 +11,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .netlist import Netlist, NetlistError
-from .truthtab import full_mask, var_mask
+from .netlist import Netlist
+from .truthtab import full_mask
 
 EXHAUSTIVE_PI_BOUND = 18
 DEFAULT_VECTOR_BUDGET = 100_000
@@ -76,12 +76,15 @@ def check_equivalence(a: Netlist, b: Netlist, mode: str = "auto", seed: int = 0,
     `exhaustive_pi_bound`), 'random' draws `vector_budget` seeded vectors,
     'auto' picks exhaustive when it fits. An optional single-output `care`
     netlist over the primary inputs restricts the compared input space.
+    A `vector_budget` below 1 is refused in every mode.
     """
     _check_interfaces(a, b)
     sources = sorted(a.source_nets())
     sinks = sorted(a.sink_nets())
     if mode not in ("auto", "exhaustive", "random"):
         raise EquivError("unknown mode %r" % mode)
+    if vector_budget < 1:
+        raise EquivError("vector budget must be >= 1 (got %d)" % vector_budget)
     if mode == "exhaustive" and len(sources) > exhaustive_pi_bound:
         raise EquivError("exhaustive mode refused beyond %d inputs (have %d)"
                          % (exhaustive_pi_bound, len(sources)))
@@ -89,8 +92,7 @@ def check_equivalence(a: Netlist, b: Netlist, mode: str = "auto", seed: int = 0,
         mode = "exhaustive" if len(sources) <= exhaustive_pi_bound else "random"
 
     if mode == "exhaustive":
-        width = 1 << len(sources)
-        masks = {net: var_mask(i, len(sources)) for i, net in enumerate(sources)}
+        masks, width = a.exhaustive_masks()
         a_vals = a.eval_masks(masks, width)
         b_vals = b.eval_masks(masks, width)
         care_bits = _care_mask(care, masks, width)

@@ -11,15 +11,13 @@ from dataclasses import dataclass, field
 
 from . import metrics as metrics_mod
 from .equiv import EquivError, EquivVerdict, check_equivalence
-from .netlist import (Netlist, NetlistError, has_generated_names, parse_blif_file,
-                      write_blif, write_blif_file)
+from .netlist import (SLL_PREFIX, Netlist, NetlistError, has_generated_names,
+                      parse_blif_file, write_blif_file)
 from .partition import (DieAssignment, PartitionConfig, PartitionError,
                         assignment_for, save_assignment)
 from .resynth import ResynConfig, ResynResult, resynthesize
 from .truthtab import TruthTable
 from .windows import ResynthError
-
-SLL_PREFIX = "__sll_"
 
 
 class FlowError(Exception):
@@ -48,7 +46,7 @@ def split_per_die(netlist: Netlist, assignment: DieAssignment) -> list[Netlist]:
     k = assignment.num_dies
     # crossing[net] = sorted destination dies
     crossing: dict[str, list[int]] = {}
-    for name, sinks in metrics_mod._net_terminals(netlist):
+    for name, sinks in metrics_mod.net_terminals(netlist):
         dd = assignment.die(name)
         dests = sorted({assignment.die(s) for s in sinks} - {dd})
         if dests:

@@ -23,7 +23,7 @@ class MetricsError(Exception):
     pass
 
 
-def _net_terminals(netlist: Netlist):
+def net_terminals(netlist: Netlist):
     """Yield (driver_name, [sink names]) for every driven net, stable order."""
     for name in (netlist.primary_inputs
                  + [l.output_net for l in netlist.latches]
@@ -43,7 +43,7 @@ def count_sll(netlist: Netlist, assignment: DieAssignment, mode: str = "per-die"
     if mode not in SLL_COUNT_MODES:
         raise MetricsError("unknown SLL count mode %r" % mode)
     total = 0
-    for driver, sinks in _net_terminals(netlist):
+    for driver, sinks in net_terminals(netlist):
         if not sinks:
             continue
         dd = assignment.die(driver)
@@ -56,7 +56,7 @@ def count_sll(netlist: Netlist, assignment: DieAssignment, mode: str = "per-die"
 def count_sll_fo(netlist: Netlist, assignment: DieAssignment) -> int:
     """Edge-level count: driver->sink edges with endpoints on different dies."""
     total = 0
-    for driver, sinks in _net_terminals(netlist):
+    for driver, sinks in net_terminals(netlist):
         dd = assignment.die(driver)
         total += sum(1 for s in sinks if assignment.die(s) != dd)
     return total
@@ -139,7 +139,7 @@ def _hpwl(points) -> float:
 def bbox_cost_sd(netlist: Netlist, placement: PlacementData, die: int) -> float:
     """Weighted HPWL over nets placed entirely on `die`."""
     cost = 0.0
-    for driver, sinks in _net_terminals(netlist):
+    for driver, sinks in net_terminals(netlist):
         if not sinks:
             continue
         terms = [driver] + sinks
@@ -166,7 +166,7 @@ def bbox_cost_md(netlist: Netlist, placement: PlacementData,
     """
     placement.validate()
     cost = 0.0
-    for driver, sinks in _net_terminals(netlist):
+    for driver, sinks in net_terminals(netlist):
         if not sinks:
             continue
         terms = [driver] + sinks

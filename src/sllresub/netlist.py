@@ -24,7 +24,6 @@ DEFAULT_K_MAX = 6
 PI = "pi"
 NODE = "node"
 LATCH = "latch"
-PO = "po"
 
 
 class NetlistError(Exception):
@@ -157,18 +156,6 @@ class Netlist:
     def readers_of(self, net: str) -> _NetUse:
         use = self._uses.get(net)
         return use if use is not None else _NetUse()
-
-    def net_index(self) -> dict[str, tuple]:
-        """Map net -> (driver, (reader kinds...)) snapshot for inspection."""
-        out = {}
-        nets = set(self._pi_set) | set(self._node_of_net) | set(self._latch_of_net) | set(self._uses)
-        for net in sorted(nets):
-            use = self.readers_of(net)
-            readers = tuple([(NODE, i) for i in use.node_ids]
-                            + [(LATCH, i) for i in use.latch_idxs]
-                            + ([(PO, net)] if use.is_po else []))
-            out[net] = (self.driver_of(net), readers)
-        return out
 
     def lut_count(self) -> int:
         return len(self.nodes)
@@ -484,7 +471,7 @@ class Netlist:
 # ----------------------------------------------------------------------
 # BLIF I/O
 
-_GENERATED_PREFIX = "__sll_"
+SLL_PREFIX = "__sll_"        # reserved for the per-die split's boundary pins
 
 
 def _logical_lines(text: str):
@@ -640,7 +627,7 @@ def parse_blif_file(path, k_max: int = DEFAULT_K_MAX) -> Netlist:
         return parse_blif(fh.read(), k_max)
 
 
-def write_blif(netlist: Netlist, merge_cubes: bool = False) -> str:
+def write_blif(netlist: Netlist) -> str:
     """Emit BLIF with deterministic (topological, name-tiebreak) node order."""
     out = io.StringIO()
     out.write(".model %s\n" % netlist.model_name)
@@ -654,7 +641,7 @@ def write_blif(netlist: Netlist, merge_cubes: bool = False) -> str:
     level = netlist.levels()
     for node in sorted(netlist.nodes.values(), key=lambda n: (level[n.id], n.output_net)):
         out.write(".names%s %s\n" % ("".join(" " + f for f in node.fanins), node.output_net))
-        for row in table_to_cover(node.function, merge_cubes=merge_cubes):
+        for row in table_to_cover(node.function):
             if row:
                 out.write("%s 1\n" % row)
             else:
@@ -663,9 +650,9 @@ def write_blif(netlist: Netlist, merge_cubes: bool = False) -> str:
     return out.getvalue()
 
 
-def write_blif_file(netlist: Netlist, path, merge_cubes: bool = False):
+def write_blif_file(netlist: Netlist, path):
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(write_blif(netlist, merge_cubes=merge_cubes))
+        fh.write(write_blif(netlist))
 
 
 def has_generated_names(netlist: Netlist) -> bool:
@@ -674,4 +661,4 @@ def has_generated_names(netlist: Netlist) -> bool:
             + [n.output_net for n in netlist.nodes.values()]
             + [l.output_net for l in netlist.latches]
             + [l.input_net for l in netlist.latches])
-    return any(n.startswith(_GENERATED_PREFIX) for n in nets)
+    return any(n.startswith(SLL_PREFIX) for n in nets)

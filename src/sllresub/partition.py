@@ -12,9 +12,9 @@ import heapq
 import math
 import random
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .netlist import LATCH, NODE, PI, Netlist, NetlistError
+from .netlist import Netlist
 
 
 class PartitionError(Exception):
@@ -55,11 +55,6 @@ class DieAssignment:
             raise PartitionError("no die assignment for %r" % name) from None
 
 
-def imbalance(assignment: DieAssignment) -> float:
-    """Partition imbalance ratio: max die logic weight over the uniform share."""
-    return assignment.imbalance()
-
-
 @dataclass
 class PartitionConfig:
     num_dies: int = 2
@@ -80,12 +75,6 @@ def entities(netlist: Netlist) -> list[tuple[str, int]]:
     out.extend((node.output_net, 1)
                for node in sorted(netlist.nodes.values(), key=lambda n: n.id))
     return out
-
-
-def _sink_entity(netlist: Netlist, kind: str, ref) -> str:
-    if kind == NODE:
-        return netlist.nodes[ref].output_net
-    return netlist.latches[ref].output_net
 
 
 def hyperedges(netlist: Netlist) -> list[tuple[str, tuple[str, ...]]]:

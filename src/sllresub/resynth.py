@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, asdict
 
 from . import equiv as equiv_mod
 from .metrics import count_sll, count_sll_fo, node_cross_die_fanins
-from .netlist import NODE, LutNode, Netlist, NetlistError
+from .netlist import NODE, LutNode, Netlist
 from .partition import DieAssignment
 from .truthtab import TruthTable
 from .windows import (CareSet, DivisorSet, ResynthError, Window, WindowSim,
@@ -29,7 +29,6 @@ class ResynConfig:
     d2: int = 8
     window_pi_cap: int = 14
     divisor_cap: int = 150
-    divisor_level_bound: int | None = None    # defaults to d2
     passes: int = 1                           # -1: repeat until a pass commits nothing
     verify_each_commit: bool = True
     max_augment: int = 1
@@ -68,9 +67,7 @@ class PivotAudit:
     new_support: list[str] | None = None
     removed_nodes: list[str] | None = None
     window_pis: int | None = None
-    n_sll_fo_after: int | None = None
-    lut_count_after: int | None = None
-    rho_after: float | None = None
+    n_sll_fo_delta: int | None = None   # crossing edges the commit added (negative: removed)
 
 
 @dataclass
@@ -82,7 +79,6 @@ class ResynReport:
     passes_run: int = 0
     commits: int = 0
     audit: list[PivotAudit] = field(default_factory=list)
-    notes: dict = field(default_factory=dict)
 
     def committed(self) -> list[PivotAudit]:
         return [a for a in self.audit if a.outcome == "committed"]
@@ -96,7 +92,6 @@ class ResynReport:
             "passes_run": self.passes_run,
             "commits": self.commits,
             "audit": [asdict(a) for a in self.audit],
-            "notes": self.notes,
         }
 
     def to_json(self) -> str:
@@ -176,9 +171,8 @@ def apply_resubstitution(netlist: Netlist, assignment: DieAssignment,
 
     Raises ResynthError (netlist untouched) when a support net lies in
     the pivot's TFO, which would create a combinational cycle. Besides
-    the edit itself, the returned dict holds the commit's effect on the
-    metrics: `n_sll_fo_delta` (crossing driver->sink edges) and
-    `die_weight_delta` (logic weight per die).
+    the edit itself, the returned dict holds `n_sll_fo_delta`, the
+    commit's change in crossing driver->sink edges.
     """
     node = netlist.node_of_net(candidate.pivot_net)
     if node is None:
@@ -195,10 +189,9 @@ def apply_resubstitution(netlist: Netlist, assignment: DieAssignment,
     removed = netlist.sweep_dead(old_fanins)
     # a swept node takes its fanin edges with it; nothing read it any more
     fo_delta -= sum(len(node_cross_die_fanins(netlist, assignment, r)) for r in removed)
-    weight_delta = [0] * assignment.num_dies
     for r in removed:
-        die = assignment.die_of.pop(r.output_net)
-        weight_delta[die] -= assignment.weights.pop(r.output_net, 0)
+        del assignment.die_of[r.output_net]
+        assignment.weights.pop(r.output_net, None)
     return {
         "pivot": candidate.pivot_net,
         "removed_fanin": candidate.removed_fanin,
@@ -206,7 +199,6 @@ def apply_resubstitution(netlist: Netlist, assignment: DieAssignment,
         "removed_nodes": [r.output_net for r in removed],
         "new_node_id": new_node.id,
         "n_sll_fo_delta": fo_delta,
-        "die_weight_delta": weight_delta,
     }
 
 
@@ -237,15 +229,7 @@ def resynthesize(netlist: Netlist, assignment: DieAssignment, config: ResynConfi
             "lut_count": netlist.lut_count(),
             "rho": assignment.imbalance(),
         },
-        notes={
-            "divisor_support": "window-pi",
-            "latch_weighting": "latches weigh 1 in the imbalance ratio",
-        },
     )
-    # running totals for the per-commit audit, moved by each commit's delta
-    n_sll_fo = report.before["n_sll_fo"]
-    die_weights = asg.die_weights()
-    total_weight = asg.total_weight()
     pass_no = 0
     while True:
         pass_no += 1
@@ -301,19 +285,13 @@ def resynthesize(netlist: Netlist, assignment: DieAssignment, config: ResynConfi
                         % (node.output_net, verdict.counterexample))
             commits_this_pass += 1
             report.commits += 1
-            n_sll_fo += change["n_sll_fo_delta"]
-            for d, w in enumerate(change["die_weight_delta"]):
-                die_weights[d] += w
-                total_weight += w
             report.audit.append(PivotAudit(
                 pass_no, node.output_net, die, "committed", len(cross),
                 removed_fanin=change["removed_fanin"],
                 new_support=change["new_support"],
                 removed_nodes=change["removed_nodes"],
                 window_pis=window.num_pis,
-                n_sll_fo_after=n_sll_fo,
-                lut_count_after=work.lut_count(),
-                rho_after=max(die_weights) * asg.num_dies / total_weight,
+                n_sll_fo_delta=change["n_sll_fo_delta"],
             ))
         report.passes_run = pass_no
         if config.passes == -1:

@@ -76,9 +76,6 @@ class TruthTable:
     def on_minterms(self) -> list[int]:
         return [m for m in range(self.num_minterms) if (self.bits >> m) & 1]
 
-    def is_constant(self) -> bool:
-        return self.bits == 0 or self.bits == full_mask(self.num_minterms)
-
     def depends_on(self, i: int) -> bool:
         """True when the function value changes with input `i` somewhere."""
         step = 1 << i
@@ -142,40 +139,7 @@ def cover_to_table(num_inputs: int, rows: list[str]) -> TruthTable:
     return TruthTable(num_inputs, bits)
 
 
-def table_to_cover(table: TruthTable, merge_cubes: bool = False) -> list[str]:
-    """On-set cover rows for a table, one row per minterm by default.
-
-    With `merge_cubes`, adjacent cube pairs are fused into `-` cubes
-    (exact cover, not a minimal one).
-    """
-    rows = []
-    for m in table.on_minterms():
-        rows.append("".join("1" if (m >> i) & 1 else "0" for i in range(table.num_inputs)))
-    if not merge_cubes or not rows:
-        return rows
-    cubes = set(rows)
-    while True:
-        merged = set()
-        used = set()
-        index = set(cubes)
-        for c in sorted(cubes):
-            for i, ch in enumerate(c):
-                if ch == "-":
-                    continue
-                partner = c[:i] + ("1" if ch == "0" else "0") + c[i + 1:]
-                if partner in index:
-                    merged.add(c[:i] + "-" + c[i + 1:])
-                    used.add(c)
-                    used.add(partner)
-        if not merged:
-            break
-        cubes = (cubes - used) | merged
-
-    def subsumes(a: str, b: str) -> bool:
-        return all(ca == "-" or ca == cb for ca, cb in zip(a, b))
-
-    kept: list[str] = []
-    for c in sorted(cubes, key=lambda c: (-c.count("-"), c)):
-        if not any(subsumes(k, c) for k in kept):
-            kept.append(c)
-    return sorted(kept)
+def table_to_cover(table: TruthTable) -> list[str]:
+    """On-set cover rows for a table, one row per minterm."""
+    return ["".join("1" if (m >> i) & 1 else "0" for i in range(table.num_inputs))
+            for m in table.on_minterms()]

@@ -11,7 +11,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 
-from .netlist import NODE, LutNode, Netlist, NetlistError
+from .netlist import LutNode, Netlist
 from .partition import DieAssignment
 from .truthtab import TruthTable, full_mask, var_mask
 
@@ -26,7 +26,6 @@ class Window:
     window_pis: list[str]           # sorted; index i = input i of the minterm space
     internal: list[int]             # node ids in topological order
     outputs: list[str]              # nets observable outside the window
-    tfi_leaves: set[str]            # window PIs on paths into the pivot's TFI cone
     d1: int
     d2: int
     tfo: set[int]                   # the pivot's whole transitive fanout (node ids)
@@ -41,25 +40,24 @@ class Window:
 
 
 def _grow_window(netlist: Netlist, pivot: int, d1: int, d2: int,
-                 full_tfo: set[int]) -> tuple[set[int], set[str]]:
-    """Internal node set and TFI leaf nets for the given depth bounds.
+                 full_tfo: set[int]) -> set[int]:
+    """Internal node set for the given depth bounds.
 
     `full_tfo` is the pivot's whole transitive fanout; no node in it
     becomes side logic.
     """
     tfo_ids = netlist.tfo(pivot, d1) if d1 > 0 else set()
     tfi_ids = netlist.tfi(pivot, d2)
-    core = {pivot} | tfo_ids | tfi_ids
-    leaves = set(netlist.cone_input_nets(tfi_ids | {pivot}))
+    window = {pivot} | tfo_ids | tfi_ids
 
     # Side logic: nodes fed entirely by window nets (or free sources such
     # as PIs and latch outputs), reachable forward from the leaf nets
     # within d1+d2 levels. The pivot's deeper TFO stays out; d1 alone
     # bounds how far downstream the window looks, and d1=0 pins the
     # window to the pivot's own input cone.
-    window = set(core)
     if d1 == 0:
-        return window, leaves
+        return window
+    leaves = set(netlist.cone_input_nets(tfi_ids | {pivot}))
     depth_cap = d1 + d2
     window_nets = {netlist.nodes[n].output_net for n in window}
     free = set(netlist.primary_inputs) | {l.output_net for l in netlist.latches}
@@ -106,7 +104,7 @@ def _grow_window(netlist: Netlist, pivot: int, d1: int, d2: int,
             window_nets.add(node.output_net)
             depth[node.output_net] = d
             queue_readers(node.output_net)
-    return window, leaves
+    return window
 
 
 def build_window(netlist: Netlist, pivot, config) -> Window | None:
@@ -121,24 +119,21 @@ def build_window(netlist: Netlist, pivot, config) -> Window | None:
     d1, d2 = config.d1, config.d2
     full_tfo = netlist.tfo(node.id, None)
     while True:
-        internal_set, leaves = _grow_window(netlist, node.id, d1, d2, full_tfo)
-        while True:
-            internal_nets = {netlist.nodes[n].output_net for n in internal_set}
-            pis = set()
-            consts = set()
-            for nid in internal_set:
-                for f in netlist.nodes[nid].fanins:
-                    if f in internal_nets:
-                        continue
-                    drv = netlist.driver_of(f)
-                    if drv is not None and drv[0] == NODE \
-                            and not netlist.nodes[drv[1]].fanins:
-                        consts.add(drv[1])  # absorb constants, they cost no PIs
-                    else:
-                        pis.add(f)
-            if not consts:
-                break
-            internal_set |= consts
+        internal_set = _grow_window(netlist, node.id, d1, d2, full_tfo)
+        internal_nets = {netlist.nodes[n].output_net for n in internal_set}
+        pis = set()
+        consts = set()
+        for nid in internal_set:
+            for f in netlist.nodes[nid].fanins:
+                if f in internal_nets:
+                    continue
+                drv = netlist.node_of_net(f)
+                if drv is not None and not drv.fanins:
+                    consts.add(drv.id)  # absorb constants, they cost no PIs
+                else:
+                    pis.add(f)
+        # a constant has no fanins, so absorbing it adds no PIs
+        internal_set |= consts
         if len(pis) <= config.window_pi_cap:
             break
         if d2 > 1:
@@ -158,26 +153,7 @@ def build_window(netlist: Netlist, pivot, config) -> Window | None:
         observable = observable or any(r not in internal_set for r in use.node_ids)
         if observable:
             outputs.append(out_net)
-    window_pis = sorted(pis)
-
-    # Window PIs on paths into the pivot cone (used for reporting and
-    # divisor levels); the pivot cone support restricted to window PIs.
-    tfi_related = set()
-    stack = [node.id]
-    seen = {node.id}
-    while stack:
-        cur = stack.pop()
-        for f in netlist.nodes[cur].fanins:
-            if f in pis:
-                tfi_related.add(f)
-            else:
-                drv = netlist.driver_of(f)
-                if drv is not None and drv[0] == NODE and drv[1] in internal_set \
-                        and drv[1] not in seen:
-                    seen.add(drv[1])
-                    stack.append(drv[1])
-    return Window(node.id, window_pis, internal, sorted(outputs), tfi_related, d1, d2,
-                  full_tfo)
+    return Window(node.id, sorted(pis), internal, sorted(outputs), d1, d2, full_tfo)
 
 
 class WindowSim:
@@ -297,11 +273,10 @@ def collect_divisors(netlist: Netlist, window: Window, assignment: DieAssignment
         node = netlist.nodes[nid]
         levels[node.output_net] = 1 + max((levels[f] for f in node.fanins), default=0)
 
-    bound = config.divisor_level_bound if config.divisor_level_bound is not None else config.d2
     ordered = sorted(levels.items(), key=lambda kv: (kv[1], kv[0]))
     candidates = []
     for net, lvl in ordered:
-        if net in excluded or lvl > bound:
+        if net in excluded or lvl > config.d2:
             continue
         candidates.append((net, assignment.die(net), lvl))
         if len(candidates) >= config.divisor_cap:

@@ -69,6 +69,20 @@ def test_equiv_exit_codes(tmp_path, mutated, capsys):
     assert run("equiv", DEMO, CARE) == 2           # interfaces differ
 
 
+def test_vector_budget_below_one_is_a_usage_error(tmp_path, capsys):
+    for n in (0, -1):
+        assert run("equiv", DEMO, DEMO, "--random", n) == 2
+        assert "vector budget" in capsys.readouterr().err
+    # --random is passed through as given, not replaced by a default
+    assert run("equiv", DEMO, DEMO, "--random", 7) == 0
+    assert capsys.readouterr().out == "EQUIVALENT (random, 7 vectors)\n"
+    args = ("flow", "--in", DEMO, "--partition-mode", "file", "--partition-file", DIES,
+            "--vectors", "0")
+    assert run(*args, "--outdir", tmp_path / "auto") == 2
+    assert run(*args, "--verify", "random", "--outdir", tmp_path / "random") == 2
+    assert "vector budget" in capsys.readouterr().err
+
+
 def test_metrics_exit_codes(tmp_path, bad_dies):
     assert run("metrics", "--in", DEMO, "--partition", DIES,
                "--json", tmp_path / "m.json") == 0

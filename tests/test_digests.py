@@ -29,15 +29,15 @@ CASES = {
     "square_k4": (lambda: write_blif(bench.build("square", 4)),
                   PartitionConfig(num_dies=2, mode="fm_mincut"), True,
                   "55de91394acb89d8532e7c22629beca01e40a1e4dcd9b7115eeb52d074b6ffdd",
-                  "a4853724528eccaf27ab1fd784cce874aaa0c91a9cac41263bc3412ae95084bd"),
+                  "a842b3a7cf86b223c3b1ded7cf4eed36be161530f263769e72b1940d8a43d15c"),
     "sin_k4": (lambda: write_blif(bench.build("sin", 4)),
                PartitionConfig(num_dies=2, mode="fm_mincut"), True,
                "1880dbaa8c33b917e7ffdf44f42464dd8b9a33ce00142dd801fa116225516561",
-               "5b30c552c2b043898eb07ee15604971a3e6b5015c28437c4dc78ae42c4e50e0e"),
+               "f4efa8b4872fa4966c79ee1bdd8b42f0e4aea3c56f7b41d31165d26cc87e4801"),
     "i2c_x2": (lambda: tiled("i2c", 2, 6, 14, 1),
                PartitionConfig(num_dies=4, mode="hash_label"), False,
                "8ecbad0029ef36ff06c1d893377e320a432f860cc01220deba7ff340a6523f95",
-               "0add88feaca7ac3ae25a36524f8f15c755a59a68d2cd60a22d36ccac036e0afb"),
+               "cf60ad5f3661104c02e4756247004fbf768e1012164877733c0569cbe090e2af"),
 }
 
 

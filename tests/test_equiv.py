@@ -93,6 +93,13 @@ def test_exhaustive_bound_enforced():
     assert v.mode == "random" and v.vectors_checked == 1000
 
 
+@pytest.mark.parametrize("mode", ["auto", "exhaustive", "random"])
+@pytest.mark.parametrize("budget", [0, -1])
+def test_vector_budget_below_one_is_refused(demo_netlist, mode, budget):
+    with pytest.raises(EquivError, match="vector budget"):
+        check_equivalence(demo_netlist, demo_netlist.copy(), mode=mode, vector_budget=budget)
+
+
 def test_random_mode_deterministic_and_minimized():
     n = bench.random_netlist(3, num_pis=10, num_nodes=25, k=4, num_pos=4)
     mutated = n.copy()

@@ -1,7 +1,7 @@
 """Oracle and property tests for the state the sweep keeps up to date per pivot
-and per commit: window growth, node levels, the audit totals and the
-forced-pivot resimulation. Each is checked against a from-scratch
-recomputation.
+and per commit: window growth, node levels, the audit deltas, the die
+assignment and the forced-pivot resimulation. Each is checked against a
+from-scratch recomputation.
 """
 
 import random
@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from sllresub import bench, resynth
 from sllresub.metrics import count_sll_fo
 from sllresub.netlist import NetlistError
-from sllresub.partition import partition_hash
+from sllresub.partition import entities, partition_hash
 from sllresub.resynth import ResynConfig, resynthesize
 from sllresub.truthtab import TruthTable
 from sllresub.windows import WindowSim, _grow_window, build_window
@@ -27,7 +27,7 @@ def _reference_grow_window(netlist, pivot, d1, d2):
     leaves = set(netlist.cone_input_nets(tfi_ids | {pivot}))
     window = set(core)
     if d1 == 0:
-        return window, leaves
+        return window
     full_tfo = netlist.tfo(pivot, None)
     depth_cap = d1 + d2
     window_nets = {netlist.nodes[n].output_net for n in window}
@@ -60,7 +60,7 @@ def _reference_grow_window(netlist, pivot, d1, d2):
                 window_nets.add(node.output_net)
                 depth[node.output_net] = d
                 changed = True
-    return window, leaves
+    return window
 
 
 @pytest.mark.parametrize("name", bench.BENCH_NAMES)
@@ -94,20 +94,22 @@ def test_commit_state_matches_recomputation(seed, dies, latches, passes):
     apply = resynth.apply_resubstitution
 
     def checked(netlist, assignment, candidate):
-        """The commit, then its levels against a rebuild and its exact metrics."""
+        """The commit, then its levels against a rebuild and its exact edge change."""
+        before = count_sll_fo(netlist, assignment)
         change = apply(netlist, assignment, candidate)
         assert _levels_by_name(netlist) == _levels_by_name(netlist.copy())
-        seen.append((count_sll_fo(netlist, assignment), netlist.lut_count(),
-                     assignment.imbalance()))
+        seen.append(count_sll_fo(netlist, assignment) - before)
         return change
 
     with mock.patch.object(resynth, "apply_resubstitution", checked):
         res = resynthesize(n, asg, ResynConfig(passes=passes, verify_each_commit=False))
-    audit = [(a.n_sll_fo_after, a.lut_count_after, a.rho_after)
-             for a in res.report.committed()]
-    assert audit == seen
-    assert res.report.after["n_sll_fo"] == (audit[-1][0] if audit
-                                            else res.report.before["n_sll_fo"])
+    deltas = [a.n_sll_fo_delta for a in res.report.committed()]
+    assert deltas == seen
+    assert sum(deltas) == res.report.after["n_sll_fo"] - res.report.before["n_sll_fo"]
+    assert all(a.n_sll_fo_delta is None for a in res.report.audit if a.outcome != "committed")
+    # the dies and weights of swept nodes are dropped with them
+    assert res.assignment.weights == dict(entities(res.netlist))
+    assert res.assignment.die_of.keys() == res.assignment.weights.keys()
 
 
 @settings(max_examples=60, deadline=None)

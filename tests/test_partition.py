@@ -8,7 +8,7 @@ from sllresub.metrics import count_sll
 from sllresub.netlist import parse_blif
 from sllresub.partition import (DieAssignment, PartitionConfig, PartitionError,
                                 _FmGraph, _fm_bipartition, assignment_for, cut_size,
-                                entities, fnv1a64, hyperedges, imbalance,
+                                entities, fnv1a64, hyperedges,
                                 load_assignment, partition_fm, partition_hash,
                                 save_assignment, validate_assignment)
 
@@ -26,13 +26,13 @@ def test_config_rejects_bad_ub():
 def test_imbalance_hand_values():
     a = _uniform([f"n{i}" for i in range(10)],
                  {f"n{i}": 0 if i < 6 else 1 for i in range(10)})
-    assert imbalance(a) == pytest.approx(1.2)
+    assert a.imbalance() == pytest.approx(1.2)
     b = _uniform([f"n{i}" for i in range(10)],
                  {f"n{i}": i % 2 for i in range(10)})
-    assert imbalance(b) == 1.0
+    assert b.imbalance() == 1.0
     c = _uniform([f"n{i}" for i in range(9)],
                  {f"n{i}": 0 if i < 5 else 1 for i in range(9)})
-    assert imbalance(c) == pytest.approx(5 / 4.5)
+    assert c.imbalance() == pytest.approx(5 / 4.5)
 
 
 def test_imbalance_empty_errors():

@@ -154,13 +154,11 @@ def test_resynthesize_monotone_area_and_edges():
         n = bench.build(name, 4)
         asg = partition_hash(n, 2)
         res = resynthesize(n, asg, ResynConfig(verify_each_commit=False))
-        last_fo = res.report.before["n_sll_fo"]
-        last_lut = res.report.before["lut_count"]
         for entry in res.report.committed():
-            assert entry.n_sll_fo_after < last_fo
-            assert entry.lut_count_after <= last_lut
-            last_fo, last_lut = entry.n_sll_fo_after, entry.lut_count_after
+            assert entry.n_sll_fo_delta < 0
             assert len(entry.new_support) <= n.k_max
+        assert res.report.after["lut_count"] == res.report.before["lut_count"] - sum(
+            len(entry.removed_nodes) for entry in res.report.committed())
 
 
 def test_resynthesize_deterministic():

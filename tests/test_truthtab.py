@@ -82,15 +82,7 @@ def test_cover_round_trip():
     for _ in range(100):
         n = rng.randint(0, 4)
         t = TruthTable(n, rng.getrandbits(1 << n))
-        for merge in (False, True):
-            rows = table_to_cover(t, merge_cubes=merge)
-            assert cover_to_table(n, rows) == t
-
-
-def test_cube_merge_shrinks_full_cube():
-    t = TruthTable.constant(1, 3)
-    assert table_to_cover(t, merge_cubes=True) == ["---"]
-    assert len(table_to_cover(t)) == 8
+        assert cover_to_table(n, table_to_cover(t)) == t
 
 
 def test_full_mask():

@@ -1,4 +1,3 @@
-import itertools
 import random
 
 import pytest
@@ -8,9 +7,8 @@ from sllresub.netlist import parse_blif
 from sllresub.partition import DieAssignment, partition_hash
 from sllresub.resynth import ResynConfig
 from sllresub.truthtab import TruthTable
-from sllresub.windows import (CareSet, ResynthError, WindowSim, build_window,
-                              collect_divisors, exist_check, extract_care_set,
-                              interpolate)
+from sllresub.windows import (ResynthError, WindowSim, build_window, collect_divisors,
+                              exist_check, extract_care_set, interpolate)
 
 from conftest import TABLE2
 
@@ -26,7 +24,6 @@ def test_window_covers_whole_demo_circuit(demo_netlist):
     assert _names(demo_netlist, w.internal) == ["F", "X", "Y"]
     assert w.window_pis == ["a", "b", "c", "d"]
     assert w.outputs == ["F", "Y"]
-    assert w.tfi_leaves == {"a", "d"}
 
 
 def test_window_pi_only_pivot_d1_zero(demo_netlist):
