@@ -16,7 +16,7 @@ import os
 import sys
 
 from . import bench
-from .equiv import DEFAULT_VECTOR_BUDGET, EquivError, check_equivalence
+from .equiv import DEFAULT_VECTOR_BUDGET, MODES, EquivError, check_equivalence
 from .flow import FlowConfig, FlowError, run_flow, split_per_die
 from .metrics import (MetricsError, load_placement, load_q_table,
                       report as metrics_report)
@@ -32,7 +32,6 @@ _ENV_PREFIX = "SLLRESUB_"
 _MODE_NAMES = {"fm": "fm_mincut", "hash": "hash_label", "file": "external_file"}
 _PARTITION_MODES = tuple(_MODE_NAMES)
 _SLL_COUNTS = ("per-die", "raw-net")
-_VERIFY_MODES = ("auto", "exhaustive", "random")
 
 
 class UsageError(Exception):
@@ -102,8 +101,7 @@ def _resyn_config(args) -> ResynConfig:
     return ResynConfig(d1=args.d1, d2=args.d2, window_pi_cap=args.window_pi_cap,
                        divisor_cap=args.divisor_cap, passes=args.passes,
                        verify_each_commit=not args.no_verify_commits,
-                       max_augment=args.max_augment, freeze_die=args.freeze_die,
-                       seed=args.seed)
+                       max_augment=args.max_augment, freeze_die=args.freeze_die)
 
 
 def _say(args, msg: str):
@@ -274,8 +272,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("flow", help="partition + resynth + verify + split + report")
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--outdir", required=True)
-    p.add_argument("--verify", choices=_VERIFY_MODES,
-                   default=_envd("verify", "auto", choices=_VERIFY_MODES))
+    p.add_argument("--verify", choices=MODES,
+                   default=_envd("verify", "auto", choices=MODES))
     p.add_argument("--vectors", type=int, default=_envd("vectors", 100_000, int))
     p.add_argument("--sll-count", choices=_SLL_COUNTS,
                    default=_envd("sll-count", "per-die", choices=_SLL_COUNTS))

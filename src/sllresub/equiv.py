@@ -16,6 +16,7 @@ from .truthtab import full_mask
 
 EXHAUSTIVE_PI_BOUND = 18
 DEFAULT_VECTOR_BUDGET = 100_000
+MODES = ("auto", "exhaustive", "random")
 _CHUNK = 8192
 
 
@@ -58,6 +59,14 @@ def _care_mask(care: Netlist | None, source_masks: dict[str, int], width: int) -
     return values[care.primary_outputs[0]]
 
 
+def check_options(mode: str, vector_budget: int):
+    """Raise EquivError for an unknown mode or a vector budget below 1."""
+    if mode not in MODES:
+        raise EquivError("unknown mode %r" % mode)
+    if vector_budget < 1:
+        raise EquivError("vector budget must be >= 1 (got %d)" % vector_budget)
+
+
 def _first_mismatch(a_vals, b_vals, sinks, care_bits, width):
     for sink in sinks:
         diff = (a_vals[sink] ^ b_vals[sink]) & care_bits
@@ -81,10 +90,7 @@ def check_equivalence(a: Netlist, b: Netlist, mode: str = "auto", seed: int = 0,
     _check_interfaces(a, b)
     sources = sorted(a.source_nets())
     sinks = sorted(a.sink_nets())
-    if mode not in ("auto", "exhaustive", "random"):
-        raise EquivError("unknown mode %r" % mode)
-    if vector_budget < 1:
-        raise EquivError("vector budget must be >= 1 (got %d)" % vector_budget)
+    check_options(mode, vector_budget)
     if mode == "exhaustive" and len(sources) > exhaustive_pi_bound:
         raise EquivError("exhaustive mode refused beyond %d inputs (have %d)"
                          % (exhaustive_pi_bound, len(sources)))

@@ -10,7 +10,7 @@ import os
 from dataclasses import dataclass, field
 
 from . import metrics as metrics_mod
-from .equiv import EquivError, EquivVerdict, check_equivalence
+from .equiv import EquivError, EquivVerdict, check_equivalence, check_options
 from .netlist import (SLL_PREFIX, Netlist, NetlistError, has_generated_names,
                       parse_blif_file, write_blif_file)
 from .partition import (DieAssignment, PartitionConfig, PartitionError,
@@ -145,8 +145,13 @@ def run_flow(config: FlowConfig) -> FlowResult:
     """Run the full pipeline and write all artifacts into `out_dir`.
 
     Deterministic for fixed inputs and flags. Exit code 1 flags an
-    equivalence failure; stage errors raise FlowError.
+    equivalence failure; stage errors raise FlowError. The verify options
+    are checked before any stage runs, so a bad one leaves no artifact.
     """
+    try:
+        check_options(config.verify_mode, config.vector_budget)
+    except EquivError as exc:
+        raise FlowError("verify", str(exc)) from exc
     artifacts: dict[str, str] = {}
 
     def path(name: str) -> str:

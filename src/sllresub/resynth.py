@@ -13,7 +13,6 @@ import itertools
 import json
 from dataclasses import dataclass, field, asdict
 
-from . import equiv as equiv_mod
 from .metrics import count_sll, count_sll_fo, node_cross_die_fanins
 from .netlist import NODE, LutNode, Netlist
 from .partition import DieAssignment
@@ -33,7 +32,6 @@ class ResynConfig:
     verify_each_commit: bool = True
     max_augment: int = 1
     freeze_die: int | None = None
-    seed: int = 0
 
     def __post_init__(self):
         for name in ("d2", "window_pi_cap", "divisor_cap", "max_augment"):
@@ -79,9 +77,6 @@ class ResynReport:
     passes_run: int = 0
     commits: int = 0
     audit: list[PivotAudit] = field(default_factory=list)
-
-    def committed(self) -> list[PivotAudit]:
-        return [a for a in self.audit if a.outcome == "committed"]
 
     def to_dict(self) -> dict:
         return {
@@ -213,10 +208,11 @@ def resynthesize(netlist: Netlist, assignment: DieAssignment, config: ResynConfi
                  injected_care: Netlist | None = None) -> ResynResult:
     """Run the greedy sweep; the inputs are left untouched.
 
-    Each commit is re-verified against the pre-commit netlist when
-    `verify_each_commit` is on (exhaustive up to the equivalence input
-    bound, otherwise 10^5 seeded vectors; care-restricted when a care
-    predicate is injected).
+    With `verify_each_commit` on, each commit is certified at its window
+    (`WindowSim.check_commit`): every observable window net must keep its
+    value on all window-PI minterms, restricted by the care predicate when
+    all of its inputs are window PIs. The check is exact for the whole
+    netlist and costs O(window).
     """
     work = netlist.copy()
     asg = assignment.copy()
@@ -268,21 +264,14 @@ def resynthesize(netlist: Netlist, assignment: DieAssignment, config: ResynConfi
                 report.audit.append(PivotAudit(
                     pass_no, node.output_net, die, "no-candidate", len(cross)))
                 continue
-            snapshot = work.copy() if config.verify_each_commit else None
             try:
                 change = apply_resubstitution(work, asg, candidate)
             except ResynthError:
                 report.audit.append(PivotAudit(
                     pass_no, node.output_net, die, "cycle-rejected", len(cross)))
                 continue
-            if snapshot is not None:
-                verdict = equiv_mod.check_equivalence(
-                    snapshot, work, mode="auto", seed=config.seed,
-                    care=injected_care)
-                if not verdict.equivalent:
-                    raise ResynthError(
-                        "commit on %r broke equivalence at %s"
-                        % (node.output_net, verdict.counterexample))
+            if config.verify_each_commit:
+                sim.check_commit(work, injected_care)
             commits_this_pass += 1
             report.commits += 1
             report.audit.append(PivotAudit(

@@ -26,8 +26,6 @@ class Window:
     window_pis: list[str]           # sorted; index i = input i of the minterm space
     internal: list[int]             # node ids in topological order
     outputs: list[str]              # nets observable outside the window
-    d1: int
-    d2: int
     tfo: set[int]                   # the pivot's whole transitive fanout (node ids)
 
     @property
@@ -153,7 +151,7 @@ def build_window(netlist: Netlist, pivot, config) -> Window | None:
         observable = observable or any(r not in internal_set for r in use.node_ids)
         if observable:
             outputs.append(out_net)
-    return Window(node.id, sorted(pis), internal, sorted(outputs), d1, d2, full_tfo)
+    return Window(node.id, sorted(pis), internal, sorted(outputs), full_tfo)
 
 
 class WindowSim:
@@ -184,6 +182,69 @@ class WindowSim:
             return self.values[net]
         except KeyError:
             raise ResynthError("net %r is not evaluable in the window" % net) from None
+
+    def care_mask(self, injected_care: Netlist | None) -> int:
+        """An injected care predicate over the window minterms.
+
+        The predicate is a single-output netlist over primary input
+        names. It applies when all of its inputs are window PIs; otherwise
+        (and without one) every minterm is care.
+        """
+        if injected_care is None:
+            return self.full
+        pred_inputs = injected_care.source_nets()
+        pis = self.window.window_pis
+        if not all(p in pis for p in pred_inputs):
+            return self.full
+        values = injected_care.eval_masks({p: self.values[p] for p in pred_inputs},
+                                          self.width)
+        return values[injected_care.primary_outputs[0]]
+
+    def check_commit(self, netlist: Netlist, injected_care: Netlist | None = None):
+        """Certify a commit made inside this window; raise ResynthError if not.
+
+        `self` simulated the window before the commit; `netlist` is the
+        netlist after it. The surviving window nodes are simulated again as
+        they now are, and every one still observable (a PO, a latch input,
+        or read by a node outside the window, per `readers_of`) must keep
+        its value on every window-PI minterm that `care_mask` allows. It
+        reads neither `Window.outputs` nor the care set, so it does not
+        rely on the code it checks, and it visits no node outside the
+        window.
+
+        Nothing outside the window changed, so when each observable net
+        keeps its function of the window PIs the whole netlist keeps its
+        function. That holds when a window PI lies in the pivot's fanout
+        too: the pivot reaches it only through observable nets.
+        """
+        pis = self.window.window_pis
+        pi_set = set(pis)
+        level = netlist.levels()
+        live = [netlist.node_of_net(net) for net in self.values if net not in pi_set]
+        live = sorted((node for node in live if node is not None),
+                      key=lambda node: (level[node.id], node.id))
+        members = {node.id for node in live}
+        values = {net: self.values[net] for net in pis}
+        for node in live:
+            try:
+                ins = [values[f] for f in node.fanins]
+            except KeyError as exc:
+                raise ResynthError("window node %r reads %r from outside the window"
+                                   % (node.output_net, exc.args[0])) from None
+            values[node.output_net] = node.function.eval_masks(ins, self.width)
+        care = self.care_mask(injected_care)
+        for node in live:
+            net = node.output_net
+            use = netlist.readers_of(net)
+            if not (use.is_po or use.latch_idxs
+                    or any(r not in members for r in use.node_ids)):
+                continue
+            diff = (values[net] ^ self.values[net]) & care
+            if diff:
+                minterm = (diff & -diff).bit_length() - 1
+                raise ResynthError("commit on %r changed window output %r at %s" % (
+                    self.pivot_net, net,
+                    {pi: (minterm >> i) & 1 for i, pi in enumerate(pis)}))
 
     def resim_with_pivot(self, forced: int) -> dict[str, int]:
         """Window values with the pivot output forced to a constant.
@@ -234,13 +295,7 @@ def extract_care_set(netlist: Netlist, window: Window, sim: WindowSim | None = N
         care = 0
         for out in window.outputs:
             care |= v0[out] ^ v1[out]
-    if injected_care is not None:
-        pred_inputs = injected_care.source_nets()
-        if all(p in window.window_pis for p in pred_inputs):
-            idx = {net: i for i, net in enumerate(window.window_pis)}
-            masks = {p: var_mask(idx[p], window.num_pis) for p in pred_inputs}
-            values = injected_care.eval_masks(masks, sim.width)
-            care &= values[injected_care.primary_outputs[0]]
+    care &= sim.care_mask(injected_care)
     return CareSet(list(window.window_pis), care)
 
 

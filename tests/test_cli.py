@@ -81,6 +81,8 @@ def test_vector_budget_below_one_is_a_usage_error(tmp_path, capsys):
     assert run(*args, "--outdir", tmp_path / "auto") == 2
     assert run(*args, "--verify", "random", "--outdir", tmp_path / "random") == 2
     assert "vector budget" in capsys.readouterr().err
+    # refused before any stage runs: no artifact, not even the directory
+    assert not (tmp_path / "auto").exists() and not (tmp_path / "random").exists()
 
 
 def test_metrics_exit_codes(tmp_path, bad_dies):

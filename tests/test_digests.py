@@ -29,15 +29,15 @@ CASES = {
     "square_k4": (lambda: write_blif(bench.build("square", 4)),
                   PartitionConfig(num_dies=2, mode="fm_mincut"), True,
                   "55de91394acb89d8532e7c22629beca01e40a1e4dcd9b7115eeb52d074b6ffdd",
-                  "a842b3a7cf86b223c3b1ded7cf4eed36be161530f263769e72b1940d8a43d15c"),
+                  "694c4b806c55191f0b99f5123b3384998ccbe6548371111db856f973d95a68d4"),
     "sin_k4": (lambda: write_blif(bench.build("sin", 4)),
                PartitionConfig(num_dies=2, mode="fm_mincut"), True,
                "1880dbaa8c33b917e7ffdf44f42464dd8b9a33ce00142dd801fa116225516561",
-               "f4efa8b4872fa4966c79ee1bdd8b42f0e4aea3c56f7b41d31165d26cc87e4801"),
+               "f703890e298ea825bc54c8cabc56c794d7f36f84c38d6c180e0028417cdf78e6"),
     "i2c_x2": (lambda: tiled("i2c", 2, 6, 14, 1),
                PartitionConfig(num_dies=4, mode="hash_label"), False,
                "8ecbad0029ef36ff06c1d893377e320a432f860cc01220deba7ff340a6523f95",
-               "cf60ad5f3661104c02e4756247004fbf768e1012164877733c0569cbe090e2af"),
+               "c3ed103e69ee5f2dc8ddbec60a23b246cb2e6c819d6ed325d3ffeca9badf0dc2"),
 }
 
 

@@ -53,6 +53,16 @@ def test_flow_missing_input_is_stage_labeled(tmp_path):
     assert "[parse]" in str(err.value)
 
 
+@pytest.mark.parametrize("mode, budget", [("auto", 0), ("random", -1), ("bogus", 100)])
+def test_flow_bad_verify_options_fail_before_any_stage(tmp_path, mode, budget):
+    cfg = _demo_flow_config(tmp_path / "out")
+    cfg.verify_mode, cfg.vector_budget = mode, budget
+    with pytest.raises(FlowError) as err:
+        run_flow(cfg)
+    assert err.value.stage == "verify"
+    assert not (tmp_path / "out").exists()
+
+
 def test_flow_on_generated_circuit(tmp_path):
     src = tmp_path / "voter.blif"
     src.write_text(write_blif(bench.build("voter", 4)))

@@ -103,7 +103,7 @@ def test_commit_state_matches_recomputation(seed, dies, latches, passes):
 
     with mock.patch.object(resynth, "apply_resubstitution", checked):
         res = resynthesize(n, asg, ResynConfig(passes=passes, verify_each_commit=False))
-    deltas = [a.n_sll_fo_delta for a in res.report.committed()]
+    deltas = [a.n_sll_fo_delta for a in res.report.audit if a.outcome == "committed"]
     assert deltas == seen
     assert sum(deltas) == res.report.after["n_sll_fo"] - res.report.before["n_sll_fo"]
     assert all(a.n_sll_fo_delta is None for a in res.report.audit if a.outcome != "committed")

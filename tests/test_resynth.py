@@ -115,7 +115,7 @@ def test_resynthesize_demo_single_commit(demo_netlist, demo_assignment, demo_car
     res = resynthesize(demo_netlist, demo_assignment, ResynConfig(),
                        injected_care=demo_care)
     assert res.report.commits == 1
-    commit = res.report.committed()[0]
+    commit = next(a for a in res.report.audit if a.outcome == "committed")
     assert commit.pivot == "F" and commit.removed_fanin == "a"
     assert commit.new_support == ["d", "Y"]
     assert res.report.after["n_sll"] == 1
@@ -154,11 +154,12 @@ def test_resynthesize_monotone_area_and_edges():
         n = bench.build(name, 4)
         asg = partition_hash(n, 2)
         res = resynthesize(n, asg, ResynConfig(verify_each_commit=False))
-        for entry in res.report.committed():
+        committed = [a for a in res.report.audit if a.outcome == "committed"]
+        for entry in committed:
             assert entry.n_sll_fo_delta < 0
             assert len(entry.new_support) <= n.k_max
         assert res.report.after["lut_count"] == res.report.before["lut_count"] - sum(
-            len(entry.removed_nodes) for entry in res.report.committed())
+            len(entry.removed_nodes) for entry in committed)
 
 
 def test_resynthesize_deterministic():
