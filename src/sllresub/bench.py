@@ -203,7 +203,7 @@ def pack_to_luts(net: GateNetwork, k: int) -> Netlist:
                 visit(s)
         order.append(g)
 
-    for root in roots:
+    for root in sorted(roots):
         visit(root)
     for root in order:
         cluster, support = clusters[root]

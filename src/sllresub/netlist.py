@@ -437,14 +437,13 @@ class Netlist:
 
     def eval_masks(self, source_masks: dict[str, int], width: int) -> dict[str, int]:
         """Bit-parallel evaluation of every net from PI/latch-output masks."""
+        full = full_mask(width)
         values: dict[str, int] = {}
         for net in self.source_nets():
             if net not in source_masks:
                 raise NetlistError("missing assignment for input %r" % net)
-            values[net] = source_masks[net] & full_mask(width)
-        for node in self.topological_order():
-            values[node.output_net] = node.function.eval_masks(
-                [values[f] for f in node.fanins], width)
+            values[net] = source_masks[net] & full
+        eval_nodes(self.topological_order(), values, width)
         return values
 
     def simulate(self, assignment: dict[str, int]) -> dict[str, int]:
@@ -466,6 +465,17 @@ class Netlist:
         sources = sorted(self.source_nets())
         width = 1 << len(sources)
         return {net: var_mask(i, len(sources)) for i, net in enumerate(sources)}, width
+
+
+def eval_nodes(nodes, values: dict[str, int], width: int):
+    """Evaluate `nodes` in the given (topological) order into `values`.
+
+    `values` maps each net to its mask over `width` patterns; every fanin
+    of a node must be in it before the node is reached.
+    """
+    for node in nodes:
+        values[node.output_net] = node.function.eval_masks(
+            [values[f] for f in node.fanins], width)
 
 
 # ----------------------------------------------------------------------

@@ -4,18 +4,32 @@ Bit ``m`` of a table is the output value for the input minterm ``m``,
 where input 0 is the least significant bit of the minterm index. Any
 comparison against tables produced with another bit order has to be
 normalized first.
+
+Bit-parallel evaluation (`TruthTable.eval_masks`) walks a mux plan
+compiled once per table by reduced Shannon expansion, the reduced
+ordered BDD of Bryant (IEEE TC 1986) with the highest input on top:
+``f = x ? f1 : f0``, where ``f0``/``f1`` are the low/high halves of the
+table for the top input ``x``. A cofactor pair with equal halves needs
+no mux (the function does not read that input), and equal
+sub-functions share one slot. Slots 0 and 1 hold the constants 0 and
+all-ones; mux op ``j`` writes slot ``j + 2`` from two lower slots, so
+the ops run in list order. A table of n inputs needs at most
+``2**n - 1`` ops and a constant none; no minterm is enumerated.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 
+@lru_cache(maxsize=64)
 def full_mask(width: int) -> int:
     """All-ones mask of `width` bits."""
     return (1 << width) - 1
 
 
+@lru_cache(maxsize=512)
 def var_mask(i: int, num_vars: int) -> int:
     """Bit-parallel value of variable `i` over all 2**num_vars minterms.
 
@@ -90,31 +104,52 @@ class TruthTable:
                 m |= 1 << i
         return (self.bits >> m) & 1
 
+    @cached_property
+    def mux_plan(self) -> tuple[tuple[tuple[int, int, int], ...], int]:
+        """(ops, output slot): the compiled form `eval_masks` walks.
+
+        Each op is (input, slot if 0, slot if 1); see the module
+        docstring for the slot convention.
+        """
+        ops: list[tuple[int, int, int]] = []
+        slot_of: dict[tuple[int, int], int] = {}
+
+        def build(n: int, bits: int) -> int:
+            while n:
+                half = 1 << (n - 1)
+                lo = bits & full_mask(half)
+                hi = bits >> half
+                if lo != hi:
+                    break
+                n -= 1
+                bits = lo
+            else:
+                return bits                  # constant slot 0 or 1
+            slot = slot_of.get((n, bits))
+            if slot is None:
+                op = (n - 1, build(n - 1, lo), build(n - 1, hi))
+                ops.append(op)
+                slot = slot_of[(n, bits)] = len(ops) + 1
+            return slot
+
+        out = build(self.num_inputs, self.bits)
+        return tuple(ops), out
+
     def eval_masks(self, fanin_masks: list[int], width: int) -> int:
         """Bit-parallel evaluation over `width` patterns.
 
         `fanin_masks[i]` holds the value of input i in each pattern; the
-        result packs the function output the same way.
+        result packs the function output the same way, within
+        `full_mask(width)` even where a fanin mask has higher bits set.
         """
-        full = full_mask(width)
-        if self.num_inputs == 0:
-            return full if self.bits else 0
-        ons = self.on_minterms()
-        # Evaluating the smaller of on-set/off-set halves the work.
-        invert = len(ons) > self.num_minterms // 2
-        if invert:
-            ons = [m for m in range(self.num_minterms) if not (self.bits >> m) & 1]
-        out = 0
-        for m in ons:
-            term = full
-            for i, vm in enumerate(fanin_masks):
-                term &= vm if (m >> i) & 1 else full & ~vm
-                if not term:
-                    break
-            out |= term
-        if invert:
-            out = full & ~out
-        return out
+        ops, out = self.mux_plan
+        vals = [0, full_mask(width)]
+        # f0 ^ ((f0 ^ f1) & x) is x ? f1 : f0, and it has no bit that
+        # neither f0 nor f1 has, so every slot stays within the width
+        for i, lo, hi in ops:
+            f0 = vals[lo]
+            vals.append(f0 ^ ((f0 ^ vals[hi]) & fanin_masks[i]))
+        return vals[out]
 
 
 def cover_to_table(num_inputs: int, rows: list[str]) -> TruthTable:

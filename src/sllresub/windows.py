@@ -11,7 +11,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 
-from .netlist import LutNode, Netlist
+from .netlist import LutNode, Netlist, eval_nodes
 from .partition import DieAssignment
 from .truthtab import TruthTable, full_mask, var_mask
 
@@ -254,9 +254,7 @@ class WindowSim:
         """
         values = dict(self.values)
         values[self.pivot_net] = self.full if forced else 0
-        for node in self.pivot_fanout:
-            values[node.output_net] = node.function.eval_masks(
-                [values[f] for f in node.fanins], self.width)
+        eval_nodes(self.pivot_fanout, values, self.width)
         return values
 
 

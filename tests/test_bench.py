@@ -1,5 +1,11 @@
+import json
+import os
+import subprocess
+import sys
+
 import pytest
 
+import sllresub
 from sllresub import bench
 from sllresub.equiv import check_equivalence
 
@@ -98,3 +104,31 @@ def test_gate_network_errors():
         bench.gate_network("nonesuch")
     with pytest.raises(ValueError):
         bench.pack_to_luts(bench.gate_network("voter"), 2)
+
+
+# Builds voter at k=4 and resynthesizes it in memory (hash partition on 2
+# dies); prints the node (id, net) list and the report.
+_HASH_SEED_PROBE = """
+import json
+from sllresub import bench
+from sllresub.partition import partition_hash
+from sllresub.resynth import ResynConfig, resynthesize
+n = bench.build("voter", 4)
+ids = [(node.id, node.output_net) for node in n.nodes.values()]
+report = resynthesize(n, partition_hash(n, 2), ResynConfig()).report
+print(json.dumps({"ids": ids, "report": report.to_dict()}))
+"""
+
+
+def test_in_memory_netlists_do_not_depend_on_the_hash_seed():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sllresub.__file__)))
+    runs = []
+    for hash_seed in ("0", "1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", _HASH_SEED_PROBE], env=env,
+                             capture_output=True, text=True, check=True, timeout=120)
+        runs.append(json.loads(out.stdout))
+    assert runs[0]["report"]["commits"] > 0
+    for run in runs[1:]:
+        assert run["ids"] == runs[0]["ids"]
+        assert run["report"] == runs[0]["report"]

@@ -1,13 +1,15 @@
+from unittest import mock
+
 import pytest
 
-from sllresub import bench
+from sllresub import bench, equiv
 from sllresub.equiv import EquivError, check_equivalence
 from sllresub.netlist import parse_blif, write_blif
 from sllresub.partition import DieAssignment
 from sllresub.resynth import ResynConfig, resynthesize
 from sllresub.truthtab import TruthTable
 
-from conftest import TABLE2
+from conftest import DEMO_BLIF, TABLE2
 
 
 def test_netlist_vs_itself_exhaustive(demo_netlist):
@@ -125,3 +127,56 @@ def test_care_predicate_validation(demo_netlist, demo_care):
     foreign = parse_blif(".model p\n.inputs zz\n.outputs c\n.names zz c\n1 1\n.end")
     with pytest.raises(EquivError):
         check_equivalence(demo_netlist, demo_netlist.copy(), care=foreign)
+
+
+# The final check simulates `b` only where it differs from `a`. Each test
+# below compares it with a full two-sided evaluation: the same check with
+# every node of `b` in the changed cone.
+
+def _full_check(a, b, **kwargs):
+    with mock.patch.object(equiv, "_changed_cone", lambda a, b: b.topological_order()):
+        return check_equivalence(a, b, **kwargs)
+
+
+def _flip_row(netlist, node, row):
+    netlist.replace_node(node.id, list(node.fanins),
+                         TruthTable(node.function.num_inputs, node.function.bits ^ (1 << row)))
+
+
+@pytest.mark.parametrize("mode", ["exhaustive", "random"])
+def test_changed_cone_one_row_flip_matches_full_evaluation(mode):
+    kwargs = {"mode": mode, "seed": 3, "vector_budget": 20_000}
+    mismatches = 0
+    for seed in range(4):
+        n = bench.random_netlist(seed, num_pis=6, num_nodes=15, k=4, num_pos=4)
+        for net in sorted(node.output_net for node in n.nodes.values()):
+            post = n.copy()
+            node = post.node_of_net(net)
+            _flip_row(post, node, seed % node.function.num_minterms)
+            assert [c.output_net for c in equiv._changed_cone(n, post)][0] == net
+            got = check_equivalence(n, post, **kwargs)
+            assert got == _full_check(n, post, **kwargs)
+            mismatches += not got.equivalent
+    assert mismatches > 0
+
+
+def test_changed_cone_reevaluates_unchanged_readers(demo_netlist):
+    post = demo_netlist.copy()
+    _flip_row(post, post.node_of_net("X"), 0)      # X = a xor b, now 1 at a=b=0
+    # Y = X xor c keeps its fanins and function but reads the changed X
+    assert [n.output_net for n in equiv._changed_cone(demo_netlist, post)] == ["X", "Y"]
+    for mode in ("exhaustive", "random"):
+        got = check_equivalence(demo_netlist, post, mode=mode, vector_budget=64)
+        assert not got.equivalent and got.mismatched_output == "Y"
+        assert got.counterexample["a"] == got.counterexample["b"] == 0
+        assert got == _full_check(demo_netlist, post, mode=mode, vector_budget=64)
+
+
+def test_changed_cone_empty_for_separately_parsed_netlists():
+    i2c = write_blif(bench.build("i2c", 4))
+    for text, mode in ((DEMO_BLIF, "exhaustive"), (i2c, "random")):
+        a, b = parse_blif(text), parse_blif(text)
+        assert equiv._changed_cone(a, b) == []
+        got = check_equivalence(a, b, mode=mode, vector_budget=10_000)
+        assert got.equivalent
+        assert got == _full_check(a, b, mode=mode, vector_budget=10_000)

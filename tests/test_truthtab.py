@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sllresub.truthtab import (TruthTable, cover_to_table, full_mask,
                                table_to_cover, var_mask)
@@ -57,6 +58,72 @@ def test_eval_masks_agrees_with_pointwise():
         for b in range(width):
             vals = [(f >> b) & 1 for f in fanins]
             assert (out >> b) & 1 == t.eval_assignment(vals)
+
+
+def _minterm_sum_eval(table, fanin_masks, width):
+    """The former `eval_masks`, kept as the reference: the OR of one
+    product term per on-set (or, inverted, off-set) minterm."""
+    full = full_mask(width)
+    if table.num_inputs == 0:
+        return full if table.bits else 0
+    ons = table.on_minterms()
+    invert = len(ons) > table.num_minterms // 2
+    if invert:
+        ons = [m for m in range(table.num_minterms) if not (table.bits >> m) & 1]
+    out = 0
+    for m in ons:
+        term = full
+        for i, vm in enumerate(fanin_masks):
+            term &= vm if (m >> i) & 1 else full & ~vm
+            if not term:
+                break
+        out |= term
+    if invert:
+        out = full & ~out
+    return out
+
+
+@st.composite
+def _tables(draw):
+    n = draw(st.integers(0, 8))
+    full = full_mask(1 << n)
+    bits = draw(st.one_of(st.just(0), st.just(full), st.integers(0, full)))
+    return TruthTable(n, bits)
+
+
+@settings(max_examples=300, deadline=None)
+@given(table=_tables(), width=st.sampled_from([1, 63, 64, 65, 8192]),
+       above=st.sampled_from([0, 1, 70]), seed=st.integers(0, 2**32))
+def test_eval_masks_matches_minterm_sum(table, width, above, seed):
+    """The compiled plan equals the minterm sum on any fanin masks,
+    including masks with bits at or above `width`, and stays within
+    `full_mask(width)`."""
+    rng = random.Random(seed)
+    masks = [rng.getrandbits(width + above) | ((1 << (width + above - 1)) if above else 0)
+             for _ in range(table.num_inputs)]
+    out = table.eval_masks(masks, width)
+    assert out == _minterm_sum_eval(table, masks, width)
+    assert 0 <= out <= full_mask(width)
+    ops, slot = table.mux_plan
+    assert len(ops) <= (1 << table.num_inputs) - 1
+    if table.bits in (0, full_mask(table.num_minterms)):
+        assert ops == () and slot == (1 if table.bits else 0)
+        assert out == (full_mask(width) if table.bits else 0)
+
+
+def test_mux_plan_is_reduced_and_shared():
+    x0, x1, x2 = (var_mask(i, 3) for i in range(3))
+    parity = TruthTable(3, x0 ^ x1 ^ x2)
+    majority = TruthTable(3, (x0 & x1) | (x0 & x2) | (x1 & x2))
+    no_x1 = TruthTable(3, x0 & x2)
+    # a full Shannon tree over 3 inputs has 7 muxes
+    assert len(parity.mux_plan[0]) == 5        # x0 and ~x0 shared below x1
+    assert len(majority.mux_plan[0]) == 4      # x0 shared by x0&x1 and x0|x1
+    assert [op[0] for op in no_x1.mux_plan[0]] == [0, 2]   # no mux on x1
+    assert parity.mux_plan is parity.mux_plan
+    for t in (parity, majority, no_x1):
+        masks = [var_mask(i, 3) for i in range(3)]
+        assert t.eval_masks(masks, 8) == t.bits
 
 
 def test_depends_on():
