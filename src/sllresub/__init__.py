@@ -8,7 +8,7 @@ and bounding-box metrics, and a per-die splitter.
 """
 
 from .equiv import EquivVerdict, check_equivalence
-from .flow import FlowConfig, run_flow, split_per_die, stitch
+from .flow import FlowConfig, run_flow, split_per_die
 from .metrics import PlacementData, bbox_cost_md, bbox_cost_sd, count_sll, count_sll_fo
 from .netlist import LatchElement, LutNode, Netlist, parse_blif, parse_blif_file, write_blif
 from .partition import (DieAssignment, PartitionConfig, load_assignment, partition_fm,

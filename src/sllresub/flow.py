@@ -1,7 +1,6 @@
 """Pipeline driver: parse -> partition -> resynthesize -> verify -> split -> report.
 
-Also holds the per-die netlist splitter and its stitching inverse, used
-both by the flow and by the round-trip checks.
+Also holds the per-die netlist splitter.
 """
 
 from __future__ import annotations
@@ -82,41 +81,6 @@ def split_per_die(netlist: Netlist, assignment: DieAssignment) -> list[Netlist]:
                 sub.add_node(_export_name(net), [net], TruthTable(1, 0b10))
         sub.validate()
         out.append(sub)
-    return out
-
-
-def stitch(parts: list[Netlist], model_name: str | None = None) -> Netlist:
-    """Reconnect per-die netlists by matching `__sll_` import/export pins."""
-    k_max = max(p.k_max for p in parts)
-    name = model_name
-    if name is None:
-        name = parts[0].model_name.rsplit("_die", 1)[0] if parts else "top"
-    out = Netlist(name, k_max)
-    exported: dict[str, str] = {}  # import pin -> source net
-    for part in parts:
-        for po in part.primary_outputs:
-            if po.startswith(SLL_PREFIX) and po.endswith("_out"):
-                net = po[len(SLL_PREFIX):-len("_out")]
-                exported[_import_name(net)] = net
-
-    def local(net: str) -> str:
-        return exported.get(net, net)
-
-    for part in parts:
-        for pi in part.primary_inputs:
-            if not pi.startswith(SLL_PREFIX):
-                out.add_input(pi)
-        for po in part.primary_outputs:
-            if not po.startswith(SLL_PREFIX):
-                out.add_output(po)
-    for part in parts:
-        for latch in part.latches:
-            out.add_latch(local(latch.input_net), latch.output_net, latch.init_value)
-        for node in sorted(part.nodes.values(), key=lambda n: n.id):
-            if node.output_net.startswith(SLL_PREFIX):
-                continue  # boundary buffer
-            out.add_node(node.output_net, [local(f) for f in node.fanins], node.function)
-    out.validate()
     return out
 
 

@@ -86,7 +86,7 @@ class ResynReport:
             "after": self.after,
             "passes_run": self.passes_run,
             "commits": self.commits,
-            "audit": [asdict(a) for a in self.audit],
+            "audit": [dict(vars(a)) for a in self.audit],   # flat rows: no deep copy
         }
 
     def to_json(self) -> str:

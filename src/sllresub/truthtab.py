@@ -34,10 +34,18 @@ def var_mask(i: int, num_vars: int) -> int:
     """Bit-parallel value of variable `i` over all 2**num_vars minterms.
 
     Bit m of the result is ((m >> i) & 1). Used to seed exhaustive
-    bit-parallel simulation.
+    bit-parallel simulation. The mask repeats a period of 2**i zeros and
+    2**i ones, built as bytes (little-endian), so it costs linear time.
     """
-    period = 1 << (1 << i)
-    return full_mask(1 << num_vars) // (period + 1) * (period // 2) * 2
+    if i >= num_vars:
+        return 0
+    if i < 3:
+        period = bytes([(0xAA, 0xCC, 0xF0)[i]])     # one byte holds 8 >> i periods
+    else:
+        half = 1 << (i - 3)
+        period = bytes(half) + b"\xff" * half
+    copies = max(1, (1 << num_vars) // (8 * len(period)))
+    return int.from_bytes(period * copies, "little") & full_mask(1 << num_vars)
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ class Window:
     window_pis: list[str]           # sorted; index i = input i of the minterm space
     internal: list[int]             # node ids in topological order
     outputs: list[str]              # nets observable outside the window
-    tfo: set[int]                   # the pivot's whole transitive fanout (node ids)
+    tfo: set[int]                   # the pivot's TFO up to the level bound of build_window
 
     @property
     def num_pis(self) -> int:
@@ -37,72 +37,64 @@ class Window:
         return 1 << len(self.window_pis)
 
 
-def _grow_window(netlist: Netlist, pivot: int, d1: int, d2: int,
-                 full_tfo: set[int]) -> set[int]:
-    """Internal node set for the given depth bounds.
+def _fanin_layers(netlist: Netlist, pivot: LutNode,
+                  depth: int) -> tuple[list[list[str]], dict[str, LutNode]]:
+    """Nets of the pivot's fanin cone by BFS distance, up to `depth`.
 
-    `full_tfo` is the pivot's whole transitive fanout; no node in it
-    becomes side logic.
+    Layer 0 holds the pivot's own net. A LUT net in layer k is the output
+    of a node `Netlist.tfi` first finds at depth k; sources (PIs, latch
+    outputs) sit at the first distance they are read from and end the
+    walk. The dict maps each LUT net in the layers to its driver.
     """
-    tfo_ids = netlist.tfo(pivot, d1) if d1 > 0 else set()
-    tfi_ids = netlist.tfi(pivot, d2)
-    window = {pivot} | tfo_ids | tfi_ids
+    layers = [[pivot.output_net]]
+    drivers = {pivot.output_net: pivot}
+    seen = {pivot.output_net}
+    for _ in range(depth):
+        layer = []
+        for net in layers[-1]:
+            drv = drivers.get(net)
+            if drv is None:
+                continue
+            for f in drv.fanins:
+                if f not in seen:
+                    seen.add(f)
+                    layer.append(f)
+                    fdrv = netlist.node_of_net(f)
+                    if fdrv is not None:
+                        drivers[f] = fdrv
+        layers.append(layer)
+    return layers, drivers
 
-    # Side logic: nodes fed entirely by window nets (or free sources such
-    # as PIs and latch outputs), reachable forward from the leaf nets
-    # within d1+d2 levels. The pivot's deeper TFO stays out; d1 alone
-    # bounds how far downstream the window looks, and d1=0 pins the
-    # window to the pivot's own input cone.
-    if d1 == 0:
-        return window
-    leaves = set(netlist.cone_input_nets(tfi_ids | {pivot}))
-    depth_cap = d1 + d2
-    window_nets = {netlist.nodes[n].output_net for n in window}
-    free = set(netlist.primary_inputs) | {l.output_net for l in netlist.latches}
-    depth: dict[str, int] = {net: 0 for net in leaves}
-    level = netlist.levels()
 
-    # Visit order rule. The result depends on the order in which side
-    # nodes are tried: a leaf net's depth rises from 0 when its driver
-    # joins the window, so a reader tried before that join keeps a lower
-    # depth than one tried after it, and may be the only one to fit under
-    # depth_cap. Nodes are tried in (level, id) order. A reader sits above
-    # every node it reads, so this order is topological: each node is
-    # tried once, after every fanin driver that can still join. Only
-    # readers of window nets and leaves can join, so those are the ones
-    # queued: the readers of the initial window and leaves, then the
-    # readers of each node that joins.
-    def queue_readers(net):
-        for r in netlist.readers_of(net).node_ids:
-            if r not in queued and r not in window and r not in full_tfo:
-                queued.add(r)
-                heapq.heappush(heap, (level[r], r))
+def _fanout_layers(netlist: Netlist, pivot: int, d1: int, d2: int,
+                   level: dict[int, int]) -> tuple[list[list[LutNode]], set[int]]:
+    """The pivot's TFO by BFS distance up to `d1`, and its TFO up to a level.
 
-    heap: list[tuple[int, int]] = []
-    queued: set[int] = set()
-    for net in window_nets | leaves:
-        queue_readers(net)
-    while heap:
-        nid = heapq.heappop(heap)[1]
-        node = netlist.nodes[nid]
-        ok = True
-        d = 0
-        feeds_leaf = False
-        for f in node.fanins:
-            if f in window_nets or f in leaves:
-                d = max(d, depth.get(f, 0) + 1)
-                feeds_leaf = True
-            elif f in free:
-                d = max(d, 1)
-            else:
-                ok = False
-                break
-        if ok and feeds_leaf and d <= depth_cap:
-            window.add(nid)
-            window_nets.add(node.output_net)
-            depth[node.output_net] = d
-            queue_readers(node.output_net)
-    return window
+    Layer 0 holds the pivot. The set holds the id of every TFO node at
+    level at most L0 + d1 + d2, where L0 is the highest level in layers
+    0..d1. Every node on a path to a TFO node sits below it, so the walk
+    can skip the nodes above that level.
+    """
+    nodes = netlist.nodes
+    seen: set[int] = set()
+
+    def next_layer(frontier, bound):
+        layer = []
+        for cur in frontier:
+            for r in netlist.readers_of(cur.output_net).node_ids:
+                if r not in seen and level[r] <= bound:
+                    seen.add(r)
+                    layer.append(nodes[r])
+        return layer
+
+    layers = [[nodes[pivot]]]
+    for _ in range(d1):
+        layers.append(next_layer(layers[-1], float("inf")))
+    bound = max(level[n.id] for layer in layers for n in layer) + d1 + d2
+    frontier = layers[-1]
+    while frontier:
+        frontier = next_layer(frontier, bound)
+    return layers, seen
 
 
 def build_window(netlist: Netlist, pivot, config) -> Window | None:
@@ -110,48 +102,148 @@ def build_window(netlist: Netlist, pivot, config) -> Window | None:
 
     Returns None when even the smallest window has too many PIs (the
     pivot is skipped, not an error).
+
+    The window at bounds (d1, d2) is its core (the pivot, its TFO up to
+    distance d1 and its TFI up to distance d2) plus side logic, none of
+    it with d1 = 0. A side node lies outside the pivot's TFO, and each of
+    its fanins is a window net, a leaf (a net feeding the pivot or its TFI
+    from outside) or a free source (a PI or latch output), at least one of
+    them not free. Its depth is one more than the highest depth among
+    those fanins: core nets and leaves count 0, free sources add nothing,
+    and a leaf whose driver joins as side logic takes that driver's depth.
+    It joins when its depth is at most d1 + d2. Nodes are decided in
+    (level, id) order, which is topological, so each is decided after
+    every fanin driver.
+
+    The side logic is grown once, at the configured bounds. Each shrink
+    step is derived from the previous one by change propagation: it
+    decides again, in (level, id) order, only the readers of base nets
+    (core nets and leaves) that dropped out, the side nodes now deeper
+    than d1 + d2, the TFI nodes that left the core, and the readers of
+    every node whose membership or depth changed. Filtering the previous
+    window would not do: when a leaf's driver drops out of the side logic
+    the leaf's depth falls back to 0, so a reader rejected before may now
+    join, and consecutive windows need not be nested.
+
+    A side node of depth d sits at level at most L0 + d, where L0 is the
+    highest level among the pivot and its TFO up to d1: core nets and
+    leaves sit at or below L0. So the pivot's TFO up to level L0 + d1 + d2
+    keeps out the same side logic as its whole TFO at every step, and it
+    covers every window node and window PI in the TFO. `Window.tfo` is
+    that set.
     """
     node = pivot if isinstance(pivot, LutNode) else netlist.nodes.get(pivot)
     if node is None or node.id not in netlist.nodes:
         raise ResynthError("pivot is not a LUT node in this netlist")
+    nodes = netlist.nodes
+    node_of_net = netlist.node_of_net
+    readers_of = netlist.readers_of
+    level = netlist.levels()
     d1, d2 = config.d1, config.d2
-    full_tfo = netlist.tfo(node.id, None)
+    ins, drivers = _fanin_layers(netlist, node, d2 + 1)
+    outs, tfo = _fanout_layers(netlist, node.id, d1, d2, level)
+    free = set(netlist.source_nets())
+
+    core_nodes = [drivers[net] for layer in ins[:d2 + 1] for net in layer if net in drivers]
+    core_nodes += [n for layer in outs[1:] for n in layer]
+    core = {n.id for n in core_nodes}
+    core_nets = {n.output_net for n in core_nodes}
+    leaves = set(ins[d2 + 1])
+    leaves.update(net for layer in ins[1:d2 + 1] for net in layer if net not in drivers)
+    base = core_nets | leaves
+    # constants cost no PIs and have no fanins, so absorbing one adds none
+    consts = {net for net, drv in drivers.items() if not drv.fanins}
+    consts.update(f for layer in outs[1:] for n in layer for f in n.fanins
+                  if (drv := node_of_net(f)) is not None and not drv.fanins)
+    side: dict[str, LutNode] = {}   # side logic by net
+    depth: dict[str, int] = {}      # side net -> depth
+    # the first step decides every reader of a base net
+    seeds = [r for net in base for r in readers_of(net).node_ids] if d1 else []
+
+    def decide_again(seeds, cap):
+        """Decide `seeds` again, and the readers of every node that changes."""
+        queued = core | tfo
+        heap = []
+        for nid in seeds:
+            if nid not in queued:
+                queued.add(nid)
+                heap.append((level[nid], nid))
+        heapq.heapify(heap)
+        while heap:
+            cur = nodes[heapq.heappop(heap)[1]]
+            d = 0
+            for f in cur.fanins:
+                fd = depth.get(f)
+                if fd is None:
+                    if f in base:
+                        fd = 0
+                    elif f in free:
+                        continue
+                    else:
+                        d = 0
+                        break
+                if fd >= d:
+                    d = fd + 1
+            new = d if 0 < d <= cap else None
+            out = cur.output_net
+            if new == depth.get(out):
+                continue
+            if new is None:
+                del depth[out], side[out]
+            else:
+                depth[out], side[out] = new, cur
+            for r in readers_of(out).node_ids:
+                if r not in queued:
+                    queued.add(r)
+                    heapq.heappush(heap, (level[r], r))
+
     while True:
-        internal_set = _grow_window(netlist, node.id, d1, d2, full_tfo)
-        internal_nets = {netlist.nodes[n].output_net for n in internal_set}
-        pis = set()
-        consts = set()
-        for nid in internal_set:
-            for f in netlist.nodes[nid].fanins:
-                if f in internal_nets:
-                    continue
-                drv = netlist.node_of_net(f)
-                if drv is not None and not drv.fanins:
-                    consts.add(drv.id)  # absorb constants, they cost no PIs
-                else:
-                    pis.add(f)
-        # a constant has no fanins, so absorbing it adds no PIs
-        internal_set |= consts
-        if len(pis) <= config.window_pi_cap:
+        if d1 > 0:
+            decide_again(seeds, d1 + d2)
+        # the pivot and its TFI read only TFI nets and leaves
+        pis = leaves.union(*[n.fanins for layer in outs[1:d1 + 1] for n in layer],
+                           *[n.fanins for n in side.values()])
+        pis -= core_nets
+        pis.difference_update(side)
+        absorbed = pis & consts
+        if len(pis) - len(absorbed) <= config.window_pi_cap:
             break
         if d2 > 1:
+            # TFI nodes at distance d2 leave the core; their nets become leaves
+            exits = [net for net in ins[d2] if net in drivers]
+            seeds = [drivers[net].id for net in exits]
+            dropped = ins[d2 + 1]
+            core.difference_update(seeds)
+            core_nets.difference_update(exits)
+            leaves.update(exits)
+            leaves.difference_update(dropped)
             d2 -= 1
         elif d1 > 0:
+            dropped = [n.output_net for n in outs[d1]]
+            core.difference_update(n.id for n in outs[d1])
+            core_nets.difference_update(dropped)
+            seeds = []
             d1 -= 1
         else:
             return None
+        base.difference_update(dropped)
+        seeds += [r for net in dropped for r in readers_of(net).node_ids]
+        seeds += [side[net].id for net, d in depth.items() if d > d1 + d2]
+        if d1 == 0:
+            side.clear()
+            depth.clear()
 
-    level = netlist.levels()
+    pis -= absorbed
+    internal_set = core | {n.id for n in side.values()}
+    internal_set.update(node_of_net(net).id for net in absorbed)
     internal = sorted(internal_set, key=lambda n: (level[n], n))
     outputs = []
     for nid in internal:
-        out_net = netlist.nodes[nid].output_net
-        use = netlist.readers_of(out_net)
-        observable = use.is_po or bool(use.latch_idxs)
-        observable = observable or any(r not in internal_set for r in use.node_ids)
-        if observable:
+        out_net = nodes[nid].output_net
+        use = readers_of(out_net)
+        if use.is_po or use.latch_idxs or not internal_set.issuperset(use.node_ids):
             outputs.append(out_net)
-    return Window(node.id, sorted(pis), internal, sorted(outputs), full_tfo)
+    return Window(node.id, sorted(pis), internal, sorted(outputs), tfo)
 
 
 class WindowSim:

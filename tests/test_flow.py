@@ -6,14 +6,52 @@ import pytest
 
 from sllresub import bench
 from sllresub.equiv import check_equivalence
-from sllresub.flow import (FlowConfig, FlowError, run_flow, split_per_die, stitch)
-from sllresub.netlist import NetlistError, parse_blif, parse_blif_file, write_blif
+from sllresub.flow import FlowConfig, FlowError, run_flow, split_per_die
+from sllresub.netlist import (SLL_PREFIX, Netlist, NetlistError, parse_blif, parse_blif_file,
+                              write_blif)
 from sllresub.partition import (DieAssignment, PartitionConfig, partition_hash,
                                 save_assignment)
 from sllresub.resynth import ResynConfig
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DEMO_DIR = os.path.join(REPO, "demo")
+
+
+def stitch(parts: list[Netlist], model_name: str | None = None) -> Netlist:
+    """Reconnect per-die netlists by matching their boundary pins, the inverse
+    of `split_per_die`: die d exports net x as the PO `__sll_x_out`, and a
+    die reading it imports it as the PI `__sll_x_in`."""
+    k_max = max(p.k_max for p in parts)
+    name = model_name
+    if name is None:
+        name = parts[0].model_name.rsplit("_die", 1)[0] if parts else "top"
+    out = Netlist(name, k_max)
+    exported: dict[str, str] = {}  # import pin -> source net
+    for part in parts:
+        for po in part.primary_outputs:
+            if po.startswith(SLL_PREFIX) and po.endswith("_out"):
+                net = po[len(SLL_PREFIX):-len("_out")]
+                exported["%s%s_in" % (SLL_PREFIX, net)] = net
+
+    def local(net: str) -> str:
+        return exported.get(net, net)
+
+    for part in parts:
+        for pi in part.primary_inputs:
+            if not pi.startswith(SLL_PREFIX):
+                out.add_input(pi)
+        for po in part.primary_outputs:
+            if not po.startswith(SLL_PREFIX):
+                out.add_output(po)
+    for part in parts:
+        for latch in part.latches:
+            out.add_latch(local(latch.input_net), latch.output_net, latch.init_value)
+        for node in sorted(part.nodes.values(), key=lambda n: n.id):
+            if node.output_net.startswith(SLL_PREFIX):
+                continue  # boundary buffer
+            out.add_node(node.output_net, [local(f) for f in node.fanins], node.function)
+    out.validate()
+    return out
 
 
 def _demo_flow_config(outdir):

@@ -1,9 +1,11 @@
 """Oracle and property tests for the state the sweep keeps up to date per pivot
-and per commit: window growth, node levels, the audit deltas, the die
-assignment and the forced-pivot resimulation. Each is checked against a
-from-scratch recomputation.
+and per commit: window growth and its shrink steps, node levels, the audit
+deltas, the die assignment and the forced-pivot resimulation. Each is
+checked against a from-scratch recomputation.
 """
 
+import functools
+import heapq
 import random
 from unittest import mock
 
@@ -16,7 +18,7 @@ from sllresub.netlist import NetlistError
 from sllresub.partition import entities, partition_hash
 from sllresub.resynth import ResynConfig, resynthesize
 from sllresub.truthtab import TruthTable
-from sllresub.windows import WindowSim, _grow_window, build_window
+from sllresub.windows import Window, WindowSim, build_window
 
 
 def _reference_grow_window(netlist, pivot, d1, d2):
@@ -63,19 +65,178 @@ def _reference_grow_window(netlist, pivot, d1, d2):
     return window
 
 
+def _grow_window(netlist, pivot, d1, d2, full_tfo):
+    """Side-logic growth from one (level, id) heap of readers, from scratch."""
+    tfo_ids = netlist.tfo(pivot, d1) if d1 > 0 else set()
+    tfi_ids = netlist.tfi(pivot, d2)
+    window = {pivot} | tfo_ids | tfi_ids
+    if d1 == 0:
+        return window
+    leaves = set(netlist.cone_input_nets(tfi_ids | {pivot}))
+    depth_cap = d1 + d2
+    window_nets = {netlist.nodes[n].output_net for n in window}
+    free = set(netlist.primary_inputs) | {l.output_net for l in netlist.latches}
+    depth = {net: 0 for net in leaves}
+    level = netlist.levels()
+
+    def queue_readers(net):
+        for r in netlist.readers_of(net).node_ids:
+            if r not in queued and r not in window and r not in full_tfo:
+                queued.add(r)
+                heapq.heappush(heap, (level[r], r))
+
+    heap = []
+    queued = set()
+    for net in window_nets | leaves:
+        queue_readers(net)
+    while heap:
+        nid = heapq.heappop(heap)[1]
+        node = netlist.nodes[nid]
+        ok = True
+        d = 0
+        feeds_leaf = False
+        for f in node.fanins:
+            if f in window_nets or f in leaves:
+                d = max(d, depth.get(f, 0) + 1)
+                feeds_leaf = True
+            elif f in free:
+                d = max(d, 1)
+            else:
+                ok = False
+                break
+        if ok and feeds_leaf and d <= depth_cap:
+            window.add(nid)
+            window_nets.add(node.output_net)
+            depth[node.output_net] = d
+            queue_readers(node.output_net)
+    return window
+
+
+def _shrink_steps(config):
+    """The (d1, d2) bounds build_window tries, in order."""
+    d1, d2 = config.d1, config.d2
+    while True:
+        yield d1, d2
+        if d2 > 1:
+            d2 -= 1
+        elif d1 > 0:
+            d1 -= 1
+        else:
+            return
+
+
+def _reference_build_window(netlist, pivot, config, full_tfo):
+    """build_window by regrowing the window from scratch at every shrink step;
+    `full_tfo` is the pivot's whole TFO, kept as `tfo`."""
+    for d1, d2 in _shrink_steps(config):
+        internal_set = _grow_window(netlist, pivot, d1, d2, full_tfo)
+        internal_nets = {netlist.nodes[n].output_net for n in internal_set}
+        pis = set()
+        consts = set()
+        for nid in internal_set:
+            for f in netlist.nodes[nid].fanins:
+                if f in internal_nets:
+                    continue
+                drv = netlist.node_of_net(f)
+                if drv is not None and not drv.fanins:
+                    consts.add(drv.id)
+                else:
+                    pis.add(f)
+        internal_set |= consts
+        if len(pis) <= config.window_pi_cap:
+            break
+    else:
+        return None
+    level = netlist.levels()
+    internal = sorted(internal_set, key=lambda n: (level[n], n))
+    outputs = []
+    for nid in internal:
+        use = netlist.readers_of(netlist.nodes[nid].output_net)
+        if use.is_po or use.latch_idxs or any(r not in internal_set for r in use.node_ids):
+            outputs.append(netlist.nodes[nid].output_net)
+    return Window(pivot, sorted(pis), internal, sorted(outputs), full_tfo)
+
+
+@functools.lru_cache(maxsize=None)
+def _fresh_and_swept(name, k):
+    """The built-in at k and the netlist one sweep leaves. After a sweep,
+    replaced nodes carry fresh ids, so id order is no longer topological.
+    The netlists are shared between tests: read them, never edit them."""
+    built = bench.build(name, k)
+    return built, resynthesize(built, partition_hash(built, 2),
+                               ResynConfig(verify_each_commit=False)).netlist
+
+
 @pytest.mark.parametrize("name", bench.BENCH_NAMES)
 def test_grow_window_matches_global_scan_on_every_pivot(name):
-    built = bench.build(name, 4)
-    # after a sweep, replaced nodes carry fresh ids, so id order is no
-    # longer topological there
-    swept = resynthesize(built, partition_hash(built, 2),
-                         ResynConfig(verify_each_commit=False)).netlist
-    for n in (built, swept):
+    for n in _fresh_and_swept(name, 4):
         for pivot in sorted(n.nodes):
             full_tfo = n.tfo(pivot, None)
             for d1, d2 in ((2, 8), (1, 3)):
                 assert _grow_window(n, pivot, d1, d2, full_tfo) \
                     == _reference_grow_window(n, pivot, d1, d2), (pivot, d1, d2)
+
+
+def _assert_matches_regrowth(netlist, pivot, config, full_tfo):
+    got = build_window(netlist, pivot, config)
+    want = _reference_build_window(netlist, pivot, config, full_tfo)
+    assert (got is None) == (want is None), pivot
+    if got is None:
+        return
+    assert (got.window_pis, got.internal, got.outputs) \
+        == (want.window_pis, want.internal, want.outputs), pivot
+    # Window.tfo: the pivot's TFO up to L0 + d1 + d2, L0 the highest level
+    # among the pivot and its TFO up to d1
+    level = netlist.levels()
+    top = max(level[n] for n in netlist.tfo(pivot, config.d1) | {pivot})
+    assert got.tfo == {n for n in full_tfo if level[n] <= top + config.d1 + config.d2}
+
+
+SHRINK_CONFIGS = [ResynConfig(d1=2, d2=8, window_pi_cap=14),
+                  ResynConfig(d1=1, d2=3, window_pi_cap=6),
+                  ResynConfig(d1=0, d2=4, window_pi_cap=4)]
+
+
+@pytest.mark.parametrize("name", bench.BENCH_NAMES)
+def test_build_window_matches_regrowth_at_every_shrink_step(name):
+    for k in (4, 6):
+        for n in _fresh_and_swept(name, k):
+            for pivot in sorted(n.nodes):
+                full_tfo = n.tfo(pivot, None)
+                for config in SHRINK_CONFIGS:
+                    _assert_matches_regrowth(n, pivot, config, full_tfo)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10**6), latches=st.integers(0, 2), d1=st.integers(0, 3),
+       d2=st.integers(1, 4), cap=st.integers(1, 8))
+def test_build_window_matches_regrowth_on_random_netlists(seed, latches, d1, d2, cap):
+    n = bench.random_netlist(seed, num_pis=6, num_nodes=40, k=4, num_pos=4,
+                             num_latches=latches)
+    config = ResynConfig(d1=d1, d2=d2, window_pi_cap=cap)
+    for pivot in sorted(n.nodes):
+        _assert_matches_regrowth(n, pivot, config, n.tfo(pivot, None))
+
+
+def test_shrink_steps_need_not_be_nested():
+    """div k=4, pivot g74: g36 is in the (1, 1) window but not the (2, 1) one.
+
+    g36 reads the leaf g17. At (2, 1) g17's driver joins the side logic at
+    depth 3, which puts g36 at depth 4, over the cap of 3. At (1, 1) the
+    cap is 2, g17's driver stays out, the leaf counts depth 0 again, and
+    g36 joins at depth 2. So a shrink step must be able to add nodes.
+    """
+    n = bench.build("div", 4)
+    pivot, g36 = n.node_of_net("g74").id, n.node_of_net("g36").id
+    full_tfo = n.tfo(pivot, None)
+    assert g36 not in _grow_window(n, pivot, 2, 1, full_tfo)
+    assert g36 in _grow_window(n, pivot, 1, 1, full_tfo)
+    unshrunk = build_window(n, pivot, ResynConfig(d1=2, d2=1, window_pi_cap=100))
+    assert g36 not in unshrunk.internal and unshrunk.num_pis > 15
+    # a cap of 15 PIs rejects the (2, 1) window and takes the (1, 1) one
+    config = ResynConfig(d1=2, d2=1, window_pi_cap=15)
+    assert g36 in build_window(n, pivot, config).internal
+    _assert_matches_regrowth(n, pivot, config, full_tfo)
 
 
 def _levels_by_name(netlist):
