@@ -5,10 +5,16 @@ primary inputs and latch inputs join the primary outputs. Exhaustive
 mode misses nothing; random mode misses a mismatch of density p with
 probability (1 - p)^N after N vectors.
 
-The second netlist is simulated only where it differs from the first:
-a node with a twin in `a` (same output net, fanins and function) whose
-fanins all carry `a`'s values takes its twin's value. The values are
-exactly those of a full simulation, so the verdict is too.
+Only values that a comparison reads are computed. A node of the second
+netlist with a twin in `a` (same output net, fanins and function) whose
+fanins all carry `a`'s values takes its twin's value; the other nodes
+form the changed cone. The check compares only the sinks the changed
+cone drives: every other sink is a source, or its driver is identical in
+both netlists with identical inputs, so it cannot differ. `a` is
+evaluated only on the fanin cone of the compared sinks and of the nets
+the changed cone reads from outside it. When the changed cone drives no
+sink, no node is evaluated. Every value computed is exactly that of a
+full simulation, so the verdict is too.
 """
 
 from __future__ import annotations
@@ -52,14 +58,24 @@ def _check_interfaces(a: Netlist, b: Netlist):
         raise EquivError("latch input name sets differ")
 
 
+def check_care(care: Netlist, netlist: Netlist):
+    """Raise EquivError unless `care` is a predicate over `netlist`'s inputs.
+
+    A care predicate has exactly one output, and each of its inputs is a
+    primary input of `netlist` (a latch output counts as one, as it does
+    in every combinational check).
+    """
+    if len(care.primary_outputs) != 1:
+        raise EquivError("care predicate must have exactly one output")
+    sources = set(netlist.source_nets())
+    missing = [p for p in care.source_nets() if p not in sources]
+    if missing:
+        raise EquivError("care predicate inputs %s are not primary inputs" % missing)
+
+
 def _care_mask(care: Netlist | None, source_masks: dict[str, int], width: int) -> int:
     if care is None:
         return full_mask(width)
-    if len(care.primary_outputs) != 1:
-        raise EquivError("care predicate must have exactly one output")
-    missing = [p for p in care.source_nets() if p not in source_masks]
-    if missing:
-        raise EquivError("care predicate inputs %s are not primary inputs" % missing)
     values = care.eval_masks({p: source_masks[p] for p in care.source_nets()}, width)
     return values[care.primary_outputs[0]]
 
@@ -90,11 +106,32 @@ def _changed_cone(a: Netlist, b: Netlist) -> list[LutNode]:
     return cone
 
 
-def _eval_b(a_vals: dict[str, int], cone: list[LutNode], width: int) -> dict[str, int]:
-    """Values of `b` from those of `a` and the nodes of its changed cone."""
-    values = dict(a_vals)
-    eval_nodes(cone, values, width)
-    return values
+def _read_cone(a: Netlist, nets) -> list[LutNode]:
+    """Nodes of `a` that the values of `nets` depend on, in (level, id) order."""
+    seen = set(nets)
+    stack = list(seen)
+    nodes = []
+    while stack:
+        drv = a.node_of_net(stack.pop())
+        if drv is None:
+            continue
+        nodes.append(drv)
+        for f in drv.fanins:
+            if f not in seen:
+                seen.add(f)
+                stack.append(f)
+    level = a.levels()
+    return sorted(nodes, key=lambda n: (level[n.id], n.id))
+
+
+def _eval_both(a_cone, b_cone, source_masks, width):
+    """Values of `a` on `a_cone`, and of `b` from those and its changed cone."""
+    full = full_mask(width)
+    a_vals = {net: mask & full for net, mask in source_masks.items()}
+    eval_nodes(a_cone, a_vals, width)
+    b_vals = dict(a_vals)
+    eval_nodes(b_cone, b_vals, width)
+    return a_vals, b_vals
 
 
 def _first_mismatch(a_vals, b_vals, sinks, care_bits, width):
@@ -119,19 +156,26 @@ def check_equivalence(a: Netlist, b: Netlist, mode: str = "auto", seed: int = 0,
     """
     _check_interfaces(a, b)
     sources = sorted(a.source_nets())
-    sinks = sorted(a.sink_nets())
     check_options(mode, vector_budget)
+    if care is not None:
+        check_care(care, a)
     if mode == "exhaustive" and len(sources) > exhaustive_pi_bound:
         raise EquivError("exhaustive mode refused beyond %d inputs (have %d)"
                          % (exhaustive_pi_bound, len(sources)))
     if mode == "auto":
         mode = "exhaustive" if len(sources) <= exhaustive_pi_bound else "random"
     cone = _changed_cone(a, b)
+    changed = {node.output_net for node in cone}
+    sinks = [net for net in sorted(a.sink_nets()) if net in changed]
+    if not sinks:
+        return EquivVerdict(True, mode, 1 << len(sources) if mode == "exhaustive"
+                            else vector_budget)
+    outside = {f for node in cone for f in node.fanins if f not in changed}
+    a_cone = _read_cone(a, outside.union(sinks))
 
     if mode == "exhaustive":
         masks, width = a.exhaustive_masks()
-        a_vals = a.eval_masks(masks, width)
-        b_vals = _eval_b(a_vals, cone, width)
+        a_vals, b_vals = _eval_both(a_cone, cone, masks, width)
         care_bits = _care_mask(care, masks, width)
         sink, bit = _first_mismatch(a_vals, b_vals, sinks, care_bits, width)
         if sink is None:
@@ -146,8 +190,7 @@ def check_equivalence(a: Netlist, b: Netlist, mode: str = "auto", seed: int = 0,
     while checked < vector_budget:
         width = min(_CHUNK, vector_budget - checked)
         masks = {net: rng.getrandbits(width) for net in sources}
-        a_vals = a.eval_masks(masks, width)
-        b_vals = _eval_b(a_vals, cone, width)
+        a_vals, b_vals = _eval_both(a_cone, cone, masks, width)
         care_bits = _care_mask(care, masks, width)
         sink, bit = _first_mismatch(a_vals, b_vals, sinks, care_bits, width)
         checked += width

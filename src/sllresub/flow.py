@@ -9,7 +9,8 @@ import os
 from dataclasses import dataclass, field
 
 from . import metrics as metrics_mod
-from .equiv import EquivError, EquivVerdict, check_equivalence, check_options
+from .equiv import (EquivError, EquivVerdict, check_care, check_equivalence,
+                    check_options)
 from .netlist import (SLL_PREFIX, Netlist, NetlistError, has_generated_names,
                       parse_blif_file, write_blif_file)
 from .partition import (DieAssignment, PartitionConfig, PartitionError,
@@ -110,7 +111,8 @@ def run_flow(config: FlowConfig) -> FlowResult:
 
     Deterministic for fixed inputs and flags. Exit code 1 flags an
     equivalence failure; stage errors raise FlowError. The verify options
-    are checked before any stage runs, so a bad one leaves no artifact.
+    and the care predicate are checked before any stage runs, so a bad
+    one leaves no artifact.
     """
     try:
         check_options(config.verify_mode, config.vector_budget)
@@ -134,6 +136,10 @@ def run_flow(config: FlowConfig) -> FlowResult:
             care = parse_blif_file(config.inject_care_path, config.k_max)
         except (OSError, NetlistError) as exc:
             raise FlowError("parse", "care predicate: %s" % exc) from exc
+        try:
+            check_care(care, netlist)
+        except EquivError as exc:
+            raise FlowError("parse", str(exc)) from exc
 
     os.makedirs(config.out_dir, exist_ok=True)
     try:

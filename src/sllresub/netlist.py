@@ -269,30 +269,6 @@ class Netlist:
             raise NetlistError("unknown node %r" % node)
         return nid
 
-    def tfi(self, node, depth_limit: int | None = None) -> set[int]:
-        """Node ids in the transitive fanin, BFS-bounded by `depth_limit`.
-
-        PIs and latch outputs terminate the walk; the node itself is
-        excluded. depth_limit=0 yields the empty set.
-        """
-        nid = self._node_id(node)
-        if depth_limit is not None and depth_limit <= 0:
-            return set()
-        out: set[int] = set()
-        frontier = [nid]
-        depth = 0
-        while frontier and (depth_limit is None or depth < depth_limit):
-            depth += 1
-            nxt = []
-            for cur in frontier:
-                for f in self.nodes[cur].fanins:
-                    drv = self.driver_of(f)
-                    if drv is not None and drv[0] == NODE and drv[1] not in out and drv[1] != nid:
-                        out.add(drv[1])
-                        nxt.append(drv[1])
-            frontier = nxt
-        return out
-
     def tfo(self, node, depth_limit: int | None = None) -> set[int]:
         """Node ids in the transitive fanout, BFS-bounded by `depth_limit`.
 
@@ -314,16 +290,6 @@ class Netlist:
                         nxt.append(rid)
             frontier = nxt
         return out
-
-    def cone_input_nets(self, node_ids: set[int]) -> list[str]:
-        """Nets feeding the node set from outside it, sorted by name."""
-        inner_nets = {self.nodes[n].output_net for n in node_ids}
-        out = set()
-        for n in node_ids:
-            for f in self.nodes[n].fanins:
-                if f not in inner_nets:
-                    out.add(f)
-        return sorted(out)
 
     def mffc(self, node) -> set[int]:
         """Maximum fanout-free cone of `node` (ids, including the node).

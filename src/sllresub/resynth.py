@@ -13,11 +13,12 @@ import itertools
 import json
 from dataclasses import dataclass, field, asdict
 
+from .equiv import EquivError, check_care
 from .metrics import count_sll, count_sll_fo, node_cross_die_fanins
 from .netlist import NODE, LutNode, Netlist
 from .partition import DieAssignment
 from .truthtab import TruthTable
-from .windows import (CareSet, DivisorSet, ResynthError, Window, WindowSim,
+from .windows import (CareSet, ResynthError, Window, WindowSim,
                       build_window, collect_divisors, exist_check, extract_care_set,
                       interpolate)
 
@@ -111,11 +112,14 @@ def select_cross_die_fanin(netlist: Netlist, assignment: DieAssignment,
     return best
 
 
-def find_equiv_func(netlist: Netlist, window: Window, divisors: DivisorSet,
-                    care: CareSet, assignment: DieAssignment, config: ResynConfig,
+def find_equiv_func(netlist: Netlist, window: Window, care: CareSet,
+                    assignment: DieAssignment, config: ResynConfig,
                     sim: WindowSim | None = None) -> ResubCandidate | None:
     """One removal attempt per pivot: drop a cross-die fanin, then try the
-    remaining fanins alone and augmented with same-die divisors."""
+    remaining fanins alone and augmented with same-die divisors.
+
+    The divisors are collected only when the remaining fanins alone fail.
+    """
     pivot = netlist.nodes[window.pivot]
     u = select_cross_die_fanin(netlist, assignment, pivot)
     if u is None:
@@ -124,6 +128,7 @@ def find_equiv_func(netlist: Netlist, window: Window, divisors: DivisorSet,
     base = [f for f in pivot.fanins if f != u]
     if exist_check(sim, care, base):
         return ResubCandidate(pivot.output_net, u, base, interpolate(sim, care, base))
+    divisors = collect_divisors(netlist, window, assignment, config)
     usable = [d for d in divisors.in_die if d not in base and d != pivot.output_net]
     for size in range(1, config.max_augment + 1):
         if len(base) + size > netlist.k_max:
@@ -212,8 +217,14 @@ def resynthesize(netlist: Netlist, assignment: DieAssignment, config: ResynConfi
     (`WindowSim.check_commit`): every observable window net must keep its
     value on all window-PI minterms, restricted by the care predicate when
     all of its inputs are window PIs. The check is exact for the whole
-    netlist and costs O(window).
+    netlist and costs O(window). A care predicate that is not a
+    single-output function of the primary inputs is refused up front.
     """
+    if injected_care is not None:
+        try:
+            check_care(injected_care, netlist)
+        except EquivError as exc:
+            raise ResynthError(str(exc)) from None
     work = netlist.copy()
     asg = assignment.copy()
     report = ResynReport(
@@ -249,8 +260,7 @@ def resynthesize(netlist: Netlist, assignment: DieAssignment, config: ResynConfi
                 continue
             sim = WindowSim(work, window)
             care = extract_care_set(work, window, sim, injected_care)
-            divisors = collect_divisors(work, window, asg, config)
-            candidate = find_equiv_func(work, window, divisors, care, asg, config, sim)
+            candidate = find_equiv_func(work, window, care, asg, config, sim)
             if candidate is None:
                 report.audit.append(PivotAudit(
                     pass_no, node.output_net, die, "no-candidate", len(cross),

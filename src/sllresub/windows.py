@@ -42,9 +42,10 @@ def _fanin_layers(netlist: Netlist, pivot: LutNode,
     """Nets of the pivot's fanin cone by BFS distance, up to `depth`.
 
     Layer 0 holds the pivot's own net. A LUT net in layer k is the output
-    of a node `Netlist.tfi` first finds at depth k; sources (PIs, latch
-    outputs) sit at the first distance they are read from and end the
-    walk. The dict maps each LUT net in the layers to its driver.
+    of a node a breadth-first walk over fanins first reaches at depth k;
+    sources (PIs, latch outputs) sit at the first distance they are read
+    from and end the walk. The dict maps each LUT net in the layers to
+    its driver.
     """
     layers = [[pivot.output_net]]
     drivers = {pivot.output_net: pivot}
@@ -247,7 +248,14 @@ def build_window(netlist: Netlist, pivot, config) -> Window | None:
 
 
 class WindowSim:
-    """Exhaustive bit-parallel simulation of a window over its PI space."""
+    """Exhaustive bit-parallel simulation of a window over its PI space.
+
+    The window nodes are captured at construction, and each net is
+    evaluated on its first read through `value_of` and then kept, so a
+    pivot pays only for the nets its decision reads: the pivot's input
+    cone (`pivot_mask`), the side inputs of the nets the pivot feeds, and
+    the divisors it tries. The values are those of a full simulation.
+    """
 
     def __init__(self, netlist: Netlist, window: Window):
         self.window = window
@@ -257,23 +265,40 @@ class WindowSim:
             net: var_mask(i, window.num_pis) for i, net in enumerate(window.window_pis)
         }
         self.pivot_net = netlist.nodes[window.pivot].output_net
+        self.nodes: dict[str, LutNode] = {}     # window nodes by output net
         # window nodes the pivot feeds, in topological order
         self.pivot_fanout: list[LutNode] = []
         fed = {self.pivot_net}
         for nid in window.internal:
             node = netlist.nodes[nid]
-            self.values[node.output_net] = node.function.eval_masks(
-                [self.values[f] for f in node.fanins], self.width)
+            self.nodes[node.output_net] = node
             if not fed.isdisjoint(node.fanins):
                 fed.add(node.output_net)
                 self.pivot_fanout.append(node)
-        self.pivot_mask = self.values[self.pivot_net]
+        self.pivot_mask = self.value_of(self.pivot_net)
 
     def value_of(self, net: str) -> int:
-        try:
-            return self.values[net]
-        except KeyError:
-            raise ResynthError("net %r is not evaluable in the window" % net) from None
+        """The mask of a window net, evaluating its missing fanins first."""
+        values = self.values
+        if net in values:
+            return values[net]
+        stack = [net]
+        while stack:
+            cur = stack[-1]
+            if cur in values:       # pushed twice, by two readers
+                stack.pop()
+                continue
+            node = self.nodes.get(cur)
+            if node is None:
+                raise ResynthError("net %r is not evaluable in the window" % cur)
+            missing = [f for f in node.fanins if f not in values]
+            if missing:
+                stack.extend(missing)
+                continue
+            stack.pop()
+            values[cur] = node.function.eval_masks([values[f] for f in node.fanins],
+                                                   self.width)
+        return values[net]
 
     def care_mask(self, injected_care: Netlist | None) -> int:
         """An injected care predicate over the window minterms.
@@ -295,11 +320,13 @@ class WindowSim:
     def check_commit(self, netlist: Netlist, injected_care: Netlist | None = None):
         """Certify a commit made inside this window; raise ResynthError if not.
 
-        `self` simulated the window before the commit; `netlist` is the
-        netlist after it. The surviving window nodes are simulated again as
-        they now are, and every one still observable (a PO, a latch input,
-        or read by a node outside the window, per `readers_of`) must keep
-        its value on every window-PI minterm that `care_mask` allows. It
+        `self` holds the window nodes as they were before the commit;
+        `netlist` is the netlist after it. The surviving window nodes are
+        simulated again as they now are, and every one still observable
+        (a PO, a latch input, or read by a node outside the window, per
+        `readers_of`) must keep its value on every window-PI minterm that
+        `care_mask` allows. A pre-commit value not read before is
+        evaluated from the captured nodes, never from `netlist`. The check
         reads neither `Window.outputs` nor the care set, so it does not
         rely on the code it checks, and it visits no node outside the
         window.
@@ -310,9 +337,8 @@ class WindowSim:
         too: the pivot reaches it only through observable nets.
         """
         pis = self.window.window_pis
-        pi_set = set(pis)
         level = netlist.levels()
-        live = [netlist.node_of_net(net) for net in self.values if net not in pi_set]
+        live = [netlist.node_of_net(net) for net in self.nodes]
         live = sorted((node for node in live if node is not None),
                       key=lambda node: (level[node.id], node.id))
         members = {node.id for node in live}
@@ -331,7 +357,7 @@ class WindowSim:
             if not (use.is_po or use.latch_idxs
                     or any(r not in members for r in use.node_ids)):
                 continue
-            diff = (values[net] ^ self.values[net]) & care
+            diff = (values[net] ^ self.value_of(net)) & care
             if diff:
                 minterm = (diff & -diff).bit_length() - 1
                 raise ResynthError("commit on %r changed window output %r at %s" % (
@@ -339,12 +365,15 @@ class WindowSim:
                     {pi: (minterm >> i) & 1 for i, pi in enumerate(pis)}))
 
     def resim_with_pivot(self, forced: int) -> dict[str, int]:
-        """Window values with the pivot output forced to a constant.
+        """Values of the window nets the pivot feeds, with the pivot forced.
 
-        Only the nodes the pivot feeds are evaluated again; every other
-        net keeps its value from the first simulation.
+        The other inputs of those nets are read first, through
+        `value_of`. The returned dict holds the forced pivot, the nets it
+        feeds, and those inputs.
         """
-        values = dict(self.values)
+        fed = {self.pivot_net}.union(node.output_net for node in self.pivot_fanout)
+        values = {f: self.value_of(f) for node in self.pivot_fanout
+                  for f in node.fanins if f not in fed}
         values[self.pivot_net] = self.full if forced else 0
         eval_nodes(self.pivot_fanout, values, self.width)
         return values
@@ -376,15 +405,17 @@ def extract_care_set(netlist: Netlist, window: Window, sim: WindowSim | None = N
     makes the care set conservative.
     """
     sim = sim or WindowSim(netlist, window)
-    pivot_net = sim.pivot_net
-    if pivot_net in window.outputs:
+    outputs = set(window.outputs)
+    if sim.pivot_net in outputs:
         care = sim.full
     else:
+        # an output the pivot does not feed is equal under both forcings
         v0 = sim.resim_with_pivot(0)
         v1 = sim.resim_with_pivot(1)
         care = 0
-        for out in window.outputs:
-            care |= v0[out] ^ v1[out]
+        for node in sim.pivot_fanout:
+            if node.output_net in outputs:
+                care |= v0[node.output_net] ^ v1[node.output_net]
     care &= sim.care_mask(injected_care)
     return CareSet(list(window.window_pis), care)
 

@@ -29,6 +29,14 @@ CARE_BLIF = """\
 .end
 """
 
+# Care predicates the demo must refuse: one with a second output, and one
+# whose input names the demo's internal net X.
+BAD_CARE = {
+    "two_outputs": ".model p\n.inputs b c\n.outputs care other\n"
+                   ".names b c care\n00 1\n11 1\n.names b other\n1 1\n.end\n",
+    "internal_input": ".model p\n.inputs X\n.outputs care\n.names X care\n0 1\n.end\n",
+}
+
 # Pivot truth table rows in (a, b, c, d) order: X, Y, original F, rebuilt
 # F' = Y xor d, and the care flag (b == c). The reference grid every
 # demo-circuit test checks against.
@@ -70,3 +78,34 @@ def demo_assignment():
 @pytest.fixture
 def demo_care():
     return parse_blif(CARE_BLIF)
+
+
+# Cone helpers of the window references in test_incremental.py; the
+# program itself walks cones inside build_window.
+
+def tfi(netlist, nid, depth_limit=None):
+    """Node ids in the transitive fanin of node `nid`, BFS-bounded by `depth_limit`.
+
+    PIs and latch outputs end the walk; the node itself is excluded.
+    depth_limit=0 yields the empty set.
+    """
+    out = set()
+    frontier = [nid]
+    depth = 0
+    while frontier and (depth_limit is None or depth < depth_limit):
+        depth += 1
+        nxt = []
+        for cur in frontier:
+            for f in netlist.nodes[cur].fanins:
+                drv = netlist.node_of_net(f)
+                if drv is not None and drv.id not in out and drv.id != nid:
+                    out.add(drv.id)
+                    nxt.append(drv.id)
+        frontier = nxt
+    return out
+
+
+def cone_input_nets(netlist, node_ids):
+    """Nets feeding the node set from outside it, sorted by name."""
+    inner = {netlist.nodes[n].output_net for n in node_ids}
+    return sorted({f for n in node_ids for f in netlist.nodes[n].fanins if f not in inner})

@@ -7,6 +7,8 @@ import pytest
 from sllresub import cli, flow
 from sllresub.equiv import EquivVerdict
 
+from conftest import BAD_CARE
+
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DEMO = os.path.join(REPO, "demo", "twodie_xor.blif")
 DIES = os.path.join(REPO, "demo", "twodie_xor.dies")
@@ -109,6 +111,20 @@ def test_flow_exit_codes(tmp_path, monkeypatch):
 
     monkeypatch.setattr(flow, "check_equivalence", refuted)
     assert run(*args, "--outdir", tmp_path / "bad") == 1
+
+
+@pytest.mark.parametrize("kind", sorted(BAD_CARE))
+def test_bad_care_predicate_is_a_stage_error(tmp_path, capsys, kind):
+    care = tmp_path / "care.blif"
+    care.write_text(BAD_CARE[kind])
+    assert run("flow", "--in", DEMO, "--partition-mode", "file", "--partition-file", DIES,
+               "--inject-care", care, "--outdir", tmp_path / "out") == 2
+    assert "care predicate" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    assert run("resynth", "--in", DEMO, "--partition", DIES, "--out", tmp_path / "post.blif",
+               "--inject-care", care) == 2
+    assert "care predicate" in capsys.readouterr().err
+    assert not (tmp_path / "post.blif").exists()
 
 
 def test_bench_exit_codes(tmp_path):

@@ -101,8 +101,8 @@ def _corrupt_first_candidate(monkeypatch):
     real = resynth.find_equiv_func
     done = []
 
-    def corrupted(netlist, window, divisors, care, asg, config, sim):
-        cand = real(netlist, window, divisors, care, asg, config, sim)
+    def corrupted(netlist, window, care, asg, config, sim):
+        cand = real(netlist, window, care, asg, config, sim)
         if cand is None or done or not care.care_bits:
             return cand
         minterm = (care.care_bits & -care.care_bits).bit_length() - 1

@@ -1,13 +1,14 @@
-from unittest import mock
+import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sllresub import bench, equiv
-from sllresub.equiv import EquivError, check_equivalence
-from sllresub.netlist import parse_blif, write_blif
+from sllresub.equiv import EquivError, EquivVerdict, check_equivalence
+from sllresub.netlist import Netlist, parse_blif, write_blif
 from sllresub.partition import DieAssignment
 from sllresub.resynth import ResynConfig, resynthesize
-from sllresub.truthtab import TruthTable
+from sllresub.truthtab import TruthTable, full_mask
 
 from conftest import DEMO_BLIF, TABLE2
 
@@ -129,13 +130,48 @@ def test_care_predicate_validation(demo_netlist, demo_care):
         check_equivalence(demo_netlist, demo_netlist.copy(), care=foreign)
 
 
-# The final check simulates `b` only where it differs from `a`. Each test
-# below compares it with a full two-sided evaluation: the same check with
-# every node of `b` in the changed cone.
+# The final check compares only the sinks the changed cone drives, and
+# evaluates `a` only where those comparisons read it. The reference below
+# is the check without either restriction: it evaluates all of `a` and
+# all of `b` and compares every sink, drawing the same random vectors.
 
-def _full_check(a, b, **kwargs):
-    with mock.patch.object(equiv, "_changed_cone", lambda a, b: b.topological_order()):
-        return check_equivalence(a, b, **kwargs)
+def _reference_check(a, b, mode, seed=0, vector_budget=equiv.DEFAULT_VECTOR_BUDGET,
+                     care=None):
+    sources = sorted(a.source_nets())
+    sinks = sorted(a.sink_nets())
+
+    def first_mismatch(masks, width):
+        va, vb = a.eval_masks(masks, width), b.eval_masks(masks, width)
+        care_bits = full_mask(width)
+        if care is not None:
+            care_bits = care.eval_masks({p: masks[p] for p in care.source_nets()},
+                                        width)[care.primary_outputs[0]]
+        for sink in sinks:
+            diff = (va[sink] ^ vb[sink]) & care_bits
+            if diff:
+                return sink, (diff & -diff).bit_length() - 1
+        return None, None
+
+    if mode == "exhaustive":
+        masks, width = a.exhaustive_masks()
+        sink, bit = first_mismatch(masks, width)
+        if sink is None:
+            return EquivVerdict(True, mode, width)
+        return EquivVerdict(False, mode, width,
+                            {net: (bit >> i) & 1 for i, net in enumerate(sources)}, sink)
+    rng = random.Random(seed)
+    checked = 0
+    while checked < vector_budget:
+        width = min(equiv._CHUNK, vector_budget - checked)
+        masks = {net: rng.getrandbits(width) for net in sources}
+        sink, bit = first_mismatch(masks, width)
+        checked += width
+        if sink is not None:
+            assignment = equiv._minimize(
+                a, b, {net: (masks[net] >> bit) & 1 for net in sources}, care)
+            return EquivVerdict(False, mode, checked, assignment,
+                                equiv._mismatch_output(a, b, assignment))
+    return EquivVerdict(True, mode, checked)
 
 
 def _flip_row(netlist, node, row):
@@ -155,7 +191,7 @@ def test_changed_cone_one_row_flip_matches_full_evaluation(mode):
             _flip_row(post, node, seed % node.function.num_minterms)
             assert [c.output_net for c in equiv._changed_cone(n, post)][0] == net
             got = check_equivalence(n, post, **kwargs)
-            assert got == _full_check(n, post, **kwargs)
+            assert got == _reference_check(n, post, **kwargs)
             mismatches += not got.equivalent
     assert mismatches > 0
 
@@ -169,7 +205,7 @@ def test_changed_cone_reevaluates_unchanged_readers(demo_netlist):
         got = check_equivalence(demo_netlist, post, mode=mode, vector_budget=64)
         assert not got.equivalent and got.mismatched_output == "Y"
         assert got.counterexample["a"] == got.counterexample["b"] == 0
-        assert got == _full_check(demo_netlist, post, mode=mode, vector_budget=64)
+        assert got == _reference_check(demo_netlist, post, mode=mode, vector_budget=64)
 
 
 def test_changed_cone_empty_for_separately_parsed_netlists():
@@ -179,4 +215,79 @@ def test_changed_cone_empty_for_separately_parsed_netlists():
         assert equiv._changed_cone(a, b) == []
         got = check_equivalence(a, b, mode=mode, vector_budget=10_000)
         assert got.equivalent
-        assert got == _full_check(a, b, mode=mode, vector_budget=10_000)
+        assert got == _reference_check(a, b, mode=mode, vector_budget=10_000)
+
+
+def _edit(netlist, kind, pick):
+    """A copy of `netlist`, unchanged, with one table row flipped, or with
+    one fanin of a node rewired to a net outside the node's fanout cone."""
+    post = netlist.copy()
+    nodes = sorted(post.nodes.values(), key=lambda n: n.output_net)
+    node = nodes[pick % len(nodes)]
+    if kind == "rewire":
+        banned = post.tfo(node) | {node.id}
+        pool = sorted(net for net in post.source_nets() + [n.output_net for n in nodes]
+                      if net not in node.fanins
+                      and (post.node_of_net(net) is None or post.node_of_net(net).id not in banned))
+        if pool:
+            post.replace_node(node.id, [pool[pick % len(pool)]] + node.fanins[1:], node.function)
+            return post
+        kind = "flip"
+    if kind == "flip":
+        _flip_row(post, node, pick % node.function.num_minterms)
+    return post
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 10**6), latches=st.integers(0, 2),
+       kind=st.sampled_from(["copy", "flip", "rewire"]), pick=st.integers(0, 10**6),
+       mode=st.sampled_from(["exhaustive", "random"]), care_bits=st.integers(0, 16))
+def test_restricted_final_check_matches_full_reference(seed, latches, kind, pick, mode,
+                                                       care_bits):
+    a = bench.random_netlist(seed, num_pis=6, num_nodes=20, k=4, num_pos=5,
+                             num_latches=latches)
+    b = _edit(a, kind, pick)
+    care = None
+    if care_bits < 16:     # 16: no predicate
+        care = Netlist("care", 4)
+        inputs = sorted(a.source_nets())[pick % 3:][:2]
+        for net in inputs:
+            care.add_input(net)
+        care.add_output("care")
+        care.add_node("care", inputs, TruthTable(2, care_bits))
+    kwargs = {"mode": mode, "seed": seed % 7, "vector_budget": 20_000, "care": care}
+    got = check_equivalence(a, b, **kwargs)
+    assert got == _reference_check(a, b, **kwargs)
+
+
+def _count_evaluations(monkeypatch):
+    calls = []
+    real = TruthTable.eval_masks
+
+    def counted(self, fanin_masks, width):
+        calls.append(self)
+        return real(self, fanin_masks, width)
+
+    monkeypatch.setattr(TruthTable, "eval_masks", counted)
+    return calls
+
+
+def test_unchanged_copy_evaluates_no_node(monkeypatch, demo_netlist, demo_care):
+    calls = _count_evaluations(monkeypatch)
+    i2c = parse_blif(write_blif(bench.build("i2c", 4)))
+    got = check_equivalence(i2c, i2c.copy(), mode="random", vector_budget=20_000)
+    assert got == EquivVerdict(True, "random", 20_000)
+    got = check_equivalence(demo_netlist, demo_netlist.copy(), care=demo_care)
+    assert got == EquivVerdict(True, "exhaustive", 16)
+    assert calls == []
+
+
+def test_changed_sink_evaluates_only_its_cone(monkeypatch, demo_netlist):
+    post = demo_netlist.copy()
+    x = post.node_of_net("X")
+    post.replace_node(x.id, ["b", "a"], x.function)      # xor: the same function
+    assert [n.output_net for n in equiv._changed_cone(demo_netlist, post)] == ["X", "Y"]
+    calls = _count_evaluations(monkeypatch)
+    assert check_equivalence(demo_netlist, post).equivalent
+    # X and Y of each netlist; F drives no changed sink
+    assert len(calls) == 4

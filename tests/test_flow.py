@@ -13,6 +13,8 @@ from sllresub.partition import (DieAssignment, PartitionConfig, partition_hash,
                                 save_assignment)
 from sllresub.resynth import ResynConfig
 
+from conftest import BAD_CARE
+
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DEMO_DIR = os.path.join(REPO, "demo")
 
@@ -98,6 +100,18 @@ def test_flow_bad_verify_options_fail_before_any_stage(tmp_path, mode, budget):
     with pytest.raises(FlowError) as err:
         run_flow(cfg)
     assert err.value.stage == "verify"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("kind", sorted(BAD_CARE))
+def test_flow_bad_care_predicate_fails_before_any_stage(tmp_path, kind):
+    care = tmp_path / "care.blif"
+    care.write_text(BAD_CARE[kind])
+    cfg = _demo_flow_config(tmp_path / "out")
+    cfg.inject_care_path = str(care)
+    with pytest.raises(FlowError, match="care predicate") as err:
+        run_flow(cfg)
+    assert err.value.stage == "parse"
     assert not (tmp_path / "out").exists()
 
 

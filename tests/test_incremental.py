@@ -1,7 +1,8 @@
 """Oracle and property tests for the state the sweep keeps up to date per pivot
 and per commit: window growth and its shrink steps, node levels, the audit
-deltas, the die assignment and the forced-pivot resimulation. Each is
-checked against a from-scratch recomputation.
+deltas, the die assignment, the on-demand window values, the care set and
+the forced-pivot resimulation. Each is checked against a from-scratch
+recomputation.
 """
 
 import functools
@@ -17,16 +18,18 @@ from sllresub.metrics import count_sll_fo
 from sllresub.netlist import NetlistError
 from sllresub.partition import entities, partition_hash
 from sllresub.resynth import ResynConfig, resynthesize
-from sllresub.truthtab import TruthTable
-from sllresub.windows import Window, WindowSim, build_window
+from sllresub.truthtab import TruthTable, full_mask, var_mask
+from sllresub.windows import Window, WindowSim, build_window, extract_care_set
+
+from conftest import cone_input_nets, tfi
 
 
 def _reference_grow_window(netlist, pivot, d1, d2):
     """Side-logic growth by repeated sweeps over every node in (level, id) order."""
     tfo_ids = netlist.tfo(pivot, d1) if d1 > 0 else set()
-    tfi_ids = netlist.tfi(pivot, d2)
+    tfi_ids = tfi(netlist, pivot, d2)
     core = {pivot} | tfo_ids | tfi_ids
-    leaves = set(netlist.cone_input_nets(tfi_ids | {pivot}))
+    leaves = set(cone_input_nets(netlist, tfi_ids | {pivot}))
     window = set(core)
     if d1 == 0:
         return window
@@ -68,11 +71,11 @@ def _reference_grow_window(netlist, pivot, d1, d2):
 def _grow_window(netlist, pivot, d1, d2, full_tfo):
     """Side-logic growth from one (level, id) heap of readers, from scratch."""
     tfo_ids = netlist.tfo(pivot, d1) if d1 > 0 else set()
-    tfi_ids = netlist.tfi(pivot, d2)
+    tfi_ids = tfi(netlist, pivot, d2)
     window = {pivot} | tfo_ids | tfi_ids
     if d1 == 0:
         return window
-    leaves = set(netlist.cone_input_nets(tfi_ids | {pivot}))
+    leaves = set(cone_input_nets(netlist, tfi_ids | {pivot}))
     depth_cap = d1 + d2
     window_nets = {netlist.nodes[n].output_net for n in window}
     free = set(netlist.primary_inputs) | {l.output_net for l in netlist.latches}
@@ -314,21 +317,71 @@ def test_fanout_cone_check_matches_tfo(seed):
             assert resynth._in_fanout_cone(n, pivot, net) == (drv is not None and drv.id in cone)
 
 
-@pytest.mark.parametrize("name", ["sin", "square", "i2c", "router", "voter"])
-def test_forced_pivot_resim_matches_full_window_resim(name):
+def _eager_window_values(netlist, window, forced=None):
+    """Every window net simulated in topological order, the pivot forced
+    to the constant `forced` unless it is None."""
+    values = {net: var_mask(i, window.num_pis) for i, net in enumerate(window.window_pis)}
+    pivot = netlist.nodes[window.pivot]
+    for nid in window.internal:
+        node = netlist.nodes[nid]
+        if node is pivot and forced is not None:
+            values[node.output_net] = full_mask(window.width) if forced else 0
+        else:
+            values[node.output_net] = node.function.eval_masks(
+                [values[f] for f in node.fanins], window.width)
+    return values
+
+
+def _windows_of(name):
+    """Every window of a built-in at k=4 under the default configuration."""
     n = bench.build(name, 4)
     config = ResynConfig()
     for pivot in sorted(n.nodes):
         window = build_window(n, pivot, config)
-        if window is None:
-            continue
+        if window is not None:
+            yield n, window
+
+
+@pytest.mark.parametrize("name", bench.BENCH_NAMES)
+def test_on_demand_window_values_match_eager_simulation(name):
+    for n, window in _windows_of(name):
         sim = WindowSim(n, window)
+        want = _eager_window_values(n, window)
+        assert set(sim.values) <= set(want)
+        assert sim.pivot_mask == want[sim.pivot_net]
+        # the highest nets first, so each read evaluates a whole cone
+        for net in reversed(window.window_pis
+                            + [n.nodes[nid].output_net for nid in window.internal]):
+            assert sim.value_of(net) == want[net], (name, sim.pivot_net, net)
+        assert sim.values == want
+
+
+@pytest.mark.parametrize("name", bench.BENCH_NAMES)
+def test_care_set_matches_all_output_reference(name):
+    for n, window in _windows_of(name):
+        pivot_net = n.nodes[window.pivot].output_net
+        if pivot_net in window.outputs:
+            want = full_mask(window.width)
+        else:
+            v0 = _eager_window_values(n, window, 0)
+            v1 = _eager_window_values(n, window, 1)
+            want = 0
+            for out in window.outputs:
+                want |= v0[out] ^ v1[out]
+        assert extract_care_set(n, window).care_bits == want, (name, pivot_net)
+
+
+@pytest.mark.parametrize("name", ["sin", "square", "i2c", "router", "voter"])
+def test_forced_pivot_resim_matches_full_window_resim(name):
+    for n, window in _windows_of(name):
+        sim = WindowSim(n, window)
+        fed = {sim.pivot_net}
+        for nid in window.internal:
+            node = n.nodes[nid]
+            if not fed.isdisjoint(node.fanins):
+                fed.add(node.output_net)
         for forced in (0, 1):
-            full = dict(sim.values)
-            full[sim.pivot_net] = sim.full if forced else 0
-            for nid in window.internal:
-                node = n.nodes[nid]
-                if node.output_net != sim.pivot_net:
-                    full[node.output_net] = node.function.eval_masks(
-                        [full[f] for f in node.fanins], sim.width)
-            assert sim.resim_with_pivot(forced) == full
+            want = _eager_window_values(n, window, forced)
+            got = sim.resim_with_pivot(forced)
+            assert fed <= set(got)
+            assert got == {net: want[net] for net in got}

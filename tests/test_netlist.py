@@ -7,7 +7,7 @@ from sllresub.netlist import (BlifParseError, NetlistError, has_generated_names,
                               write_blif)
 from sllresub.truthtab import TruthTable
 
-from conftest import TABLE2
+from conftest import TABLE2, cone_input_nets, tfi
 
 
 def test_parse_and_cover():
@@ -159,11 +159,11 @@ def test_topological_order_buffer_chain():
 def test_tfi_tfo_demo(demo_netlist):
     n = demo_netlist
     Y, X, F = (n.node_of_net(s) for s in "YXF")
-    assert {n.nodes[i].output_net for i in n.tfi(Y)} == {"X"}
-    assert n.cone_input_nets(n.tfi(Y) | {Y.id}) == ["a", "b", "c"]
+    assert {n.nodes[i].output_net for i in tfi(n, Y.id)} == {"X"}
+    assert cone_input_nets(n, tfi(n, Y.id) | {Y.id}) == ["a", "b", "c"]
     assert {n.nodes[i].output_net for i in n.tfo(X, 1)} == {"Y"}
-    assert n.tfi(F) == set()          # PI-only fanins
-    assert n.tfi(Y, 0) == set()
+    assert tfi(n, F.id) == set()      # PI-only fanins
+    assert tfi(n, Y.id, 0) == set()
     assert n.tfo(Y) == set()          # PO terminates
 
 
@@ -175,12 +175,12 @@ def test_tfi_tfo_depth_limits():
         prev = "c%d" % i
     n = parse_blif("\n".join(lines) + "\n.end")
     c2 = n.node_of_net("c2")
-    assert {n.nodes[i].output_net for i in n.tfi(c2, 1)} == {"c1"}
-    assert {n.nodes[i].output_net for i in n.tfi(c2, 2)} == {"c0", "c1"}
+    assert {n.nodes[i].output_net for i in tfi(n, c2.id, 1)} == {"c1"}
+    assert {n.nodes[i].output_net for i in tfi(n, c2.id, 2)} == {"c0", "c1"}
     c0 = n.node_of_net("c0")
     assert {n.nodes[i].output_net for i in n.tfo(c0, 1)} == {"c1"}
     with pytest.raises(NetlistError):
-        n.tfi(9999)
+        n.tfo(9999)
 
 
 def test_mffc_demo(demo_netlist):

@@ -8,8 +8,7 @@ from sllresub.partition import DieAssignment, partition_hash
 from sllresub.resynth import (ResubCandidate, ResynConfig, apply_resubstitution,
                               find_equiv_func, resynthesize, select_cross_die_fanin)
 from sllresub.truthtab import TruthTable
-from sllresub.windows import (ResynthError, WindowSim, build_window,
-                              collect_divisors, extract_care_set)
+from sllresub.windows import ResynthError, WindowSim, build_window, extract_care_set
 
 from conftest import TABLE2
 
@@ -21,8 +20,7 @@ def _find(netlist, assignment, pivot_name, config=WIDE, care_net=None):
     window = build_window(netlist, pivot, config)
     sim = WindowSim(netlist, window)
     care = extract_care_set(netlist, window, sim, care_net)
-    divisors = collect_divisors(netlist, window, assignment, config)
-    return find_equiv_func(netlist, window, divisors, care, assignment, config, sim)
+    return find_equiv_func(netlist, window, care, assignment, config, sim)
 
 
 def test_cross_die_fanin_selection_prefers_deepest():
