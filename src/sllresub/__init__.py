@@ -15,7 +15,7 @@ from .partition import (DieAssignment, PartitionConfig, load_assignment, partiti
                         partition_hash, save_assignment)
 from .resynth import ResynConfig, ResynResult, apply_resubstitution, resynthesize
 from .truthtab import TruthTable
-from .windows import (CareSet, DivisorSet, Window, build_window, collect_divisors,
-                      exist_check, extract_care_set, interpolate)
+from .windows import (DivisorSet, Window, build_window, collect_divisors, exist_check,
+                      extract_care_set, interpolate)
 
 __version__ = "0.1.0"

@@ -18,12 +18,12 @@ import sys
 from . import bench
 from .equiv import DEFAULT_VECTOR_BUDGET, MODES, EquivError, check_equivalence
 from .flow import FlowConfig, FlowError, run_flow, split_per_die
-from .metrics import (MetricsError, load_placement, load_q_table,
-                      report as metrics_report)
+from .metrics import (SLL_COUNT_MODES, MetricsError, count_sll, load_placement,
+                      load_q_table, report as metrics_report)
 from .netlist import (BlifParseError, NetlistError, parse_blif_file, write_blif,
                       write_blif_file)
 from .partition import (PartitionConfig, PartitionError, assignment_for,
-                        cut_size, load_assignment, save_assignment)
+                        load_assignment, save_assignment)
 from .resynth import ResynConfig, resynthesize
 from .windows import ResynthError
 
@@ -31,7 +31,6 @@ _ENV_PREFIX = "SLLRESUB_"
 
 _MODE_NAMES = {"fm": "fm_mincut", "hash": "hash_label", "file": "external_file"}
 _PARTITION_MODES = tuple(_MODE_NAMES)
-_SLL_COUNTS = ("per-die", "raw-net")
 
 
 class UsageError(Exception):
@@ -114,7 +113,7 @@ def cmd_partition(args) -> int:
     assignment = assignment_for(netlist, _partition_config(args))
     save_assignment(assignment, args.output)
     _say(args, "cut=%d rho=%.4f -> %s"
-         % (cut_size(netlist, assignment), assignment.imbalance(), args.output))
+         % (count_sll(netlist, assignment, "raw-net"), assignment.imbalance(), args.output))
     return 0
 
 
@@ -256,8 +255,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lsll", type=float, default=_envd("lsll", 1.0, float))
     p.add_argument("--q-table", default=None,
                    help="JSON file mapping terminal count to HPWL weight")
-    p.add_argument("--sll-count", choices=_SLL_COUNTS,
-                   default=_envd("sll-count", "per-die", choices=_SLL_COUNTS))
+    p.add_argument("--sll-count", choices=SLL_COUNT_MODES,
+                   default=_envd("sll-count", "per-die", choices=SLL_COUNT_MODES))
     p.add_argument("--json", default=None)
     _add_common(p)
     p.set_defaults(func=cmd_metrics)
@@ -275,8 +274,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--verify", choices=MODES,
                    default=_envd("verify", "auto", choices=MODES))
     p.add_argument("--vectors", type=int, default=_envd("vectors", 100_000, int))
-    p.add_argument("--sll-count", choices=_SLL_COUNTS,
-                   default=_envd("sll-count", "per-die", choices=_SLL_COUNTS))
+    p.add_argument("--sll-count", choices=SLL_COUNT_MODES,
+                   default=_envd("sll-count", "per-die", choices=SLL_COUNT_MODES))
     _add_partition_flags(p)
     _add_resyn_flags(p)
     _add_common(p)

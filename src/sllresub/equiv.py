@@ -73,7 +73,8 @@ def check_care(care: Netlist, netlist: Netlist):
         raise EquivError("care predicate inputs %s are not primary inputs" % missing)
 
 
-def _care_mask(care: Netlist | None, source_masks: dict[str, int], width: int) -> int:
+def care_mask(care: Netlist | None, source_masks: dict[str, int], width: int) -> int:
+    """The care predicate's output over `width` patterns; all ones without one."""
     if care is None:
         return full_mask(width)
     values = care.eval_masks({p: source_masks[p] for p in care.source_nets()}, width)
@@ -176,7 +177,7 @@ def check_equivalence(a: Netlist, b: Netlist, mode: str = "auto", seed: int = 0,
     if mode == "exhaustive":
         masks, width = a.exhaustive_masks()
         a_vals, b_vals = _eval_both(a_cone, cone, masks, width)
-        care_bits = _care_mask(care, masks, width)
+        care_bits = care_mask(care, masks, width)
         sink, bit = _first_mismatch(a_vals, b_vals, sinks, care_bits, width)
         if sink is None:
             return EquivVerdict(True, "exhaustive", width)
@@ -191,7 +192,7 @@ def check_equivalence(a: Netlist, b: Netlist, mode: str = "auto", seed: int = 0,
         width = min(_CHUNK, vector_budget - checked)
         masks = {net: rng.getrandbits(width) for net in sources}
         a_vals, b_vals = _eval_both(a_cone, cone, masks, width)
-        care_bits = _care_mask(care, masks, width)
+        care_bits = care_mask(care, masks, width)
         sink, bit = _first_mismatch(a_vals, b_vals, sinks, care_bits, width)
         checked += width
         if sink is not None:
@@ -215,10 +216,8 @@ def _mismatch_output(a: Netlist, b: Netlist, assignment: dict[str, int]) -> str:
 
 def _still_differs(a: Netlist, b: Netlist, assignment: dict[str, int],
                    care: Netlist | None) -> bool:
-    if care is not None:
-        cvals = care.simulate({p: assignment[p] for p in care.source_nets()})
-        if not cvals[care.primary_outputs[0]]:
-            return False
+    if not care_mask(care, assignment, 1):
+        return False
     va = a.simulate(assignment)
     vb = b.simulate(assignment)
     return any(va[s] != vb[s] for s in va)

@@ -45,12 +45,8 @@ def split_per_die(netlist: Netlist, assignment: DieAssignment) -> list[Netlist]:
         raise NetlistError("input netlist already uses the reserved %r prefix" % SLL_PREFIX)
     k = assignment.num_dies
     # crossing[net] = sorted destination dies
-    crossing: dict[str, list[int]] = {}
-    for name, sinks in metrics_mod.net_terminals(netlist):
-        dd = assignment.die(name)
-        dests = sorted({assignment.die(s) for s in sinks} - {dd})
-        if dests:
-            crossing[name] = dests
+    crossing = {net: dests for net, dests, _edges
+                in metrics_mod.crossing_nets(netlist, assignment)}
 
     out: list[Netlist] = []
     for die in range(k):

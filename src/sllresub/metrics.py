@@ -2,9 +2,13 @@
 
 Two inter-die counts are reported: the net-level SLL channel count
 (one channel per destination die of a crossing net) and the edge-level
-fanout count (every crossing driver->sink edge individually). Bounding
-box costs follow the weighted-HPWL model; inter-die nets decompose into
-die-local boxes joined by fixed-length interposer links.
+fanout count (every crossing driver->sink edge individually). Both, and
+the per-die split's boundary pins, come from one walk, `crossing_nets`:
+a net crosses when a reading LUT or latch sits on another die than its
+driver (a PO is no sink). The 'raw-net' SLL count, one per crossing net,
+is the hyperedge cut the partitioner minimizes. Bounding box costs follow
+the weighted-HPWL model; inter-die nets decompose into die-local boxes
+joined by fixed-length interposer links.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ import json
 from dataclasses import dataclass, field
 from importlib import resources
 
-from .netlist import Netlist
+from .netlist import Netlist, net_terminals
 from .partition import DieAssignment
 
 SLL_COUNT_MODES = ("per-die", "raw-net")
@@ -23,43 +27,45 @@ class MetricsError(Exception):
     pass
 
 
-def net_terminals(netlist: Netlist):
-    """Yield (driver_name, [sink names]) for every driven net, stable order."""
-    for name in (netlist.primary_inputs
-                 + [l.output_net for l in netlist.latches]
-                 + [n.output_net for n in sorted(netlist.nodes.values(), key=lambda n: n.id)]):
-        use = netlist.readers_of(name)
-        sinks = [netlist.nodes[nid].output_net for nid in use.node_ids]
-        sinks += [netlist.latches[i].output_net for i in use.latch_idxs]
-        yield name, sinks
+def crossing_nets(netlist: Netlist, assignment: DieAssignment):
+    """Yield (net, sorted destination dies, crossing edges) per crossing net,
+    in `net_terminals` order: the dies of its sinks other than its driver's,
+    and its driver->sink edges into them."""
+    die = assignment.die
+    for driver, sinks in net_terminals(netlist):
+        if not sinks:
+            continue
+        dd = die(driver)
+        sink_dies = [die(s) for s in sinks]
+        edges = len(sink_dies) - sink_dies.count(dd)
+        if edges:
+            yield driver, sorted(set(sink_dies) - {dd}), edges
 
 
-def count_sll(netlist: Netlist, assignment: DieAssignment, mode: str = "per-die") -> int:
-    """Net-level SLL count.
+def sll_counts(netlist: Netlist, assignment: DieAssignment,
+               mode: str = "per-die") -> tuple[int, int]:
+    """(SLL count in `mode`, crossing edge count) from one walk.
 
     'per-die': a net spanning m sink dies besides its driver die occupies
     m SLL channels. 'raw-net': any crossing net counts once.
     """
     if mode not in SLL_COUNT_MODES:
         raise MetricsError("unknown SLL count mode %r" % mode)
-    total = 0
-    for driver, sinks in net_terminals(netlist):
-        if not sinks:
-            continue
-        dd = assignment.die(driver)
-        other = {assignment.die(s) for s in sinks} - {dd}
-        if other:
-            total += len(other) if mode == "per-die" else 1
-    return total
+    n_sll = n_sll_fo = 0
+    for _net, dests, edges in crossing_nets(netlist, assignment):
+        n_sll += len(dests) if mode == "per-die" else 1
+        n_sll_fo += edges
+    return n_sll, n_sll_fo
+
+
+def count_sll(netlist: Netlist, assignment: DieAssignment, mode: str = "per-die") -> int:
+    """Net-level SLL count (see `sll_counts` for the modes)."""
+    return sll_counts(netlist, assignment, mode)[0]
 
 
 def count_sll_fo(netlist: Netlist, assignment: DieAssignment) -> int:
     """Edge-level count: driver->sink edges with endpoints on different dies."""
-    total = 0
-    for driver, sinks in net_terminals(netlist):
-        dd = assignment.die(driver)
-        total += sum(1 for s in sinks if assignment.die(s) != dd)
-    return total
+    return sll_counts(netlist, assignment)[1]
 
 
 def node_cross_die_fanins(netlist: Netlist, assignment: DieAssignment, node) -> list[str]:
@@ -208,9 +214,10 @@ def snapshot(netlist: Netlist, assignment: DieAssignment,
              placement: PlacementData | None = None,
              sll_mode: str = "per-die") -> dict:
     """All scalar metrics for one (netlist, assignment) state."""
+    n_sll, n_sll_fo = sll_counts(netlist, assignment, sll_mode)
     out = {
-        "n_sll": count_sll(netlist, assignment, sll_mode),
-        "n_sll_fo": count_sll_fo(netlist, assignment),
+        "n_sll": n_sll,
+        "n_sll_fo": n_sll_fo,
         "lut_count": netlist.lut_count(),
         "rho": assignment.imbalance(),
     }

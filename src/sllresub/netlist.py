@@ -21,10 +21,6 @@ from .truthtab import TruthTable, cover_to_table, full_mask, table_to_cover, var
 
 DEFAULT_K_MAX = 6
 
-PI = "pi"
-NODE = "node"
-LATCH = "latch"
-
 
 class NetlistError(Exception):
     pass
@@ -89,8 +85,19 @@ class Netlist:
         return u
 
     def _check_new_driver(self, net: str):
-        if net in self._pi_set or net in self._node_of_net or net in self._latch_of_net:
+        if self.has_driver(net):
             raise NetlistError("net %r has multiple drivers" % net)
+
+    def _check_lut(self, output_net: str, fanins: list[str], function: TruthTable):
+        """Raise NetlistError unless `fanins` and `function` form a valid LUT."""
+        if len(fanins) != function.num_inputs:
+            raise NetlistError("node %r: %d fanins but %d-input function"
+                               % (output_net, len(fanins), function.num_inputs))
+        if len(fanins) > self.k_max:
+            raise NetlistError("node %r has %d fanins, exceeds k_max=%d"
+                               % (output_net, len(fanins), self.k_max))
+        if len(set(fanins)) != len(fanins):
+            raise NetlistError("node %r has duplicate fanins" % output_net)
 
     def add_input(self, name: str):
         self._check_new_driver(name)
@@ -105,14 +112,7 @@ class Netlist:
 
     def add_node(self, output_net: str, fanins: list[str], function: TruthTable) -> LutNode:
         self._check_new_driver(output_net)
-        if len(fanins) != function.num_inputs:
-            raise NetlistError("node %r: %d fanins but %d-input function"
-                               % (output_net, len(fanins), function.num_inputs))
-        if len(fanins) > self.k_max:
-            raise NetlistError("node %r has %d fanins, exceeds k_max=%d"
-                               % (output_net, len(fanins), self.k_max))
-        if len(set(fanins)) != len(fanins):
-            raise NetlistError("node %r has duplicate fanins" % output_net)
+        self._check_lut(output_net, fanins, function)
         node = LutNode(self._next_id, output_net, list(fanins), function)
         self._next_id += 1
         self.nodes[node.id] = node
@@ -137,17 +137,9 @@ class Netlist:
     # ------------------------------------------------------------------
     # lookup
 
-    def driver_of(self, net: str):
-        """(kind, ref) driving `net`: ('pi', name), ('node', id), ('latch', idx), or None."""
-        if net in self._pi_set:
-            return (PI, net)
-        nid = self._node_of_net.get(net)
-        if nid is not None:
-            return (NODE, nid)
-        lidx = self._latch_of_net.get(net)
-        if lidx is not None:
-            return (LATCH, lidx)
-        return None
+    def has_driver(self, net: str) -> bool:
+        """True when a PI, a LUT or a latch drives `net`."""
+        return net in self._pi_set or net in self._node_of_net or net in self._latch_of_net
 
     def node_of_net(self, net: str) -> LutNode | None:
         nid = self._node_of_net.get(net)
@@ -174,20 +166,15 @@ class Netlist:
     def validate(self):
         """Check the structural invariants; raises NetlistError on violation."""
         for node in self.nodes.values():
-            if len(node.fanins) != node.function.num_inputs:
-                raise NetlistError("node %r: fanin/function arity mismatch" % node.output_net)
-            if len(node.fanins) > self.k_max:
-                raise NetlistError("node %r exceeds k_max" % node.output_net)
-            if len(set(node.fanins)) != len(node.fanins):
-                raise NetlistError("node %r has duplicate fanins" % node.output_net)
+            self._check_lut(node.output_net, node.fanins, node.function)
             for f in node.fanins:
-                if self.driver_of(f) is None:
+                if not self.has_driver(f):
                     raise NetlistError("net %r used by %r has no driver" % (f, node.output_net))
         for po in self.primary_outputs:
-            if self.driver_of(po) is None:
+            if not self.has_driver(po):
                 raise NetlistError("primary output %r has no driver" % po)
         for latch in self.latches:
-            if self.driver_of(latch.input_net) is None:
+            if not self.has_driver(latch.input_net):
                 raise NetlistError("latch input %r has no driver" % latch.input_net)
         self.levels()  # raises on combinational cycles
 
@@ -307,9 +294,9 @@ class Netlist:
             candidates = set()
             for m in member:
                 for f in self.nodes[m].fanins:
-                    drv = self.driver_of(f)
-                    if drv is not None and drv[0] == NODE and drv[1] not in member:
-                        candidates.add(drv[1])
+                    drv = self._node_of_net.get(f)
+                    if drv is not None and drv not in member:
+                        candidates.add(drv)
             for c in candidates:
                 use = self.readers_of(self.nodes[c].output_net)
                 if use.is_po or use.latch_idxs:
@@ -330,36 +317,29 @@ class Netlist:
         """
         nid = self._node_id(node)
         old = self.nodes[nid]
-        if len(fanins) != function.num_inputs:
-            raise NetlistError("replacement arity mismatch on %r" % old.output_net)
-        if len(fanins) > self.k_max:
-            raise NetlistError("replacement for %r exceeds k_max" % old.output_net)
-        if len(set(fanins)) != len(fanins):
-            raise NetlistError("replacement for %r has duplicate fanins" % old.output_net)
+        self._check_lut(old.output_net, fanins, function)
         for f in fanins:
-            if self.driver_of(f) is None:
+            if not self.has_driver(f):
                 raise NetlistError("replacement fanin %r has no driver" % f)
-        for f in old.fanins:
-            self._uses[f].node_ids.remove(nid)
-        del self.nodes[nid]
-        del self._node_of_net[old.output_net]
-        if self._level is not None:
-            del self._level[nid]
+        self._unlink(old)
         return self.add_node(old.output_net, fanins, function)
 
     def remove_node(self, node):
         """Delete a node with no readers of its output net."""
-        nid = self._node_id(node)
-        n = self.nodes[nid]
+        n = self.nodes[self._node_id(node)]
         use = self.readers_of(n.output_net)
         if use.node_ids or use.latch_idxs or use.is_po:
             raise NetlistError("cannot remove %r: net still read" % n.output_net)
-        for f in n.fanins:
-            self._uses[f].node_ids.remove(nid)
-        del self.nodes[nid]
-        del self._node_of_net[n.output_net]
+        self._unlink(n)
+
+    def _unlink(self, node: LutNode):
+        """Drop `node` and its fanin edges; its net is left undriven."""
+        for f in node.fanins:
+            self._uses[f].node_ids.remove(node.id)
+        del self.nodes[node.id]
+        del self._node_of_net[node.output_net]
         if self._level is not None:
-            del self._level[nid]
+            del self._level[node.id]
 
     def sweep_dead(self, seed_nets=None) -> list[LutNode]:
         """Remove nodes whose nets have no readers, cascading through fanins.
@@ -414,12 +394,7 @@ class Netlist:
 
     def simulate(self, assignment: dict[str, int]) -> dict[str, int]:
         """Single-vector simulation: PI/latch-output bits in, PO/latch-input bits out."""
-        masks = {}
-        for net in self.source_nets():
-            if net not in assignment:
-                raise NetlistError("missing assignment for input %r" % net)
-            masks[net] = 1 if assignment[net] else 0
-        values = self.eval_masks(masks, 1)
+        values = self.eval_masks({net: 1 if v else 0 for net, v in assignment.items()}, 1)
         return {net: values[net] & 1 for net in self.sink_nets()}
 
     def exhaustive_masks(self) -> tuple[dict[str, int], int]:
@@ -431,6 +406,19 @@ class Netlist:
         sources = sorted(self.source_nets())
         width = 1 << len(sources)
         return {net: var_mask(i, len(sources)) for i, net in enumerate(sources)}, width
+
+
+def net_terminals(netlist: Netlist):
+    """Yield (driver_name, [sink names]) for every driven net, stable order.
+
+    The sinks are the reading LUTs and latches; a PO is not a sink.
+    """
+    nodes = sorted(netlist.nodes.values(), key=lambda n: n.id)
+    for name in netlist.source_nets() + [n.output_net for n in nodes]:
+        use = netlist.readers_of(name)
+        sinks = [netlist.nodes[nid].output_net for nid in use.node_ids]
+        sinks += [netlist.latches[i].output_net for i in use.latch_idxs]
+        yield name, sinks
 
 
 def eval_nodes(nodes, values: dict[str, int], width: int):

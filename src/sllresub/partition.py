@@ -4,6 +4,10 @@ Every net driver (primary input, LUT node, latch) gets a die label.
 LUTs and latches carry logic weight 1, primary inputs weight 0, so the
 imbalance ratio counts logic only while cross-die edges from PIs still
 count as inter-die connections.
+
+FM minimizes the hyperedge cut: the nets whose pins (driver plus reading
+LUTs and latches) sit on two or more dies. That cut is the 'raw-net' SLL
+count of `metrics.count_sll`, which is how it is reported.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ import random
 from collections import deque
 from dataclasses import dataclass
 
-from .netlist import Netlist
+from .netlist import Netlist, net_terminals
 
 
 class PartitionError(Exception):
@@ -84,24 +88,11 @@ def hyperedges(netlist: Netlist) -> list[tuple[str, tuple[str, ...]]]:
     are not physical pins.
     """
     edges = []
-    for name, _w in entities(netlist):
-        use = netlist.readers_of(name)
-        pins = {name}
-        pins.update(netlist.nodes[nid].output_net for nid in use.node_ids)
-        pins.update(netlist.latches[i].output_net for i in use.latch_idxs)
+    for name, sinks in net_terminals(netlist):
+        pins = {name, *sinks}
         if len(pins) >= 2:
             edges.append((name, tuple(sorted(pins))))
     return edges
-
-
-def cut_size(netlist: Netlist, assignment: DieAssignment) -> int:
-    """Hyperedge cut: nets with pins on two or more dies, counted once."""
-    cut = 0
-    for _net, pins in hyperedges(netlist):
-        dies = {assignment.die(p) for p in pins}
-        if len(dies) >= 2:
-            cut += 1
-    return cut
 
 
 # ----------------------------------------------------------------------
@@ -378,8 +369,14 @@ def load_assignment(netlist: Netlist, path, num_dies: int | None = None) -> DieA
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, raw in enumerate(fh, start=1):
             line = raw.split("#")[0].strip()
-            if raw.startswith("# dies "):
-                header_dies = int(raw.split()[2])
+            tokens = raw.split()
+            if tokens[:2] == ["#", "dies"]:
+                try:
+                    header_dies = int(tokens[2])
+                except (IndexError, ValueError):
+                    header_dies = 0
+                if header_dies < 1:
+                    raise PartitionError("line %d: expected '# dies <count>'" % line_no)
             if not line:
                 continue
             parts = line.split()
@@ -440,10 +437,3 @@ def assignment_for(netlist: Netlist, config: PartitionConfig) -> DieAssignment:
         return load_assignment(netlist, config.partition_file, config.num_dies)
     raise PartitionError("unknown partition mode %r" % config.mode)
 
-
-def validate_assignment(netlist: Netlist, assignment: DieAssignment):
-    """Every entity assigned, die indices in range."""
-    for name, _w in entities(netlist):
-        die = assignment.die(name)
-        if not 0 <= die < assignment.num_dies:
-            raise PartitionError("die index %d for %r out of range" % (die, name))

@@ -15,10 +15,10 @@ from dataclasses import dataclass, field, asdict
 
 from .equiv import EquivError, check_care
 from .metrics import count_sll, count_sll_fo, node_cross_die_fanins
-from .netlist import NODE, LutNode, Netlist
+from .netlist import LutNode, Netlist
 from .partition import DieAssignment
 from .truthtab import TruthTable
-from .windows import (CareSet, ResynthError, Window, WindowSim,
+from .windows import (ResynthError, Window, WindowSim,
                       build_window, collect_divisors, exist_check, extract_care_set,
                       interpolate)
 
@@ -40,6 +40,8 @@ class ResynConfig:
                 raise ResynthError("%s must be >= 1" % name)
         if self.d1 < 0:
             raise ResynthError("d1 must be >= 0")
+        if self.freeze_die is not None and self.freeze_die < 0:
+            raise ResynthError("freeze_die must be >= 0")
         if self.passes == 0 or self.passes < -1:
             raise ResynthError("passes must be >= 1 (or -1 for run-to-fixpoint)")
 
@@ -98,21 +100,16 @@ def select_cross_die_fanin(netlist: Netlist, assignment: DieAssignment,
                            node: LutNode) -> str | None:
     """Deepest cross-die fanin (highest driver level), ties by fanin position."""
     level = netlist.levels()
-    best = None
-    best_key = None
-    die = assignment.die(node.output_net)
-    for pos, f in enumerate(node.fanins):
-        if assignment.die(f) == die:
-            continue
-        drv = netlist.driver_of(f)
-        lvl = level[drv[1]] if drv is not None and drv[0] == NODE else 0
-        key = (-lvl, pos)
-        if best_key is None or key < best_key:
-            best, best_key = f, key
-    return best
+
+    def depth(net: str) -> int:
+        drv = netlist.node_of_net(net)
+        return level[drv.id] if drv is not None else 0
+
+    # max keeps the first of equally deep fanins
+    return max(node_cross_die_fanins(netlist, assignment, node), key=depth, default=None)
 
 
-def find_equiv_func(netlist: Netlist, window: Window, care: CareSet,
+def find_equiv_func(netlist: Netlist, window: Window, care: int,
                     assignment: DieAssignment, config: ResynConfig,
                     sim: WindowSim | None = None) -> ResubCandidate | None:
     """One removal attempt per pivot: drop a cross-die fanin, then try the
@@ -178,7 +175,7 @@ def apply_resubstitution(netlist: Netlist, assignment: DieAssignment,
     if node is None:
         raise ResynthError("pivot %r is not in the netlist" % candidate.pivot_net)
     for s in candidate.new_support:
-        if netlist.driver_of(s) is None:
+        if not netlist.has_driver(s):
             raise ResynthError("support net %r has no driver" % s)
         if _in_fanout_cone(netlist, node.id, s):
             raise ResynthError("support net %r is in the pivot's fanout cone" % s)
@@ -218,8 +215,12 @@ def resynthesize(netlist: Netlist, assignment: DieAssignment, config: ResynConfi
     value on all window-PI minterms, restricted by the care predicate when
     all of its inputs are window PIs. The check is exact for the whole
     netlist and costs O(window). A care predicate that is not a
-    single-output function of the primary inputs is refused up front.
+    single-output function of the primary inputs is refused up front, and
+    so is a `freeze_die` that names no die of `assignment`.
     """
+    if config.freeze_die is not None and config.freeze_die >= assignment.num_dies:
+        raise ResynthError("freeze_die %d is not a die (the assignment has %d)"
+                           % (config.freeze_die, assignment.num_dies))
     if injected_care is not None:
         try:
             check_care(injected_care, netlist)
@@ -227,16 +228,8 @@ def resynthesize(netlist: Netlist, assignment: DieAssignment, config: ResynConfi
             raise ResynthError(str(exc)) from None
     work = netlist.copy()
     asg = assignment.copy()
-    report = ResynReport(
-        model=netlist.model_name,
-        config=config.to_dict(),
-        before={
-            "n_sll": count_sll(netlist, assignment),
-            "n_sll_fo": count_sll_fo(netlist, assignment),
-            "lut_count": netlist.lut_count(),
-            "rho": assignment.imbalance(),
-        },
-    )
+    report = ResynReport(model=netlist.model_name, config=config.to_dict(),
+                         before=_qor(netlist, assignment))
     pass_no = 0
     while True:
         pass_no += 1
@@ -298,10 +291,14 @@ def resynthesize(netlist: Netlist, assignment: DieAssignment, config: ResynConfi
                 break
         elif pass_no >= config.passes:
             break
-    report.after = {
-        "n_sll": count_sll(work, asg),
-        "n_sll_fo": count_sll_fo(work, asg),
-        "lut_count": work.lut_count(),
-        "rho": asg.imbalance(),
-    }
+    report.after = _qor(work, asg)
     return ResynResult(work, asg, report)
+
+
+def _qor(netlist: Netlist, assignment: DieAssignment) -> dict:
+    return {
+        "n_sll": count_sll(netlist, assignment),
+        "n_sll_fo": count_sll_fo(netlist, assignment),
+        "lut_count": netlist.lut_count(),
+        "rho": assignment.imbalance(),
+    }

@@ -65,52 +65,8 @@ class TruthTable:
     def num_minterms(self) -> int:
         return 1 << self.num_inputs
 
-    @staticmethod
-    def constant(value: int | bool, num_inputs: int = 0) -> "TruthTable":
-        bits = full_mask(1 << num_inputs) if value else 0
-        return TruthTable(num_inputs, bits)
-
-    @staticmethod
-    def from_bit_list(values) -> "TruthTable":
-        values = list(values)
-        n = len(values).bit_length() - 1
-        if 1 << n != len(values):
-            raise ValueError("bit list length must be a power of two")
-        bits = 0
-        for m, v in enumerate(values):
-            if v:
-                bits |= 1 << m
-        return TruthTable(n, bits)
-
-    @staticmethod
-    def from_minterms(num_inputs: int, minterms) -> "TruthTable":
-        bits = 0
-        for m in minterms:
-            bits |= 1 << m
-        return TruthTable(num_inputs, bits)
-
-    def bit(self, minterm: int) -> int:
-        return (self.bits >> minterm) & 1
-
-    def bit_list(self) -> list[int]:
-        return [(self.bits >> m) & 1 for m in range(self.num_minterms)]
-
     def on_minterms(self) -> list[int]:
         return [m for m in range(self.num_minterms) if (self.bits >> m) & 1]
-
-    def depends_on(self, i: int) -> bool:
-        """True when the function value changes with input `i` somewhere."""
-        step = 1 << i
-        return any((self.bits >> m) & 1 != (self.bits >> (m | step)) & 1
-                   for m in range(self.num_minterms) if not m & step)
-
-    def eval_assignment(self, values) -> int:
-        """Evaluate on one assignment (sequence of 0/1, index = input)."""
-        m = 0
-        for i, v in enumerate(values):
-            if v:
-                m |= 1 << i
-        return (self.bits >> m) & 1
 
     @cached_property
     def mux_plan(self) -> tuple[tuple[tuple[int, int, int], ...], int]:

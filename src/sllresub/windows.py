@@ -4,6 +4,10 @@ A window around a pivot holds the pivot's bounded TFO, its bounded TFI,
 and the reconvergent side logic computable from the TFI leaf nets.
 Everything inside is exhaustively simulable from the window PIs, which
 keeps existence checks and interpolation exact.
+
+A care set is an int mask over the window-PI minterms. The existence
+check and the interpolation are one tabulation, as in ABC `mfs`
+(Mishchenko, Brayton, Jiang, Jang, ACM TRETS 2011).
 """
 
 from __future__ import annotations
@@ -11,6 +15,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 
+from . import equiv
 from .netlist import LutNode, Netlist, eval_nodes
 from .partition import DieAssignment
 from .truthtab import TruthTable, full_mask, var_mask
@@ -307,15 +312,10 @@ class WindowSim:
         names. It applies when all of its inputs are window PIs; otherwise
         (and without one) every minterm is care.
         """
-        if injected_care is None:
-            return self.full
-        pred_inputs = injected_care.source_nets()
         pis = self.window.window_pis
-        if not all(p in pis for p in pred_inputs):
+        if injected_care is not None and not all(p in pis for p in injected_care.source_nets()):
             return self.full
-        values = injected_care.eval_masks({p: self.values[p] for p in pred_inputs},
-                                          self.width)
-        return values[injected_care.primary_outputs[0]]
+        return equiv.care_mask(injected_care, self.values, self.width)
 
     def check_commit(self, netlist: Netlist, injected_care: Netlist | None = None):
         """Certify a commit made inside this window; raise ResynthError if not.
@@ -379,30 +379,15 @@ class WindowSim:
         return values
 
 
-@dataclass
-class CareSet:
-    """Care predicate over the window PI minterm space (1 = care)."""
-
-    over: list[str]
-    care_bits: int
-
-    @property
-    def width(self) -> int:
-        return 1 << len(self.over)
-
-    def is_all_dont_care(self) -> bool:
-        return self.care_bits == 0
-
-
 def extract_care_set(netlist: Netlist, window: Window, sim: WindowSim | None = None,
-                     injected_care: Netlist | None = None) -> CareSet:
-    """Observability care set by dual simulation with the pivot forced.
+                     injected_care: Netlist | None = None) -> int:
+    """Observability care mask by dual simulation with the pivot forced.
 
-    A window minterm is care iff flipping the pivot changes some window
-    output. An injected care predicate (single-output netlist over
-    primary input names) is intersected when all of its inputs are
-    window PIs; otherwise it is ignored for this window, which only
-    makes the care set conservative.
+    Bit m of the returned int is set iff window minterm m is care:
+    flipping the pivot there changes some window output. An injected care
+    predicate (single-output netlist over primary input names) is
+    intersected when all of its inputs are window PIs; otherwise it is
+    ignored for this window, which only makes the care set conservative.
     """
     sim = sim or WindowSim(netlist, window)
     outputs = set(window.outputs)
@@ -416,8 +401,7 @@ def extract_care_set(netlist: Netlist, window: Window, sim: WindowSim | None = N
         for node in sim.pivot_fanout:
             if node.output_net in outputs:
                 care |= v0[node.output_net] ^ v1[node.output_net]
-    care &= sim.care_mask(injected_care)
-    return CareSet(list(window.window_pis), care)
+    return care & sim.care_mask(injected_care)
 
 
 # ----------------------------------------------------------------------
@@ -466,54 +450,47 @@ def collect_divisors(netlist: Netlist, window: Window, assignment: DieAssignment
 # existence check and interpolation
 
 
-def exist_check(sim: WindowSim, care: CareSet, support: list[str]) -> bool:
+def _tabulate(sim: WindowSim, care: int, support: list[str]) -> TruthTable | None:
+    """The table over `support` agreeing with the pivot on every care
+    minterm (0 where no care minterm hits), or None if there is none."""
+    if not care:
+        return TruthTable(len(support), 0)
+    masks = [sim.value_of(net) for net in support]
+    if len(support) > 16:
+        raise ResynthError("support of %d nets is too wide to tabulate" % len(support))
+    full = sim.full
+    on = sim.pivot_mask & care
+    off = ~sim.pivot_mask & full & care
+    bits = 0
+    for t in range(1 << len(support)):
+        part = care
+        for i, vm in enumerate(masks):
+            part &= vm if (t >> i) & 1 else full & ~vm
+            if not part:
+                break
+        if part & on:
+            if part & off:
+                return None
+            bits |= 1 << t
+    return TruthTable(len(support), bits)
+
+
+def exist_check(sim: WindowSim, care: int, support: list[str]) -> bool:
     """True iff the pivot is a well-defined function of `support` on the care set.
 
     Canonical pairwise-distinguishability semantics: no two care minterms
     may agree on every support net yet disagree on the pivot.
     """
-    if care.is_all_dont_care():
-        return True
-    masks = [sim.value_of(net) for net in support]
-    if len(support) > 16:
-        raise ResynthError("support of %d nets is too wide to tabulate" % len(support))
-    full = sim.full
-    on = sim.pivot_mask & care.care_bits
-    off = ~sim.pivot_mask & full & care.care_bits
-    for t in range(1 << len(support)):
-        part = care.care_bits
-        for i, vm in enumerate(masks):
-            part &= vm if (t >> i) & 1 else full & ~vm
-            if not part:
-                break
-        if part and (part & on) and (part & off):
-            return False
-    return True
+    return _tabulate(sim, care, support) is not None
 
 
-def interpolate(sim: WindowSim, care: CareSet, support: list[str]) -> TruthTable:
+def interpolate(sim: WindowSim, care: int, support: list[str]) -> TruthTable:
     """Truth table over `support` agreeing with the pivot on all care minterms.
 
     Support patterns never hit by a care minterm are filled with 0.
     Raises when the support cannot express the pivot (exist_check false).
     """
-    masks = [sim.value_of(net) for net in support]
-    full = sim.full
-    on = sim.pivot_mask & care.care_bits
-    off = ~sim.pivot_mask & full & care.care_bits
-    bits = 0
-    for t in range(1 << len(support)):
-        part = care.care_bits
-        for i, vm in enumerate(masks):
-            part &= vm if (t >> i) & 1 else full & ~vm
-            if not part:
-                break
-        if not part:
-            continue
-        hit_on = part & on
-        hit_off = part & off
-        if hit_on and hit_off:
-            raise ResynthError("interpolate called on an infeasible support")
-        if hit_on:
-            bits |= 1 << t
-    return TruthTable(len(support), bits)
+    table = _tabulate(sim, care, support)
+    if table is None:
+        raise ResynthError("interpolate called on an infeasible support")
+    return table

@@ -156,3 +156,28 @@ def test_bad_env_value_is_a_usage_error(tmp_path, monkeypatch, capsys, var, valu
     assert run("partition", DEMO, "-o", tmp_path / "p.txt") == 2
     assert "%s=%s" % (var, value) in capsys.readouterr().err
     assert not (tmp_path / "p.txt").exists()
+
+
+@pytest.mark.parametrize("header", ["# dies \n", "# dies x\n"])
+def test_malformed_dies_header_is_a_stage_error(tmp_path, capsys, header):
+    bad = tmp_path / "bad.dies"
+    bad.write_text(header + "X 0\nY 1\nF 1\n")
+    assert run("resynth", "--in", DEMO, "--partition", bad,
+               "--out", tmp_path / "o.blif") == 2
+    assert run("flow", "--in", DEMO, "--outdir", tmp_path / "o", "--partition-mode", "file",
+               "--partition-file", bad) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.count("line 1: expected '# dies <count>'") == 2
+
+
+@pytest.mark.parametrize("die", ["7", "2", "-1"])
+def test_freeze_die_out_of_range_is_a_stage_error(tmp_path, capsys, die):
+    args = ("flow", "--in", DEMO, "--outdir", tmp_path / "o", "--partition-mode", "file",
+            "--partition-file", DIES, "--freeze-die=%s" % die)
+    assert run(*args) == 2
+    assert "freeze_die" in capsys.readouterr().err
+    assert run("resynth", "--in", DEMO, "--partition", DIES, "--out", tmp_path / "p.blif",
+               "--freeze-die=%s" % die) == 2
+    assert run("flow", "--in", DEMO, "--outdir", tmp_path / "ok", "--partition-mode", "file",
+               "--partition-file", DIES, "--freeze-die", "1") == 0

@@ -54,7 +54,7 @@ def _commits_against_exhaustive(netlist, assignment, config):
         seen["tfo_pi"] += any(
             (drv := post.node_of_net(p)) is not None and drv.id in sim.window.tfo
             for p in sim.window.window_pis)
-        care_bits = extract_care_set(post, sim.window, sim, care).care_bits
+        care_bits = extract_care_set(post, sim.window, sim, care)
         masks = [sim.value_of(net) for net in cand.new_support]
         table = cand.new_function
         for row in range(1 << table.num_inputs):
@@ -103,9 +103,9 @@ def _corrupt_first_candidate(monkeypatch):
 
     def corrupted(netlist, window, care, asg, config, sim):
         cand = real(netlist, window, care, asg, config, sim)
-        if cand is None or done or not care.care_bits:
+        if cand is None or done or not care:
             return cand
-        minterm = (care.care_bits & -care.care_bits).bit_length() - 1
+        minterm = (care & -care).bit_length() - 1
         row = sum(((sim.value_of(s) >> minterm) & 1) << i
                   for i, s in enumerate(cand.new_support))
         done.append(cand.pivot_net)

@@ -1,10 +1,11 @@
 """Byte-level guard on flow outputs.
 
-Pins the SHA-256 of `post.blif` and `report.json` for a few flows whose
-windows are sensitive to the order in which side logic is visited. A
-change to the resynthesis sweep that is meant to be a pure speed-up must
-leave every digest here unchanged; the functional tests elsewhere do not
-notice a window that gains or loses one PI.
+Pins the SHA-256 of `post.blif`, `report.json`, `metrics.json` and every
+`die*.blif` for a few flows whose windows are sensitive to the order in
+which side logic is visited. A change to the resynthesis sweep, the
+metrics or the per-die split that is meant to keep outputs must leave
+every digest here unchanged; the functional tests elsewhere do not notice
+a window that gains or loses one PI.
 """
 
 import hashlib
@@ -24,20 +25,35 @@ sys.path.insert(0, os.path.join(REPO, "perfbench"))
 from workloads import tiled  # noqa: E402  (the benchmark's tile generator)
 
 # name -> (BLIF text builder, partition config, verify each commit,
-#          sha256 of post.blif, sha256 of report.json)
+#          sha256 per artifact: post.blif, report.json, metrics.json and
+#          every die*.blif)
 CASES = {
     "square_k4": (lambda: write_blif(bench.build("square", 4)),
-                  PartitionConfig(num_dies=2, mode="fm_mincut"), True,
-                  "55de91394acb89d8532e7c22629beca01e40a1e4dcd9b7115eeb52d074b6ffdd",
-                  "694c4b806c55191f0b99f5123b3384998ccbe6548371111db856f973d95a68d4"),
+                  PartitionConfig(num_dies=2, mode="fm_mincut"), True, {
+        "post_blif": "55de91394acb89d8532e7c22629beca01e40a1e4dcd9b7115eeb52d074b6ffdd",
+        "report": "694c4b806c55191f0b99f5123b3384998ccbe6548371111db856f973d95a68d4",
+        "metrics_json": "5678679f5941e904355b715ad370d33c4f94f70cf0ceae03224e2e62c55aaa60",
+        "die0": "4fe04b1b694921262cbaf14a554d7c54c7f85e9e30f1f874af69afa4ff5433cd",
+        "die1": "a041571947c0672d4f0892cb46ebbd8ab7353e69beb0e8d610100434cbcb5cd8",
+    }),
     "sin_k4": (lambda: write_blif(bench.build("sin", 4)),
-               PartitionConfig(num_dies=2, mode="fm_mincut"), True,
-               "1880dbaa8c33b917e7ffdf44f42464dd8b9a33ce00142dd801fa116225516561",
-               "f703890e298ea825bc54c8cabc56c794d7f36f84c38d6c180e0028417cdf78e6"),
+               PartitionConfig(num_dies=2, mode="fm_mincut"), True, {
+        "post_blif": "1880dbaa8c33b917e7ffdf44f42464dd8b9a33ce00142dd801fa116225516561",
+        "report": "f703890e298ea825bc54c8cabc56c794d7f36f84c38d6c180e0028417cdf78e6",
+        "metrics_json": "bf305a528fc09d2baac757c8ad72b23f982f9f8b84aa5271c7d53a722af65847",
+        "die0": "d17186ba3a4858e914a561ff353283274c99526dd11ef2de8d412134780fdcd1",
+        "die1": "c470e4b12883d5de914879d83990c9b79ffcd4e2652e6013950ddb07cb7ccbf9",
+    }),
     "i2c_x2": (lambda: tiled("i2c", 2, 6, 14, 1),
-               PartitionConfig(num_dies=4, mode="hash_label"), False,
-               "8ecbad0029ef36ff06c1d893377e320a432f860cc01220deba7ff340a6523f95",
-               "c3ed103e69ee5f2dc8ddbec60a23b246cb2e6c819d6ed325d3ffeca9badf0dc2"),
+               PartitionConfig(num_dies=4, mode="hash_label"), False, {
+        "post_blif": "8ecbad0029ef36ff06c1d893377e320a432f860cc01220deba7ff340a6523f95",
+        "report": "c3ed103e69ee5f2dc8ddbec60a23b246cb2e6c819d6ed325d3ffeca9badf0dc2",
+        "metrics_json": "b6015a8081820a2a5146d55549027382fa8b4b8aff00d90de2762c0d1d6c3181",
+        "die0": "a3abf9f3f32b34f56a9b859c7849e4cf242c3c95de59c5ef82b67b1f0d679da9",
+        "die1": "9359cee1cffd4072eb565147bc016b23f6ac011a07e516b782069d0f8a5b3c28",
+        "die2": "51e8482c5bd4c0faf0792db67574430e59131fd33657e993dd494d145c274bb6",
+        "die3": "e937e56bc1ad8751517d1d8ff568324807483b34b7544bf8499cab3ddc57dd88",
+    }),
 }
 
 
@@ -48,12 +64,13 @@ def _sha(path) -> str:
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_flow_outputs_are_byte_identical(tmp_path, name):
-    text, partition, verify, post_sha, report_sha = CASES[name]
+    text, partition, verify, digests = CASES[name]
     src = tmp_path / (name + ".blif")
     src.write_text(text())
     result = run_flow(FlowConfig(input_path=str(src), out_dir=str(tmp_path / "out"),
                                  partition=partition,
                                  resyn=ResynConfig(verify_each_commit=verify)))
     assert result.exit_code == 0
-    assert (_sha(result.artifacts["post_blif"]), _sha(result.artifacts["report"])) \
-        == (post_sha, report_sha)
+    pinned = {key: path for key, path in result.artifacts.items()
+              if key in ("post_blif", "report", "metrics_json") or key.startswith("die")}
+    assert {key: _sha(path) for key, path in pinned.items()} == digests

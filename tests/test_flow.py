@@ -197,3 +197,13 @@ def test_flow_artifacts_parse_back(tmp_path):
     with open(result.artifacts["report"]) as fh:
         text = fh.read()
     assert '"commits": 1' in text
+
+
+def test_flow_malformed_dies_header_is_a_partition_error(tmp_path):
+    bad = tmp_path / "bad.dies"
+    bad.write_text("# dies x\nX 0\nY 1\nF 1\n")
+    cfg = _demo_flow_config(tmp_path / "out")
+    cfg.partition.partition_file = str(bad)
+    with pytest.raises(FlowError, match="line 1") as err:
+        run_flow(cfg)
+    assert err.value.stage == "partition"

@@ -2,13 +2,15 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sllresub import bench
+from sllresub.flow import split_per_die
 from sllresub.metrics import (MetricsError, PlacementData, bbox_cost_md,
                               bbox_cost_sd, count_sll, count_sll_fo, load_placement,
                               load_q_table, report, snapshot, wire_delay_table)
-from sllresub.netlist import parse_blif
-from sllresub.partition import DieAssignment, partition_hash
+from sllresub.netlist import SLL_PREFIX, parse_blif
+from sllresub.partition import DieAssignment, entities, partition_hash
 from sllresub.resynth import ResynConfig, resynthesize
 
 
@@ -74,6 +76,49 @@ def test_count_sll_fo_matches_bruteforce_on_100_instances():
         asg = partition_hash(n, 2 + seed % 3)
         assert count_sll_fo(n, asg) == _brute_force_edges(n, asg)
         assert count_sll(n, asg) <= count_sll_fo(n, asg)
+
+
+def _brute_force_counts(netlist, assignment):
+    """(per-die SLLs, raw-net SLLs, crossing edges) over (net, sink) pairs.
+
+    A sink is a reading LUT or latch; a pair crosses when the sink sits on
+    another die than the net's driver. A channel is one (net, sink die) of
+    a crossing pair.
+    """
+    pairs = [(f, node.output_net) for node in netlist.nodes.values() for f in node.fanins]
+    pairs += [(latch.input_net, latch.output_net) for latch in netlist.latches]
+    crossing = [(net, assignment.die(sink)) for net, sink in pairs
+                if assignment.die(sink) != assignment.die(net)]
+    return len(set(crossing)), len({net for net, _die in crossing}), len(crossing)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10**6), dies=st.integers(2, 4), latches=st.integers(0, 3),
+       hashed=st.booleans())
+def test_crossing_counts_match_bruteforce_and_split_pins(seed, dies, latches, hashed):
+    n = bench.random_netlist(seed, num_pis=6, num_nodes=30, k=4, num_pos=4,
+                             num_latches=latches)
+    if hashed:
+        asg = partition_hash(n, dies)
+    else:
+        rng = random.Random(seed)
+        asg = DieAssignment(dies, {name: rng.randrange(dies) for name, _w in entities(n)},
+                            dict(entities(n)))
+    per_die, raw_net, edges = _brute_force_counts(n, asg)
+    assert count_sll(n, asg, "per-die") == per_die
+    assert count_sll(n, asg, "raw-net") == raw_net
+    assert count_sll_fo(n, asg) == edges
+    snap = snapshot(n, asg)
+    assert (snap["n_sll"], snap["n_sll_fo"]) == (per_die, edges)
+    # every channel is one import PI on its destination die, and every
+    # crossing net one export PO on its driver's die
+    subs = split_per_die(n, asg)
+    imports = [pi for sub in subs for pi in sub.primary_inputs
+               if pi.startswith(SLL_PREFIX) and pi.endswith("_in")]
+    exports = [po for sub in subs for po in sub.primary_outputs
+               if po.startswith(SLL_PREFIX) and po.endswith("_out")]
+    assert len(imports) == per_die
+    assert len(exports) == raw_net
 
 
 def _place(coords, dies=2, w=10, h=10, l_sll=1.0, q=None):

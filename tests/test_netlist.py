@@ -15,18 +15,18 @@ def test_parse_and_cover():
     assert n.lut_count() == 1
     node = n.node_of_net("y")
     assert node.fanins == ["a", "b"]
-    assert node.function.bit_list() == [0, 0, 0, 1]
+    assert node.function == TruthTable(2, 0b1000)
 
 
 def test_empty_cover_is_constant_zero():
     n = parse_blif(".model c\n.outputs y\n.names y\n.end")
     node = n.node_of_net("y")
-    assert node.function == TruthTable.constant(0)
+    assert node.function == TruthTable(0, 0)
 
 
 def test_bare_one_is_constant_one():
     n = parse_blif(".model c\n.outputs y\n.names y\n1\n.end")
-    assert n.node_of_net("y").function == TruthTable.constant(1)
+    assert n.node_of_net("y").function == TruthTable(0, 1)
 
 
 def test_parse_demo_circuit(demo_netlist):

@@ -2,15 +2,29 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sllresub import bench
 from sllresub.metrics import count_sll
 from sllresub.netlist import parse_blif
 from sllresub.partition import (DieAssignment, PartitionConfig, PartitionError,
-                                _FmGraph, _fm_bipartition, assignment_for, cut_size,
+                                _FmGraph, _fm_bipartition, assignment_for,
                                 entities, fnv1a64, hyperedges,
                                 load_assignment, partition_fm, partition_hash,
-                                save_assignment, validate_assignment)
+                                save_assignment)
+
+
+def validate_assignment(netlist, assignment):
+    """Every entity assigned, die indices in range."""
+    for name, _w in entities(netlist):
+        die = assignment.die(name)
+        if not 0 <= die < assignment.num_dies:
+            raise PartitionError("die index %d for %r out of range" % (die, name))
+
+
+def _cut(netlist, assignment):
+    """The hyperedge cut: nets whose pins span two or more dies."""
+    return count_sll(netlist, assignment, "raw-net")
 
 
 def _uniform(names, dies):
@@ -49,7 +63,7 @@ def test_disjoint_groups_cut_zero():
     n = parse_blif("\n".join(txt))
     for seed in range(4):
         a = partition_fm(n, PartitionConfig(num_dies=2, ub=1.25, seed=seed))
-        assert cut_size(n, a) == 0
+        assert _cut(n, a) == 0
         assert a.imbalance() == 1.0
 
 
@@ -70,7 +84,7 @@ def test_demo_circuit_split_matches_enumeration(demo_netlist):
     assert best <= 2  # a balanced 2/1 split with small cut exists
     a = partition_fm(n, PartitionConfig(num_dies=2, ub=1.25, seed=0))
     assert sorted(a.die_weights()) == [1, 2]
-    assert cut_size(n, a) == best
+    assert _cut(n, a) == best
 
 
 def test_fm_deterministic_for_fixed_seed():
@@ -203,4 +217,47 @@ def test_cut_equals_net_level_sll_on_two_pin_nets():
     n = parse_blif("\n".join(lines) + "\n.end")
     for seed in range(4):
         a = partition_fm(n, PartitionConfig(num_dies=2, ub=1.25, seed=seed))
-        assert cut_size(n, a) == count_sll(n, a)
+        assert _cut(n, a) == count_sll(n, a, "per-die")
+
+
+@pytest.mark.parametrize("header", ["# dies\n", "# dies \n", "# dies x\n", "# dies 0\n",
+                                    "# dies -3\n"])
+def test_malformed_dies_header_names_line_1(tmp_path, demo_netlist, header):
+    path = tmp_path / "bad.dies"
+    path.write_text(header + "X 0\nY 1\nF 1\n")
+    with pytest.raises(PartitionError, match="line 1: expected '# dies <count>'"):
+        load_assignment(demo_netlist, path)
+
+
+def _pin_sets(netlist):
+    """Reference hyperedges: driver -> sorted pins (the driver plus every
+    LUT and latch reading it), for nets with two pins or more."""
+    readers = {}
+    for node in netlist.nodes.values():
+        for f in node.fanins:
+            readers.setdefault(f, set()).add(node.output_net)
+    for latch in netlist.latches:
+        readers.setdefault(latch.input_net, set()).add(latch.output_net)
+    out = {}
+    for name, _w in entities(netlist):
+        pins = {name} | readers.get(name, set())
+        if len(pins) >= 2:
+            out[name] = tuple(sorted(pins))
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10**6), dies=st.integers(2, 4), latches=st.integers(0, 3))
+def test_hyperedges_match_pin_sets_and_cut_is_raw_net_sll(seed, dies, latches):
+    n = bench.random_netlist(seed, num_pis=6, num_nodes=30, k=4, num_pos=4,
+                             num_latches=latches)
+    edges = hyperedges(n)
+    ref = _pin_sets(n)
+    assert edges == [(name, ref[name]) for name, _w in entities(n) if name in ref]
+    rng = random.Random(seed)
+    for a in (partition_hash(n, dies),
+              partition_fm(n, PartitionConfig(num_dies=dies, seed=seed)),
+              DieAssignment(dies, {name: rng.randrange(dies) for name, _w in entities(n)},
+                            dict(entities(n)))):
+        cut = sum(1 for _net, pins in edges if len({a.die(p) for p in pins}) > 1)
+        assert _cut(n, a) == cut

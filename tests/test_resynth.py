@@ -59,7 +59,7 @@ def test_find_equiv_func_redundant_fanin_uses_base_only():
     # exhaustive confirmation that the original truly ignores u
     node = n.node_of_net("y")
     for m in range(4):
-        assert node.function.bit(m) == (m & 1)
+        assert (node.function.bits >> m) & 1 == m & 1
 
 
 def test_find_equiv_func_none_when_no_divisor_helps():
@@ -229,3 +229,13 @@ def test_config_validation():
         ResynConfig(passes=0)
     with pytest.raises(ResynthError):
         ResynConfig(d1=-1)
+
+
+def test_freeze_die_must_name_a_die(demo_netlist, demo_assignment):
+    with pytest.raises(ResynthError):
+        ResynConfig(freeze_die=-1)
+    for die in (2, 7):
+        with pytest.raises(ResynthError, match="freeze_die %d" % die):
+            resynthesize(demo_netlist, demo_assignment, ResynConfig(freeze_die=die))
+    res = resynthesize(demo_netlist, demo_assignment, ResynConfig(freeze_die=1))
+    assert {entry.die for entry in res.report.audit} == {1}

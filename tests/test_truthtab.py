@@ -21,28 +21,31 @@ def test_var_mask_matches_definition():
 
 
 def test_constants_and_bit_access():
-    t0 = TruthTable.constant(0, 3)
-    t1 = TruthTable.constant(1, 3)
-    assert t0.bits == 0 and t1.bits == 0xFF
-    assert t1.bit(5) == 1
-    assert TruthTable.constant(1).num_minterms == 1
-
-
-def test_from_bit_list_and_minterms():
-    t = TruthTable.from_bit_list([0, 0, 0, 1])
-    assert t.num_inputs == 2 and t.bits == 0b1000
-    assert t.on_minterms() == [3]
-    assert TruthTable.from_minterms(2, [3]) == t
+    t0 = TruthTable(3, 0)
+    t1 = TruthTable(3, full_mask(8))
+    assert t0.on_minterms() == [] and t1.on_minterms() == list(range(8))
+    assert (t1.bits >> 5) & 1 == 1
+    assert TruthTable(0, 1).num_minterms == 1
+    assert TruthTable(2, 0b1000).on_minterms() == [3]
     with pytest.raises(ValueError):
-        TruthTable.from_bit_list([0, 1, 1])
+        TruthTable(1, 0b100)       # a bit beyond the 2 minterms
+    with pytest.raises(ValueError):
+        TruthTable(-1, 0)
+
+
+def _eval_assignment(table, values):
+    """Pointwise reference: the table's bit at the minterm `values` spell
+    (values[i] is input i, the least significant bit)."""
+    m = sum(1 << i for i, v in enumerate(values) if v)
+    return (table.bits >> m) & 1
 
 
 def test_eval_assignment_is_indexing():
     t = TruthTable(2, 0b0110)  # xor
-    assert t.eval_assignment([0, 0]) == 0
-    assert t.eval_assignment([1, 0]) == 1
-    assert t.eval_assignment([0, 1]) == 1
-    assert t.eval_assignment([1, 1]) == 0
+    assert _eval_assignment(t, [0, 0]) == 0
+    assert _eval_assignment(t, [1, 0]) == 1
+    assert _eval_assignment(t, [0, 1]) == 1
+    assert _eval_assignment(t, [1, 1]) == 0
 
 
 def test_eval_masks_agrees_with_pointwise():
@@ -55,7 +58,7 @@ def test_eval_masks_agrees_with_pointwise():
         out = t.eval_masks(fanins, width)
         for b in range(width):
             vals = [(f >> b) & 1 for f in fanins]
-            assert (out >> b) & 1 == t.eval_assignment(vals)
+            assert (out >> b) & 1 == _eval_assignment(t, vals)
 
 
 def _minterm_sum_eval(table, fanin_masks, width):
@@ -122,13 +125,6 @@ def test_mux_plan_is_reduced_and_shared():
     for t in (parity, majority, no_x1):
         masks = [var_mask(i, 3) for i in range(3)]
         assert t.eval_masks(masks, 8) == t.bits
-
-
-def test_depends_on():
-    t = TruthTable(3, 0)
-    assert not any(t.depends_on(i) for i in range(3))
-    x = TruthTable(3, var_mask(1, 3))
-    assert x.depends_on(1) and not x.depends_on(0) and not x.depends_on(2)
 
 
 def test_cover_to_table_and_expansion():
