@@ -106,9 +106,9 @@ def run_flow(config: FlowConfig) -> FlowResult:
     """Run the full pipeline and write all artifacts into `out_dir`.
 
     Deterministic for fixed inputs and flags. Exit code 1 flags an
-    equivalence failure; stage errors raise FlowError. The verify options
-    and the care predicate are checked before any stage runs, so a bad
-    one leaves no artifact.
+    equivalence failure; stage errors raise FlowError. The verify options,
+    the care predicate and the die assignment are settled before `out_dir`
+    is created, so a bad one leaves no directory and no artifact.
     """
     try:
         check_options(config.verify_mode, config.vector_budget)
@@ -137,9 +137,9 @@ def run_flow(config: FlowConfig) -> FlowResult:
         except EquivError as exc:
             raise FlowError("parse", str(exc)) from exc
 
-    os.makedirs(config.out_dir, exist_ok=True)
     try:
         assignment = assignment_for(netlist, config.partition)
+        os.makedirs(config.out_dir, exist_ok=True)
         save_assignment(assignment, path("partition.txt"))
         artifacts["partition"] = path("partition.txt")
     except PartitionError as exc:

@@ -73,6 +73,9 @@ class Netlist:
         self._latch_of_net: dict[str, int] = {}
         self._pi_set: set[str] = set()
         self._uses: dict[str, _NetUse] = {}
+        # net -> ids of the LUTs reading it, the same lists as in `_uses`;
+        # read-only outside this class, and a net nobody reads may be absent
+        self.reader_ids: dict[str, list[int]] = {}
         self._level: dict[int, int] | None = None   # built by the first levels() call
 
     # ------------------------------------------------------------------
@@ -82,6 +85,7 @@ class Netlist:
         u = self._uses.get(net)
         if u is None:
             u = self._uses[net] = _NetUse()
+            self.reader_ids[net] = u.node_ids
         return u
 
     def _check_new_driver(self, net: str):

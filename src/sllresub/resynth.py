@@ -18,7 +18,7 @@ from .metrics import count_sll, count_sll_fo, node_cross_die_fanins
 from .netlist import LutNode, Netlist
 from .partition import DieAssignment
 from .truthtab import TruthTable
-from .windows import (ResynthError, Window, WindowSim,
+from .windows import (ResynthError, ValueCache, Window, WindowSim,
                       build_window, collect_divisors, exist_check, extract_care_set,
                       interpolate)
 
@@ -214,9 +214,10 @@ def resynthesize(netlist: Netlist, assignment: DieAssignment, config: ResynConfi
     (`WindowSim.check_commit`): every observable window net must keep its
     value on all window-PI minterms, restricted by the care predicate when
     all of its inputs are window PIs. The check is exact for the whole
-    netlist and costs O(window). A care predicate that is not a
-    single-output function of the primary inputs is refused up front, and
-    so is a `freeze_die` that names no die of `assignment`.
+    netlist and costs O(window). The pivots share window masks through one
+    `ValueCache`, invalidated at each commit's pivot. A care predicate that
+    is not a single-output function of the primary inputs is refused up
+    front, and so is a `freeze_die` that names no die of `assignment`.
     """
     if config.freeze_die is not None and config.freeze_die >= assignment.num_dies:
         raise ResynthError("freeze_die %d is not a die (the assignment has %d)"
@@ -230,6 +231,7 @@ def resynthesize(netlist: Netlist, assignment: DieAssignment, config: ResynConfi
     asg = assignment.copy()
     report = ResynReport(model=netlist.model_name, config=config.to_dict(),
                          before=_qor(netlist, assignment))
+    cache = ValueCache()
     pass_no = 0
     while True:
         pass_no += 1
@@ -251,7 +253,7 @@ def resynthesize(netlist: Netlist, assignment: DieAssignment, config: ResynConfi
                 report.audit.append(PivotAudit(
                     pass_no, node.output_net, die, "no-window", len(cross)))
                 continue
-            sim = WindowSim(work, window)
+            sim = WindowSim(work, window, cache)
             care = extract_care_set(work, window, sim, injected_care)
             candidate = find_equiv_func(work, window, care, asg, config, sim)
             if candidate is None:
@@ -275,6 +277,7 @@ def resynthesize(netlist: Netlist, assignment: DieAssignment, config: ResynConfi
                 continue
             if config.verify_each_commit:
                 sim.check_commit(work, injected_care)
+            cache.invalidate(work, candidate.pivot_net)
             commits_this_pass += 1
             report.commits += 1
             report.audit.append(PivotAudit(

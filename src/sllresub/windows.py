@@ -13,6 +13,7 @@ check and the interpolation are one tabulation, as in ABC `mfs`
 from __future__ import annotations
 
 import heapq
+from collections import OrderedDict
 from dataclasses import dataclass, field
 
 from . import equiv
@@ -30,7 +31,6 @@ class Window:
     pivot: int                      # node id
     window_pis: list[str]           # sorted; index i = input i of the minterm space
     internal: list[int]             # node ids in topological order
-    outputs: list[str]              # nets observable outside the window
     tfo: set[int]                   # the pivot's TFO up to the level bound of build_window
 
     @property
@@ -82,12 +82,13 @@ def _fanout_layers(netlist: Netlist, pivot: int, d1: int, d2: int,
     can skip the nodes above that level.
     """
     nodes = netlist.nodes
+    readers = netlist.reader_ids.get
     seen: set[int] = set()
 
     def next_layer(frontier, bound):
         layer = []
         for cur in frontier:
-            for r in netlist.readers_of(cur.output_net).node_ids:
+            for r in readers(cur.output_net, ()):
                 if r not in seen and level[r] <= bound:
                     seen.add(r)
                     layer.append(nodes[r])
@@ -143,7 +144,7 @@ def build_window(netlist: Netlist, pivot, config) -> Window | None:
         raise ResynthError("pivot is not a LUT node in this netlist")
     nodes = netlist.nodes
     node_of_net = netlist.node_of_net
-    readers_of = netlist.readers_of
+    readers = netlist.reader_ids.get
     level = netlist.levels()
     d1, d2 = config.d1, config.d2
     ins, drivers = _fanin_layers(netlist, node, d2 + 1)
@@ -164,7 +165,7 @@ def build_window(netlist: Netlist, pivot, config) -> Window | None:
     side: dict[str, LutNode] = {}   # side logic by net
     depth: dict[str, int] = {}      # side net -> depth
     # the first step decides every reader of a base net
-    seeds = [r for net in base for r in readers_of(net).node_ids] if d1 else []
+    seeds = [r for net in base for r in readers(net, ())] if d1 else []
 
     def decide_again(seeds, cap):
         """Decide `seeds` again, and the readers of every node that changes."""
@@ -198,7 +199,7 @@ def build_window(netlist: Netlist, pivot, config) -> Window | None:
                 del depth[out], side[out]
             else:
                 depth[out], side[out] = new, cur
-            for r in readers_of(out).node_ids:
+            for r in readers(out, ()):
                 if r not in queued:
                     queued.add(r)
                     heapq.heappush(heap, (level[r], r))
@@ -233,7 +234,7 @@ def build_window(netlist: Netlist, pivot, config) -> Window | None:
         else:
             return None
         base.difference_update(dropped)
-        seeds += [r for net in dropped for r in readers_of(net).node_ids]
+        seeds += [r for net in dropped for r in readers(net, ())]
         seeds += [side[net].id for net, d in depth.items() if d > d1 + d2]
         if d1 == 0:
             side.clear()
@@ -243,13 +244,65 @@ def build_window(netlist: Netlist, pivot, config) -> Window | None:
     internal_set = core | {n.id for n in side.values()}
     internal_set.update(node_of_net(net).id for net in absorbed)
     internal = sorted(internal_set, key=lambda n: (level[n], n))
-    outputs = []
-    for nid in internal:
-        out_net = nodes[nid].output_net
-        use = readers_of(out_net)
-        if use.is_po or use.latch_idxs or not internal_set.issuperset(use.node_ids):
-            outputs.append(out_net)
-    return Window(node.id, sorted(pis), internal, sorted(outputs), tfo)
+    return Window(node.id, sorted(pis), internal, tfo)
+
+
+# Window-PI tuples whose masks one run keeps. On `chain` seed 1 a run
+# without sharing evaluates 63,117 window nets; keeping 1/4/16/all tuples
+# saves 64/87/92/92 % of those evaluations, with tables peaking at
+# 0.4/1.4/2.3/6.3 MB.
+SHARED_PI_TUPLES = 4
+
+
+class ValueCache:
+    """Window masks shared by the pivots of one run, one table per window-PI tuple.
+
+    The mask of a window net over a sorted window-PI tuple is the net's
+    function of those PIs, found by expanding drivers down to them. It
+    depends on the netlist and the tuple, not on the window, so windows
+    over the same PIs can share it. A table maps window nets (never PIs)
+    to masks and is downward closed: each fanin of a cached net is a PI of
+    its tuple or cached too, because `WindowSim.value_of` publishes a net
+    only after its fanins. The tables of the last `SHARED_PI_TUPLES` tuples
+    used are kept.
+
+    A commit changes the function of one node, the pivot's.
+    `invalidate(netlist, pivot_net)` drops the pivot net from every table
+    and then each cached net that reads a dropped one. A cached net that
+    depends on the pivot reaches it through cached nets, by downward
+    closure, so the walk is exact and visits only cached nets; where the
+    pivot is a PI of a tuple, nothing above it changes. Nodes a commit
+    sweeps leave entries behind, but no later window holds their nets.
+    """
+
+    def __init__(self):
+        self.tables: OrderedDict[tuple[str, ...], dict[str, int]] = OrderedDict()
+
+    def table(self, pis: tuple[str, ...]) -> dict[str, int]:
+        """The masks over `pis`; a new table evicts the least recently used."""
+        tables = self.tables
+        table = tables.get(pis)
+        if table is None:
+            table = tables[pis] = {}
+            if len(tables) > SHARED_PI_TUPLES:
+                tables.popitem(last=False)
+        else:
+            tables.move_to_end(pis)
+        return table
+
+    def invalidate(self, netlist: Netlist, net: str):
+        """Drop `net` and every cached net reading it, transitively."""
+        readers = netlist.reader_ids.get
+        nodes = netlist.nodes
+        for table in self.tables.values():
+            if table.pop(net, None) is None:
+                continue
+            stack = [net]
+            while stack:
+                for r in readers(stack.pop(), ()):
+                    out = nodes[r].output_net
+                    if table.pop(out, None) is not None:
+                        stack.append(out)
 
 
 class WindowSim:
@@ -260,33 +313,46 @@ class WindowSim:
     pivot pays only for the nets its decision reads: the pivot's input
     cone (`pivot_mask`), the side inputs of the nets the pivot feeds, and
     the divisors it tries. The values are those of a full simulation.
+
+    Given a `ValueCache`, the pivots of a run share their masks:
+    `value_of` takes a window net's mask from the table of the window's PI
+    tuple before evaluating it, and publishes each mask it evaluates
+    there. It looks a net up only once the net is known to be a window
+    node, so a net outside the window is refused as before. The masks in
+    the table are those of the netlist as it is, so after a commit, and
+    after `check_commit` (whose pre-commit reads publish too), the caller
+    calls `cache.invalidate(netlist, pivot_net)`. Without a cache the
+    window keeps its masks to itself.
     """
 
-    def __init__(self, netlist: Netlist, window: Window):
+    def __init__(self, netlist: Netlist, window: Window, cache: ValueCache | None = None):
         self.window = window
         self.width = window.width
         self.full = full_mask(self.width)
         self.values: dict[str, int] = {
             net: var_mask(i, window.num_pis) for i, net in enumerate(window.window_pis)
         }
+        self.shared = cache.table(tuple(window.window_pis)) if cache is not None else {}
         self.pivot_net = netlist.nodes[window.pivot].output_net
         self.nodes: dict[str, LutNode] = {}     # window nodes by output net
-        # window nodes the pivot feeds, in topological order
+        # window nodes the pivot feeds, in topological order: the core TFO
+        # nodes, since side logic lies outside the pivot's TFO
         self.pivot_fanout: list[LutNode] = []
-        fed = {self.pivot_net}
+        tfo = window.tfo
         for nid in window.internal:
             node = netlist.nodes[nid]
             self.nodes[node.output_net] = node
-            if not fed.isdisjoint(node.fanins):
-                fed.add(node.output_net)
+            if nid in tfo:
                 self.pivot_fanout.append(node)
         self.pivot_mask = self.value_of(self.pivot_net)
 
     def value_of(self, net: str) -> int:
-        """The mask of a window net, evaluating its missing fanins first."""
+        """The mask of a window net: kept, shared, or evaluated after its
+        missing fanins."""
         values = self.values
         if net in values:
             return values[net]
+        shared = self.shared
         stack = [net]
         while stack:
             cur = stack[-1]
@@ -296,13 +362,16 @@ class WindowSim:
             node = self.nodes.get(cur)
             if node is None:
                 raise ResynthError("net %r is not evaluable in the window" % cur)
-            missing = [f for f in node.fanins if f not in values]
-            if missing:
-                stack.extend(missing)
-                continue
+            mask = shared.get(cur)
+            if mask is None:
+                missing = [f for f in node.fanins if f not in values]
+                if missing:
+                    stack.extend(missing)
+                    continue
+                mask = shared[cur] = node.function.eval_masks(
+                    [values[f] for f in node.fanins], self.width)
             stack.pop()
-            values[cur] = node.function.eval_masks([values[f] for f in node.fanins],
-                                                   self.width)
+            values[cur] = mask
         return values[net]
 
     def care_mask(self, injected_care: Netlist | None) -> int:
@@ -322,14 +391,12 @@ class WindowSim:
 
         `self` holds the window nodes as they were before the commit;
         `netlist` is the netlist after it. The surviving window nodes are
-        simulated again as they now are, and every one still observable
-        (a PO, a latch input, or read by a node outside the window, per
-        `readers_of`) must keep its value on every window-PI minterm that
-        `care_mask` allows. A pre-commit value not read before is
-        evaluated from the captured nodes, never from `netlist`. The check
-        reads neither `Window.outputs` nor the care set, so it does not
-        rely on the code it checks, and it visits no node outside the
-        window.
+        simulated again as they now are, and every one still `observable`
+        must keep its value on every window-PI minterm that `care_mask`
+        allows. A pre-commit value not read before comes from the shared
+        table, which is not yet invalidated, or from the captured nodes,
+        never from `netlist`. The check reads no care set, and it visits
+        no node outside the window.
 
         Nothing outside the window changed, so when each observable net
         keeps its function of the window PIs the whole netlist keeps its
@@ -341,7 +408,6 @@ class WindowSim:
         live = [netlist.node_of_net(net) for net in self.nodes]
         live = sorted((node for node in live if node is not None),
                       key=lambda node: (level[node.id], node.id))
-        members = {node.id for node in live}
         values = {net: self.values[net] for net in pis}
         for node in live:
             try:
@@ -353,9 +419,7 @@ class WindowSim:
         care = self.care_mask(injected_care)
         for node in live:
             net = node.output_net
-            use = netlist.readers_of(net)
-            if not (use.is_po or use.latch_idxs
-                    or any(r not in members for r in use.node_ids)):
+            if not observable(netlist, net, self.nodes):
                 continue
             diff = (values[net] ^ self.value_of(net)) & care
             if diff:
@@ -379,19 +443,29 @@ class WindowSim:
         return values
 
 
+def observable(netlist: Netlist, net: str, members) -> bool:
+    """True when `net` is a PO, a latch input, or read by a LUT whose
+    output net is not in `members` (the nets of a window's nodes)."""
+    use = netlist.readers_of(net)
+    if use.is_po or use.latch_idxs:
+        return True
+    nodes = netlist.nodes
+    return any(nodes[r].output_net not in members for r in use.node_ids)
+
+
 def extract_care_set(netlist: Netlist, window: Window, sim: WindowSim | None = None,
                      injected_care: Netlist | None = None) -> int:
     """Observability care mask by dual simulation with the pivot forced.
 
     Bit m of the returned int is set iff window minterm m is care:
-    flipping the pivot there changes some window output. An injected care
-    predicate (single-output netlist over primary input names) is
-    intersected when all of its inputs are window PIs; otherwise it is
-    ignored for this window, which only makes the care set conservative.
+    flipping the pivot there changes some `observable` window net. An
+    injected care predicate (single-output netlist over primary input
+    names) is intersected when all of its inputs are window PIs; otherwise
+    it is ignored for this window, which only makes the care set
+    conservative.
     """
     sim = sim or WindowSim(netlist, window)
-    outputs = set(window.outputs)
-    if sim.pivot_net in outputs:
+    if observable(netlist, sim.pivot_net, sim.nodes):
         care = sim.full
     else:
         # an output the pivot does not feed is equal under both forcings
@@ -399,7 +473,7 @@ def extract_care_set(netlist: Netlist, window: Window, sim: WindowSim | None = N
         v1 = sim.resim_with_pivot(1)
         care = 0
         for node in sim.pivot_fanout:
-            if node.output_net in outputs:
+            if observable(netlist, node.output_net, sim.nodes):
                 care |= v0[node.output_net] ^ v1[node.output_net]
     return care & sim.care_mask(injected_care)
 

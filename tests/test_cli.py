@@ -169,6 +169,7 @@ def test_malformed_dies_header_is_a_stage_error(tmp_path, capsys, header):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert err.count("line 1: expected '# dies <count>'") == 2
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("die", ["7", "2", "-1"])

@@ -207,3 +207,4 @@ def test_flow_malformed_dies_header_is_a_partition_error(tmp_path):
     with pytest.raises(FlowError, match="line 1") as err:
         run_flow(cfg)
     assert err.value.stage == "partition"
+    assert not (tmp_path / "out").exists()

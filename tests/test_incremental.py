@@ -1,8 +1,8 @@
 """Oracle and property tests for the state the sweep keeps up to date per pivot
 and per commit: window growth and its shrink steps, node levels, the audit
-deltas, the die assignment, the on-demand window values, the care set and
-the forced-pivot resimulation. Each is checked against a from-scratch
-recomputation.
+deltas, the die assignment, the on-demand window values, the window masks
+shared across pivots, the care set and the forced-pivot resimulation. Each
+is checked against a from-scratch recomputation.
 """
 
 import functools
@@ -13,13 +13,14 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sllresub import bench, resynth
+from sllresub import bench, resynth, windows
 from sllresub.metrics import count_sll_fo
-from sllresub.netlist import NetlistError
+from sllresub.netlist import NetlistError, write_blif
 from sllresub.partition import entities, partition_hash
 from sllresub.resynth import ResynConfig, resynthesize
 from sllresub.truthtab import TruthTable, full_mask, var_mask
-from sllresub.windows import Window, WindowSim, build_window, extract_care_set
+from sllresub.windows import (ResynthError, ValueCache, Window, WindowSim, build_window,
+                              extract_care_set, observable)
 
 from conftest import cone_input_nets, tfi
 
@@ -152,12 +153,26 @@ def _reference_build_window(netlist, pivot, config, full_tfo):
         return None
     level = netlist.levels()
     internal = sorted(internal_set, key=lambda n: (level[n], n))
+    return Window(pivot, sorted(pis), internal, full_tfo)
+
+
+def _reference_outputs(netlist, window):
+    """Window nets that are POs, latch inputs or read by a node outside
+    the window, by node id, sorted."""
+    inside = set(window.internal)
     outputs = []
-    for nid in internal:
+    for nid in window.internal:
         use = netlist.readers_of(netlist.nodes[nid].output_net)
-        if use.is_po or use.latch_idxs or any(r not in internal_set for r in use.node_ids):
+        if use.is_po or use.latch_idxs or any(r not in inside for r in use.node_ids):
             outputs.append(netlist.nodes[nid].output_net)
-    return Window(pivot, sorted(pis), internal, sorted(outputs), full_tfo)
+    return sorted(outputs)
+
+
+def _assert_observable_matches_reference(netlist, window):
+    """`observable` over every window net names the reference outputs."""
+    nets = {netlist.nodes[nid].output_net for nid in window.internal}
+    got = sorted(net for net in nets if observable(netlist, net, nets))
+    assert got == _reference_outputs(netlist, window), window.pivot
 
 
 @functools.lru_cache(maxsize=None)
@@ -186,8 +201,8 @@ def _assert_matches_regrowth(netlist, pivot, config, full_tfo):
     assert (got is None) == (want is None), pivot
     if got is None:
         return
-    assert (got.window_pis, got.internal, got.outputs) \
-        == (want.window_pis, want.internal, want.outputs), pivot
+    assert (got.window_pis, got.internal) == (want.window_pis, want.internal), pivot
+    _assert_observable_matches_reference(netlist, got)
     # Window.tfo: the pivot's TFO up to L0 + d1 + d2, L0 the highest level
     # among the pivot and its TFO up to d1
     level = netlist.levels()
@@ -359,14 +374,16 @@ def test_on_demand_window_values_match_eager_simulation(name):
 @pytest.mark.parametrize("name", bench.BENCH_NAMES)
 def test_care_set_matches_all_output_reference(name):
     for n, window in _windows_of(name):
+        _assert_observable_matches_reference(n, window)
         pivot_net = n.nodes[window.pivot].output_net
-        if pivot_net in window.outputs:
+        outputs = _reference_outputs(n, window)
+        if pivot_net in outputs:
             want = full_mask(window.width)
         else:
             v0 = _eager_window_values(n, window, 0)
             v1 = _eager_window_values(n, window, 1)
             want = 0
-            for out in window.outputs:
+            for out in outputs:
                 want |= v0[out] ^ v1[out]
         assert extract_care_set(n, window) == want, (name, pivot_net)
 
@@ -385,3 +402,102 @@ def test_forced_pivot_resim_matches_full_window_resim(name):
             got = sim.resim_with_pivot(forced)
             assert fed <= set(got)
             assert got == {net: want[net] for net in got}
+
+
+def _captured_values(sim):
+    """Every net of `sim`'s window simulated from the nodes it captured."""
+    window = sim.window
+    values = {net: var_mask(i, window.num_pis) for i, net in enumerate(window.window_pis)}
+    for node in sim.nodes.values():     # captured in topological order
+        values[node.output_net] = node.function.eval_masks(
+            [values[f] for f in node.fanins], window.width)
+    return values
+
+
+def _resynthesize_recording(netlist, assignment, config):
+    """Resynthesize, checking every mask a window took from the shared
+    table against a simulation of the nodes that window captured.
+
+    Returns the result and the number of masks the tables served.
+    """
+    sims = []
+
+    class Recording(WindowSim):
+        def __init__(self, work, window, cache=None):
+            # what the table may serve: it only grows until the pivot is done
+            table = cache.tables.get(tuple(window.window_pis), {}) if cache else {}
+            self.offered = dict(table)
+            super().__init__(work, window, cache)
+            sims.append(self)
+
+    with mock.patch.object(resynth, "WindowSim", Recording):
+        result = resynthesize(netlist, assignment, config)
+    served = 0
+    for sim in sims:
+        want = _captured_values(sim)
+        for net, mask in sim.values.items():
+            assert mask == want[net], (sim.pivot_net, net)
+            if net in sim.offered:
+                assert sim.offered[net] == mask
+                served += 1
+    return result, served
+
+
+def _outputs(result):
+    return write_blif(result.netlist), result.report.to_json()
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10**6), dies=st.integers(2, 4), latches=st.integers(0, 2),
+       passes=st.sampled_from([1, -1]), verify=st.booleans())
+def test_shared_masks_match_each_windows_own_simulation(seed, dies, latches, passes, verify):
+    n = bench.random_netlist(seed, num_pis=6, num_nodes=30, k=4, num_pos=4,
+                             num_latches=latches)
+    asg = partition_hash(n, dies)
+    config = ResynConfig(passes=passes, verify_each_commit=verify)
+    shared, _served = _resynthesize_recording(n, asg, config)
+    with mock.patch.object(windows, "SHARED_PI_TUPLES", 0):
+        alone = resynthesize(n, asg, config)
+    assert _outputs(shared) == _outputs(alone)
+
+
+@pytest.mark.parametrize("verify", [False, True])
+def test_shared_masks_are_served_and_exact_on_builtins(verify):
+    served = 0
+    for name in ("i2c", "router", "voter", "square"):
+        n = bench.build(name, 6)
+        config = ResynConfig(passes=-1, verify_each_commit=verify)
+        _result, count = _resynthesize_recording(n, partition_hash(n, 4), config)
+        served += count
+    assert served > 1000
+
+
+def test_shared_table_serves_window_nets_only(demo_netlist):
+    cache = ValueCache()
+    window = build_window(demo_netlist, demo_netlist.node_of_net("X"),
+                          ResynConfig(d1=30, d2=30, window_pi_cap=14))
+    top = demo_netlist.nodes[window.internal[-1]]
+    assert top.id != window.pivot
+    sim = WindowSim(demo_netlist, window, cache)
+    sim.value_of(top.output_net)
+    assert top.output_net in cache.table(tuple(window.window_pis))
+    # the same PIs without the top node: its cached mask must not be served
+    smaller = Window(window.pivot, window.window_pis, window.internal[:-1], window.tfo)
+    with pytest.raises(ResynthError, match="not evaluable"):
+        WindowSim(demo_netlist, smaller, cache).value_of(top.output_net)
+
+
+def test_invalidation_drops_the_pivot_and_its_cached_readers_only():
+    n = bench.build("i2c", 6)
+    cache = ValueCache()
+    pivot = next(node for node in n.topological_order()
+                 if len(n.reader_ids.get(node.output_net, ())) > 1)
+    window = build_window(n, pivot, ResynConfig())
+    sim = WindowSim(n, window, cache)
+    for net in sim.nodes:
+        sim.value_of(net)
+    table = cache.table(tuple(window.window_pis))
+    assert table.keys() == sim.nodes.keys()
+    fed = {pivot.output_net} | {node.output_net for node in sim.pivot_fanout}
+    cache.invalidate(n, pivot.output_net)
+    assert table.keys() == sim.nodes.keys() - fed
