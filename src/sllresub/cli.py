@@ -5,6 +5,12 @@ can be overridden by an environment variable named SLLRESUB_<FLAG>
 (dashes as underscores, upper case), e.g. SLLRESUB_SEED=7. A value the
 flag would not accept is a usage error.
 
+A partition file gives its die count in a `# dies <count>` header. With
+`--partition-mode file` (partition, flow) that header must equal
+`--dies`, or the run stops with exit 2 before writing anything; a file
+without a header takes `--dies`. resynth, metrics and split take the
+header's count, or one more than the highest die listed.
+
 Exit codes: 0 success/equivalent, 1 verification counterexample,
 2 usage or stage error.
 """

@@ -145,12 +145,11 @@ def _first_mismatch(a_vals, b_vals, sinks, care_bits, width):
 
 def check_equivalence(a: Netlist, b: Netlist, mode: str = "auto", seed: int = 0,
                       vector_budget: int = DEFAULT_VECTOR_BUDGET,
-                      care: Netlist | None = None,
-                      exhaustive_pi_bound: int = EXHAUSTIVE_PI_BOUND) -> EquivVerdict:
+                      care: Netlist | None = None) -> EquivVerdict:
     """Compare two netlists with identical PI/PO/latch interfaces.
 
     mode 'exhaustive' enumerates all input minterms (inputs capped at
-    `exhaustive_pi_bound`), 'random' draws `vector_budget` seeded vectors,
+    `EXHAUSTIVE_PI_BOUND`), 'random' draws `vector_budget` seeded vectors,
     'auto' picks exhaustive when it fits. An optional single-output `care`
     netlist over the primary inputs restricts the compared input space.
     A `vector_budget` below 1 is refused in every mode.
@@ -160,11 +159,11 @@ def check_equivalence(a: Netlist, b: Netlist, mode: str = "auto", seed: int = 0,
     check_options(mode, vector_budget)
     if care is not None:
         check_care(care, a)
-    if mode == "exhaustive" and len(sources) > exhaustive_pi_bound:
+    if mode == "exhaustive" and len(sources) > EXHAUSTIVE_PI_BOUND:
         raise EquivError("exhaustive mode refused beyond %d inputs (have %d)"
-                         % (exhaustive_pi_bound, len(sources)))
+                         % (EXHAUSTIVE_PI_BOUND, len(sources)))
     if mode == "auto":
-        mode = "exhaustive" if len(sources) <= exhaustive_pi_bound else "random"
+        mode = "exhaustive" if len(sources) <= EXHAUSTIVE_PI_BOUND else "random"
     cone = _changed_cone(a, b)
     changed = {node.output_net for node in cone}
     sinks = [net for net in sorted(a.sink_nets()) if net in changed]
@@ -182,9 +181,8 @@ def check_equivalence(a: Netlist, b: Netlist, mode: str = "auto", seed: int = 0,
         if sink is None:
             return EquivVerdict(True, "exhaustive", width)
         assignment = {net: (bit >> i) & 1 for i, net in enumerate(sources)}
-        verdict = EquivVerdict(False, "exhaustive", width, assignment, sink)
-        _confirm(a, b, verdict)
-        return verdict
+        _mismatch_output(a, b, assignment)   # raises unless it re-simulates
+        return EquivVerdict(False, "exhaustive", width, assignment, sink)
 
     rng = random.Random(seed)
     checked = 0
@@ -198,14 +196,13 @@ def check_equivalence(a: Netlist, b: Netlist, mode: str = "auto", seed: int = 0,
         if sink is not None:
             assignment = {net: (masks[net] >> bit) & 1 for net in sources}
             assignment = _minimize(a, b, assignment, care)
-            verdict = EquivVerdict(False, "random", checked,
-                                   assignment, _mismatch_output(a, b, assignment))
-            _confirm(a, b, verdict)
-            return verdict
+            return EquivVerdict(False, "random", checked,
+                                assignment, _mismatch_output(a, b, assignment))
     return EquivVerdict(True, "random", checked)
 
 
 def _mismatch_output(a: Netlist, b: Netlist, assignment: dict[str, int]) -> str:
+    """The first sink by name that `assignment` sets apart; raises if none."""
     va = a.simulate(assignment)
     vb = b.simulate(assignment)
     for sink in sorted(va):
@@ -235,7 +232,3 @@ def _minimize(a: Netlist, b: Netlist, assignment: dict[str, int],
         if _still_differs(a, b, trial, care):
             current = trial
     return current
-
-
-def _confirm(a: Netlist, b: Netlist, verdict: EquivVerdict):
-    _mismatch_output(a, b, verdict.counterexample)

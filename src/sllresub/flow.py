@@ -70,7 +70,7 @@ def split_per_die(netlist: Netlist, assignment: DieAssignment) -> list[Netlist]:
         for latch in netlist.latches:
             if assignment.die(latch.output_net) == die:
                 sub.add_latch(local(latch.input_net), latch.output_net, latch.init_value)
-        for node in sorted(netlist.nodes.values(), key=lambda n: n.id):
+        for node in netlist.nodes.values():
             if assignment.die(node.output_net) == die:
                 sub.add_node(node.output_net, [local(f) for f in node.fanins], node.function)
         for net in sorted(crossing):

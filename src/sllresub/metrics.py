@@ -142,36 +142,25 @@ def _hpwl(points) -> float:
     return (max(xs) - min(xs)) + (max(ys) - min(ys))
 
 
-def bbox_cost_sd(netlist: Netlist, placement: PlacementData, die: int) -> float:
-    """Weighted HPWL over nets placed entirely on `die`."""
-    cost = 0.0
-    for driver, sinks in net_terminals(netlist):
-        if not sinks:
-            continue
-        terms = [driver] + sinks
-        placed = [placement.place_of(t) for t in terms]
-        dies = {p[2] for p in placed}
-        if dies == {die}:
-            cost += placement.q(len(terms)) * _hpwl([(p[0], p[1]) for p in placed])
-    return cost
-
-
 def _median_x(placed) -> int:
     xs = sorted(p[0] for p in placed)
     return xs[(len(xs) - 1) // 2]
 
 
-def bbox_cost_md(netlist: Netlist, placement: PlacementData,
-                 assignment: DieAssignment, sll_mode: str = "per-die") -> float:
-    """Multi-die cost: per-die boxes plus one interposer link per SLL.
+def _bbox_costs(netlist: Netlist, placement: PlacementData) -> tuple[list[float], float]:
+    """Box costs from one walk over the nets: per die, the weighted HPWL of
+    the nets placed entirely on it, and the multi-die box cost without
+    its interposer term.
 
-    Crossing nets contribute a die-local box per die, extended by a
-    virtual boundary terminal in the median-x column (clamped to the die)
-    on the edge facing the neighbouring die; dies stack vertically by
-    index. The interposer term is count_sll * l_sll.
+    A net on one die adds its weighted HPWL to both. A crossing net adds
+    to the multi-die cost a die-local box per die, extended by a virtual
+    boundary terminal in the median-x column (clamped to the die) on the
+    edge facing the neighbouring die; dies stack vertically by index.
+    Each sum runs in `net_terminals` order.
     """
     placement.validate()
-    cost = 0.0
+    sd = [0.0] * len(placement.die_geometry)
+    md = 0.0
     for driver, sinks in net_terminals(netlist):
         if not sinks:
             continue
@@ -182,7 +171,10 @@ def bbox_cost_md(netlist: Netlist, placement: PlacementData,
             by_die.setdefault(d, []).append((x, y))
         q = placement.q(len(terms))
         if len(by_die) == 1:
-            cost += q * _hpwl(next(iter(by_die.values())))
+            [(d, pts)] = by_die.items()
+            cost = q * _hpwl(pts)
+            sd[d] += cost
+            md += cost
             continue
         med = _median_x(placed)
         for d, pts in sorted(by_die.items()):
@@ -193,8 +185,24 @@ def bbox_cost_md(netlist: Netlist, placement: PlacementData,
                 ext.append((vx, h - 1))
             if any(other < d for other in by_die):
                 ext.append((vx, 0))
-            cost += q * _hpwl(ext)
-    return cost + count_sll(netlist, assignment, sll_mode) * placement.l_sll
+            md += q * _hpwl(ext)
+    return sd, md
+
+
+def bbox_cost_sd(netlist: Netlist, placement: PlacementData, die: int) -> float:
+    """Weighted HPWL over nets placed entirely on `die`."""
+    per_die = _bbox_costs(netlist, placement)[0]
+    if not 0 <= die < len(per_die):
+        raise MetricsError("die %d is not in the placement geometry" % die)
+    return per_die[die]
+
+
+def bbox_cost_md(netlist: Netlist, placement: PlacementData,
+                 assignment: DieAssignment, sll_mode: str = "per-die") -> float:
+    """Multi-die cost: per-die boxes (see `_bbox_costs`) plus one
+    interposer link per SLL, count_sll * l_sll."""
+    return (_bbox_costs(netlist, placement)[1]
+            + count_sll(netlist, assignment, sll_mode) * placement.l_sll)
 
 
 # ----------------------------------------------------------------------
@@ -222,9 +230,8 @@ def snapshot(netlist: Netlist, assignment: DieAssignment,
         "rho": assignment.imbalance(),
     }
     if placement is not None:
-        out["bbox_sd"] = [bbox_cost_sd(netlist, placement, d)
-                          for d in range(len(placement.die_geometry))]
-        out["bbox_md"] = bbox_cost_md(netlist, placement, assignment, sll_mode)
+        out["bbox_sd"], md = _bbox_costs(netlist, placement)
+        out["bbox_md"] = md + n_sll * placement.l_sll
     return out
 
 

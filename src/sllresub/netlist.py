@@ -66,6 +66,7 @@ class Netlist:
         self.k_max = k_max
         self.primary_inputs: list[str] = []
         self.primary_outputs: list[str] = []
+        # in id order: `add_node` appends increasing ids and `_unlink` only deletes
         self.nodes: dict[int, LutNode] = {}
         self.latches: list[LatchElement] = []
         self._next_id = 0
@@ -290,24 +291,21 @@ class Netlist:
         """
         root = self._node_id(node)
         member = {root}
-        # Fixpoint: keep adding nodes whose every reader is already a member
-        # and which feed neither a PO nor a latch.
-        changed = True
-        while changed:
-            changed = False
-            candidates = set()
-            for m in member:
-                for f in self.nodes[m].fanins:
-                    drv = self._node_of_net.get(f)
-                    if drv is not None and drv not in member:
-                        candidates.add(drv)
-            for c in candidates:
-                use = self.readers_of(self.nodes[c].output_net)
-                if use.is_po or use.latch_idxs:
+        # Reference counting: each member takes one reference from every LUT
+        # driving it; a driver joins when its last reader joined, unless it
+        # feeds a PO or a latch.
+        refs: dict[int, int] = {}
+        stack = [root]
+        while stack:
+            for f in self.nodes[stack.pop()].fanins:
+                drv = self._node_of_net.get(f)
+                use = self._uses[f]
+                if drv is None or use.is_po or use.latch_idxs:
                     continue
-                if all(r in member for r in use.node_ids):
-                    member.add(c)
-                    changed = True
+                refs[drv] = refs.get(drv, len(use.node_ids)) - 1
+                if refs[drv] == 0:
+                    member.add(drv)
+                    stack.append(drv)
         return member
 
     # ------------------------------------------------------------------
@@ -345,16 +343,11 @@ class Netlist:
         if self._level is not None:
             del self._level[node.id]
 
-    def sweep_dead(self, seed_nets=None) -> list[LutNode]:
-        """Remove nodes whose nets have no readers, cascading through fanins.
-
-        Restricted to the cone over `seed_nets` when given. Returns the
-        removed nodes sorted by output net name.
+    def sweep_dead(self, seed_nets) -> list[LutNode]:
+        """Remove the nodes of `seed_nets` that have no readers, cascading
+        through fanins. Returns the removed nodes sorted by output net name.
         """
-        if seed_nets is None:
-            work = deque(n.output_net for n in self.nodes.values())
-        else:
-            work = deque(seed_nets)
+        work = deque(seed_nets)
         removed = []
         while work:
             net = work.popleft()
@@ -378,7 +371,7 @@ class Netlist:
             out.add_output(name)
         for latch in self.latches:
             out.add_latch(latch.input_net, latch.output_net, latch.init_value)
-        for node in sorted(self.nodes.values(), key=lambda n: n.id):
+        for node in self.nodes.values():
             out.add_node(node.output_net, list(node.fanins), node.function)
         return out
 
@@ -417,8 +410,7 @@ def net_terminals(netlist: Netlist):
 
     The sinks are the reading LUTs and latches; a PO is not a sink.
     """
-    nodes = sorted(netlist.nodes.values(), key=lambda n: n.id)
-    for name in netlist.source_nets() + [n.output_net for n in nodes]:
+    for name in netlist.source_nets() + [n.output_net for n in netlist.nodes.values()]:
         use = netlist.readers_of(name)
         sinks = [netlist.nodes[nid].output_net for nid in use.node_ids]
         sinks += [netlist.latches[i].output_net for i in use.latch_idxs]

@@ -76,8 +76,7 @@ def entities(netlist: Netlist) -> list[tuple[str, int]]:
     """(name, weight) for every die-assignable driver, in stable order."""
     out = [(name, 0) for name in netlist.primary_inputs]
     out.extend((latch.output_net, 1) for latch in netlist.latches)
-    out.extend((node.output_net, 1)
-               for node in sorted(netlist.nodes.values(), key=lambda n: n.id))
+    out.extend((node.output_net, 1) for node in netlist.nodes.values())
     return out
 
 
@@ -97,6 +96,9 @@ def hyperedges(netlist: Netlist) -> list[tuple[str, tuple[str, ...]]]:
 
 # ----------------------------------------------------------------------
 # FM bipartitioning
+
+
+MAX_FM_PASSES = 16
 
 
 class _FmGraph:
@@ -137,16 +139,14 @@ def _bfs_order(graph: _FmGraph, rng: random.Random) -> list[int]:
 
 
 def _fm_bipartition(graph: _FmGraph, caps: tuple[int, int], rng: random.Random,
-                    target0: float | None = None, max_passes: int = 16,
-                    trace: list | None = None) -> list[int]:
+                    target0: float, trace: list | None = None) -> list[int]:
     """Two-way FM with gain buckets; returns side (0/1) per vertex index.
 
-    `trace`, when given, collects (pass start cut, accepted cut) pairs.
+    The seed fills side 0 up to weight `target0`. `trace`, when given,
+    collects (pass start cut, accepted cut) pairs.
     """
     n = len(graph.vertices)
     total = sum(graph.weights)
-    if target0 is None:
-        target0 = total / 2
     # BFS fill keeps connected logic together in the seed; FM refines it.
     side = [1] * n
     side_w = [0, total]
@@ -182,7 +182,7 @@ def _fm_bipartition(graph: _FmGraph, caps: tuple[int, int], rng: random.Random,
     def cut_of(counts):
         return sum(1 for c in counts if c[0] and c[1])
 
-    for _pass in range(max_passes):
+    for _pass in range(MAX_FM_PASSES):
         counts = net_counts()
         cut = cut_of(counts)
         gains = [0] * n
@@ -363,9 +363,13 @@ def load_assignment(netlist: Netlist, path, num_dies: int | None = None) -> DieA
 
     Unlisted primary inputs default to the die of their lowest-id reader
     (die 0 when unread) so hand-written files may list logic only.
+
+    The die count is `num_dies` when given, else the `# dies <count>`
+    header, else one more than the highest die listed. A header that
+    disagrees with a given `num_dies` is an error naming the header line.
     """
     entries: dict[str, int] = {}
-    header_dies = None
+    header_dies = header = None
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, raw in enumerate(fh, start=1):
             line = raw.split("#")[0].strip()
@@ -377,6 +381,7 @@ def load_assignment(netlist: Netlist, path, num_dies: int | None = None) -> DieA
                     header_dies = 0
                 if header_dies < 1:
                     raise PartitionError("line %d: expected '# dies <count>'" % line_no)
+                header = "line %d: %r" % (line_no, raw.strip())
             if not line:
                 continue
             parts = line.split()
@@ -395,6 +400,8 @@ def load_assignment(netlist: Netlist, path, num_dies: int | None = None) -> DieA
     for name in entries:
         if name not in known:
             raise PartitionError("assignment names unknown node %r" % name)
+    if None not in (num_dies, header_dies) and num_dies != header_dies:
+        raise PartitionError("%s disagrees with the %d dies asked for" % (header, num_dies))
     k = num_dies if num_dies is not None else header_dies
     if k is None:
         k = max(entries.values(), default=0) + 1

@@ -18,7 +18,7 @@ from .metrics import count_sll, count_sll_fo, node_cross_die_fanins
 from .netlist import LutNode, Netlist
 from .partition import DieAssignment
 from .truthtab import TruthTable
-from .windows import (ResynthError, ValueCache, Window, WindowSim,
+from .windows import (ResynthError, ValueCache, WindowSim,
                       build_window, collect_divisors, exist_check, extract_care_set,
                       interpolate)
 
@@ -109,19 +109,19 @@ def select_cross_die_fanin(netlist: Netlist, assignment: DieAssignment,
     return max(node_cross_die_fanins(netlist, assignment, node), key=depth, default=None)
 
 
-def find_equiv_func(netlist: Netlist, window: Window, care: int,
-                    assignment: DieAssignment, config: ResynConfig,
-                    sim: WindowSim | None = None) -> ResubCandidate | None:
-    """One removal attempt per pivot: drop a cross-die fanin, then try the
-    remaining fanins alone and augmented with same-die divisors.
+def find_equiv_func(netlist: Netlist, sim: WindowSim, care: int,
+                    assignment: DieAssignment, config: ResynConfig) -> ResubCandidate | None:
+    """One removal attempt per pivot of `sim`'s window: drop a cross-die
+    fanin, then try the remaining fanins alone and augmented with same-die
+    divisors.
 
     The divisors are collected only when the remaining fanins alone fail.
     """
+    window = sim.window
     pivot = netlist.nodes[window.pivot]
     u = select_cross_die_fanin(netlist, assignment, pivot)
     if u is None:
         return None
-    sim = sim or WindowSim(netlist, window)
     base = [f for f in pivot.fanins if f != u]
     if exist_check(sim, care, base):
         return ResubCandidate(pivot.output_net, u, base, interpolate(sim, care, base))
@@ -167,9 +167,9 @@ def apply_resubstitution(netlist: Netlist, assignment: DieAssignment,
     as a fresh node on the same net and die, then sweep the dead cone.
 
     Raises ResynthError (netlist untouched) when a support net lies in
-    the pivot's TFO, which would create a combinational cycle. Besides
-    the edit itself, the returned dict holds `n_sll_fo_delta`, the
-    commit's change in crossing driver->sink edges.
+    the pivot's TFO, which would create a combinational cycle. The
+    returned dict holds the nets of the swept nodes (`removed_nodes`) and
+    the commit's change in crossing driver->sink edges (`n_sll_fo_delta`).
     """
     node = netlist.node_of_net(candidate.pivot_net)
     if node is None:
@@ -189,14 +189,7 @@ def apply_resubstitution(netlist: Netlist, assignment: DieAssignment,
     for r in removed:
         del assignment.die_of[r.output_net]
         assignment.weights.pop(r.output_net, None)
-    return {
-        "pivot": candidate.pivot_net,
-        "removed_fanin": candidate.removed_fanin,
-        "new_support": list(candidate.new_support),
-        "removed_nodes": [r.output_net for r in removed],
-        "new_node_id": new_node.id,
-        "n_sll_fo_delta": fo_delta,
-    }
+    return {"removed_nodes": [r.output_net for r in removed], "n_sll_fo_delta": fo_delta}
 
 
 @dataclass
@@ -253,9 +246,9 @@ def resynthesize(netlist: Netlist, assignment: DieAssignment, config: ResynConfi
                 report.audit.append(PivotAudit(
                     pass_no, node.output_net, die, "no-window", len(cross)))
                 continue
-            sim = WindowSim(work, window, cache)
-            care = extract_care_set(work, window, sim, injected_care)
-            candidate = find_equiv_func(work, window, care, asg, config, sim)
+            sim = WindowSim(work, window, cache, injected_care)
+            care = extract_care_set(work, sim)
+            candidate = find_equiv_func(work, sim, care, asg, config)
             if candidate is None:
                 report.audit.append(PivotAudit(
                     pass_no, node.output_net, die, "no-candidate", len(cross),
@@ -276,14 +269,14 @@ def resynthesize(netlist: Netlist, assignment: DieAssignment, config: ResynConfi
                     pass_no, node.output_net, die, "cycle-rejected", len(cross)))
                 continue
             if config.verify_each_commit:
-                sim.check_commit(work, injected_care)
+                sim.check_commit(work)
             cache.invalidate(work, candidate.pivot_net)
             commits_this_pass += 1
             report.commits += 1
             report.audit.append(PivotAudit(
                 pass_no, node.output_net, die, "committed", len(cross),
-                removed_fanin=change["removed_fanin"],
-                new_support=change["new_support"],
+                removed_fanin=candidate.removed_fanin,
+                new_support=candidate.new_support,
                 removed_nodes=change["removed_nodes"],
                 window_pis=window.num_pis,
                 n_sll_fo_delta=change["n_sll_fo_delta"],

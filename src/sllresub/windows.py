@@ -104,7 +104,7 @@ def _fanout_layers(netlist: Netlist, pivot: int, d1: int, d2: int,
     return layers, seen
 
 
-def build_window(netlist: Netlist, pivot, config) -> Window | None:
+def build_window(netlist: Netlist, pivot: LutNode, config) -> Window | None:
     """Construct the pivot's window, shrinking d2 then d1 to honor the PI cap.
 
     Returns None when even the smallest window has too many PIs (the
@@ -139,16 +139,15 @@ def build_window(netlist: Netlist, pivot, config) -> Window | None:
     covers every window node and window PI in the TFO. `Window.tfo` is
     that set.
     """
-    node = pivot if isinstance(pivot, LutNode) else netlist.nodes.get(pivot)
-    if node is None or node.id not in netlist.nodes:
+    if pivot.id not in netlist.nodes:
         raise ResynthError("pivot is not a LUT node in this netlist")
     nodes = netlist.nodes
     node_of_net = netlist.node_of_net
     readers = netlist.reader_ids.get
     level = netlist.levels()
     d1, d2 = config.d1, config.d2
-    ins, drivers = _fanin_layers(netlist, node, d2 + 1)
-    outs, tfo = _fanout_layers(netlist, node.id, d1, d2, level)
+    ins, drivers = _fanin_layers(netlist, pivot, d2 + 1)
+    outs, tfo = _fanout_layers(netlist, pivot.id, d1, d2, level)
     free = set(netlist.source_nets())
 
     core_nodes = [drivers[net] for layer in ins[:d2 + 1] for net in layer if net in drivers]
@@ -244,7 +243,7 @@ def build_window(netlist: Netlist, pivot, config) -> Window | None:
     internal_set = core | {n.id for n in side.values()}
     internal_set.update(node_of_net(net).id for net in absorbed)
     internal = sorted(internal_set, key=lambda n: (level[n], n))
-    return Window(node.id, sorted(pis), internal, tfo)
+    return Window(pivot.id, sorted(pis), internal, tfo)
 
 
 # Window-PI tuples whose masks one run keeps. On `chain` seed 1 a run
@@ -323,15 +322,28 @@ class WindowSim:
     after `check_commit` (whose pre-commit reads publish too), the caller
     calls `cache.invalidate(netlist, pivot_net)`. Without a cache the
     window keeps its masks to itself.
+
+    `care_mask` is an injected care predicate (a single-output netlist
+    over primary input names) over the window minterms, evaluated once
+    here. It applies when all of its inputs are window PIs; otherwise, and
+    without one, every minterm is care, which only makes the care set
+    conservative.
     """
 
-    def __init__(self, netlist: Netlist, window: Window, cache: ValueCache | None = None):
+    def __init__(self, netlist: Netlist, window: Window, cache: ValueCache | None = None,
+                 injected_care: Netlist | None = None):
         self.window = window
         self.width = window.width
         self.full = full_mask(self.width)
         self.values: dict[str, int] = {
             net: var_mask(i, window.num_pis) for i, net in enumerate(window.window_pis)
         }
+        # `values` holds the window PIs, and only them, until a net is read
+        if injected_care is not None and all(p in self.values
+                                             for p in injected_care.source_nets()):
+            self.care_mask = equiv.care_mask(injected_care, self.values, self.width)
+        else:
+            self.care_mask = self.full
         self.shared = cache.table(tuple(window.window_pis)) if cache is not None else {}
         self.pivot_net = netlist.nodes[window.pivot].output_net
         self.nodes: dict[str, LutNode] = {}     # window nodes by output net
@@ -374,19 +386,7 @@ class WindowSim:
             values[cur] = mask
         return values[net]
 
-    def care_mask(self, injected_care: Netlist | None) -> int:
-        """An injected care predicate over the window minterms.
-
-        The predicate is a single-output netlist over primary input
-        names. It applies when all of its inputs are window PIs; otherwise
-        (and without one) every minterm is care.
-        """
-        pis = self.window.window_pis
-        if injected_care is not None and not all(p in pis for p in injected_care.source_nets()):
-            return self.full
-        return equiv.care_mask(injected_care, self.values, self.width)
-
-    def check_commit(self, netlist: Netlist, injected_care: Netlist | None = None):
+    def check_commit(self, netlist: Netlist):
         """Certify a commit made inside this window; raise ResynthError if not.
 
         `self` holds the window nodes as they were before the commit;
@@ -416,12 +416,11 @@ class WindowSim:
                 raise ResynthError("window node %r reads %r from outside the window"
                                    % (node.output_net, exc.args[0])) from None
             values[node.output_net] = node.function.eval_masks(ins, self.width)
-        care = self.care_mask(injected_care)
         for node in live:
             net = node.output_net
             if not observable(netlist, net, self.nodes):
                 continue
-            diff = (values[net] ^ self.value_of(net)) & care
+            diff = (values[net] ^ self.value_of(net)) & self.care_mask
             if diff:
                 minterm = (diff & -diff).bit_length() - 1
                 raise ResynthError("commit on %r changed window output %r at %s" % (
@@ -453,18 +452,14 @@ def observable(netlist: Netlist, net: str, members) -> bool:
     return any(nodes[r].output_net not in members for r in use.node_ids)
 
 
-def extract_care_set(netlist: Netlist, window: Window, sim: WindowSim | None = None,
-                     injected_care: Netlist | None = None) -> int:
-    """Observability care mask by dual simulation with the pivot forced.
+def extract_care_set(netlist: Netlist, sim: WindowSim) -> int:
+    """Observability care mask of `sim`'s window by dual simulation with
+    the pivot forced.
 
     Bit m of the returned int is set iff window minterm m is care:
-    flipping the pivot there changes some `observable` window net. An
-    injected care predicate (single-output netlist over primary input
-    names) is intersected when all of its inputs are window PIs; otherwise
-    it is ignored for this window, which only makes the care set
-    conservative.
+    flipping the pivot there changes some `observable` window net, and
+    the sim's `care_mask` allows it.
     """
-    sim = sim or WindowSim(netlist, window)
     if observable(netlist, sim.pivot_net, sim.nodes):
         care = sim.full
     else:
@@ -475,7 +470,7 @@ def extract_care_set(netlist: Netlist, window: Window, sim: WindowSim | None = N
         for node in sim.pivot_fanout:
             if observable(netlist, node.output_net, sim.nodes):
                 care |= v0[node.output_net] ^ v1[node.output_net]
-    return care & sim.care_mask(injected_care)
+    return care & sim.care_mask
 
 
 # ----------------------------------------------------------------------

@@ -172,6 +172,19 @@ def test_malformed_dies_header_is_a_stage_error(tmp_path, capsys, header):
     assert not (tmp_path / "o").exists()
 
 
+def test_dies_header_disagreeing_with_dies_is_a_stage_error(tmp_path, capsys):
+    three = tmp_path / "three.dies"
+    with open(DIES, encoding="utf-8") as fh:
+        three.write_text(fh.read().replace("# dies 2", "# dies 3"))
+    args = ("flow", "--in", DEMO, "--partition-mode", "file", "--partition-file", three)
+    assert run(*args, "--outdir", tmp_path / "o") == 2
+    err = capsys.readouterr().err
+    assert "[partition] line 1: '# dies 3' disagrees with the 2 dies asked for" in err
+    assert not (tmp_path / "o").exists()
+    assert run(*args, "--outdir", tmp_path / "o3", "--dies", "3") == 0
+    assert sorted(os.listdir(tmp_path / "o3"))[:3] == ["die0.blif", "die1.blif", "die2.blif"]
+
+
 @pytest.mark.parametrize("die", ["7", "2", "-1"])
 def test_freeze_die_out_of_range_is_a_stage_error(tmp_path, capsys, die):
     args = ("flow", "--in", DEMO, "--outdir", tmp_path / "o", "--partition-mode", "file",

@@ -39,22 +39,22 @@ def _commits_against_exhaustive(netlist, assignment, config):
         pending.append((work.copy(), asg.copy(), candidate))
         return real_apply(work, asg, candidate)
 
-    def window_accepts(sim, post, care):
+    def window_accepts(sim, post):
         try:
-            real_check(sim, post, care)
+            real_check(sim, post)
         except ResynthError:
             return False
         return True
 
-    def check(sim, post, care=None):
+    def check(sim, post):
         pre, asg, cand = pending.pop()
-        assert window_accepts(sim, post, care)
+        assert window_accepts(sim, post)
         assert check_equivalence(pre, post, mode="exhaustive").equivalent
         seen["commits"] += 1
         seen["tfo_pi"] += any(
             (drv := post.node_of_net(p)) is not None and drv.id in sim.window.tfo
             for p in sim.window.window_pis)
-        care_bits = extract_care_set(post, sim.window, sim, care)
+        care_bits = extract_care_set(post, sim)
         masks = [sim.value_of(net) for net in cand.new_support]
         table = cand.new_function
         for row in range(1 << table.num_inputs):
@@ -65,7 +65,7 @@ def _commits_against_exhaustive(netlist, assignment, config):
                                  TruthTable(table.num_inputs, table.bits ^ (1 << row)))
             mutant = pre.copy()
             real_apply(mutant, asg.copy(), bad)
-            accepted = window_accepts(sim, mutant, care)
+            accepted = window_accepts(sim, mutant)
             exact = check_equivalence(pre, mutant, mode="exhaustive").equivalent
             assert exact or not accepted, (cand.pivot_net, row)
             assert not (reached and accepted), (cand.pivot_net, row)
@@ -101,8 +101,8 @@ def _corrupt_first_candidate(monkeypatch):
     real = resynth.find_equiv_func
     done = []
 
-    def corrupted(netlist, window, care, asg, config, sim):
-        cand = real(netlist, window, care, asg, config, sim)
+    def corrupted(netlist, sim, care, asg, config):
+        cand = real(netlist, sim, care, asg, config)
         if cand is None or done or not care:
             return cand
         minterm = (care & -care).bit_length() - 1

@@ -87,12 +87,12 @@ def test_latch_interface_compared(demo_netlist):
     assert check_equivalence(seq, seq.copy()).equivalent
 
 
-def test_exhaustive_bound_enforced():
+def test_exhaustive_bound_enforced(monkeypatch):
     n = bench.random_netlist(0, num_pis=8, num_nodes=10, k=4, num_pos=2)
+    monkeypatch.setattr(equiv, "EXHAUSTIVE_PI_BOUND", 4)
     with pytest.raises(EquivError):
-        check_equivalence(n, n.copy(), mode="exhaustive", exhaustive_pi_bound=4)
-    v = check_equivalence(n, n.copy(), mode="auto", exhaustive_pi_bound=4,
-                          vector_budget=1000)
+        check_equivalence(n, n.copy(), mode="exhaustive")
+    v = check_equivalence(n, n.copy(), mode="auto", vector_budget=1000)
     assert v.mode == "random" and v.vectors_checked == 1000
 
 

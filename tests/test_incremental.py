@@ -196,7 +196,7 @@ def test_grow_window_matches_global_scan_on_every_pivot(name):
 
 
 def _assert_matches_regrowth(netlist, pivot, config, full_tfo):
-    got = build_window(netlist, pivot, config)
+    got = build_window(netlist, netlist.nodes[pivot], config)
     want = _reference_build_window(netlist, pivot, config, full_tfo)
     assert (got is None) == (want is None), pivot
     if got is None:
@@ -249,11 +249,11 @@ def test_shrink_steps_need_not_be_nested():
     full_tfo = n.tfo(pivot, None)
     assert g36 not in _grow_window(n, pivot, 2, 1, full_tfo)
     assert g36 in _grow_window(n, pivot, 1, 1, full_tfo)
-    unshrunk = build_window(n, pivot, ResynConfig(d1=2, d2=1, window_pi_cap=100))
+    unshrunk = build_window(n, n.nodes[pivot], ResynConfig(d1=2, d2=1, window_pi_cap=100))
     assert g36 not in unshrunk.internal and unshrunk.num_pis > 15
     # a cap of 15 PIs rejects the (2, 1) window and takes the (1, 1) one
     config = ResynConfig(d1=2, d2=1, window_pi_cap=15)
-    assert g36 in build_window(n, pivot, config).internal
+    assert g36 in build_window(n, n.nodes[pivot], config).internal
     _assert_matches_regrowth(n, pivot, config, full_tfo)
 
 
@@ -352,7 +352,7 @@ def _windows_of(name):
     n = bench.build(name, 4)
     config = ResynConfig()
     for pivot in sorted(n.nodes):
-        window = build_window(n, pivot, config)
+        window = build_window(n, n.nodes[pivot], config)
         if window is not None:
             yield n, window
 
@@ -385,7 +385,7 @@ def test_care_set_matches_all_output_reference(name):
             want = 0
             for out in outputs:
                 want |= v0[out] ^ v1[out]
-        assert extract_care_set(n, window) == want, (name, pivot_net)
+        assert extract_care_set(n, WindowSim(n, window)) == want, (name, pivot_net)
 
 
 @pytest.mark.parametrize("name", ["sin", "square", "i2c", "router", "voter"])
@@ -423,11 +423,11 @@ def _resynthesize_recording(netlist, assignment, config):
     sims = []
 
     class Recording(WindowSim):
-        def __init__(self, work, window, cache=None):
+        def __init__(self, work, window, cache=None, injected_care=None):
             # what the table may serve: it only grows until the pivot is done
             table = cache.tables.get(tuple(window.window_pis), {}) if cache else {}
             self.offered = dict(table)
-            super().__init__(work, window, cache)
+            super().__init__(work, window, cache, injected_care)
             sims.append(self)
 
     with mock.patch.object(resynth, "WindowSim", Recording):

@@ -9,7 +9,8 @@ from sllresub.flow import split_per_die
 from sllresub.metrics import (MetricsError, PlacementData, bbox_cost_md,
                               bbox_cost_sd, count_sll, count_sll_fo, load_placement,
                               load_q_table, report, snapshot, wire_delay_table)
-from sllresub.netlist import SLL_PREFIX, parse_blif
+from sllresub.metrics import _hpwl
+from sllresub.netlist import SLL_PREFIX, net_terminals, parse_blif
 from sllresub.partition import DieAssignment, entities, partition_hash
 from sllresub.resynth import ResynConfig, resynthesize
 
@@ -214,6 +215,52 @@ def test_bbox_md_degenerates_to_sd_with_one_die():
         md = bbox_cost_md(n, p, asg)
         sd = bbox_cost_sd(n, p, 0)
         assert abs(md - sd) <= 1e-9 * max(1.0, abs(sd))
+
+
+def _reference_box_costs(netlist, p, assignment, sll_mode):
+    """The single-die costs, one scan per die, and the multi-die cost,
+    summed net by net in `net_terminals` order."""
+    sd = []
+    for die in range(len(p.die_geometry)):
+        cost = 0.0
+        for driver, sinks in net_terminals(netlist):
+            placed = [p.place_of(t) for t in [driver] + sinks]
+            if sinks and {d for _x, _y, d in placed} == {die}:
+                cost += p.q(len(placed)) * _hpwl([(x, y) for x, y, _d in placed])
+        sd.append(cost)
+    md = 0.0
+    for driver, sinks in net_terminals(netlist):
+        if not sinks:
+            continue
+        placed = [p.place_of(t) for t in [driver] + sinks]
+        dies = sorted({d for _x, _y, d in placed})
+        med = sorted(x for x, _y, _d in placed)[(len(placed) - 1) // 2]
+        for d in dies:
+            w, h = p.die_geometry[d]
+            ext = [(x, y) for x, y, pd in placed if pd == d]
+            if d < dies[-1]:
+                ext.append((min(max(med, 0), w - 1), h - 1))
+            if d > dies[0]:
+                ext.append((min(max(med, 0), w - 1), 0))
+            md += p.q(len(placed)) * _hpwl(ext)
+    return sd, md + count_sll(netlist, assignment, sll_mode) * p.l_sll
+
+
+@pytest.mark.parametrize("sll_mode", ["per-die", "raw-net"])
+def test_snapshot_boxes_equal_the_public_costs_exactly(sll_mode):
+    n = bench.random_netlist(6, num_pis=6, num_nodes=40, k=4, num_pos=4, num_latches=2)
+    asg = partition_hash(n, 3)
+    rng = random.Random(6)
+    coords = {name: (rng.randrange(12), rng.randrange(9), asg.die(name)) for name in asg.die_of}
+    p = PlacementData(coords, [(12, 9)] * 3, l_sll=2.5,
+                      q_table={2: 1.0, 3: 1.0828, 4: 1.1536, 5: 1.2206, 6: 1.2823})
+    sd, md = _reference_box_costs(n, p, asg, sll_mode)
+    assert count_sll(n, asg, "raw-net") > 0 and all(sd)   # crossing and one-die nets
+    snap = snapshot(n, asg, p, sll_mode)
+    assert snap["bbox_sd"] == [bbox_cost_sd(n, p, d) for d in range(3)] == sd
+    assert snap["bbox_md"] == bbox_cost_md(n, p, asg, sll_mode) == md
+    with pytest.raises(MetricsError, match="die 3"):
+        bbox_cost_sd(n, p, 3)
 
 
 def test_hpwl_translation_invariance_and_monotonicity():

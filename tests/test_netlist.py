@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sllresub import bench
 from sllresub.netlist import (BlifParseError, NetlistError, has_generated_names, parse_blif,
@@ -231,6 +232,27 @@ def test_mffc_matches_deletion_fixpoint_on_random_netlists():
         for node in n.nodes.values():
             assert n.mffc(node) == _mffc_by_deletion(n, node.id), \
                 "seed %d node %s" % (seed, node.output_net)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10**6), latches=st.integers(0, 2), edits=st.integers(1, 12))
+def test_nodes_and_readers_stay_in_id_order_under_edits(seed, latches, edits):
+    rng = random.Random(seed)
+    n = bench.random_netlist(seed, num_pis=5, num_nodes=20, k=4, num_pos=3,
+                             num_latches=latches)
+    for _ in range(edits):
+        if not n.nodes:
+            break
+        nid = rng.choice(sorted(n.nodes))
+        banned = n.tfo(nid) | {nid}
+        pool = sorted(net for net in n.source_nets() + [x.output_net for x in n.nodes.values()]
+                      if n.node_of_net(net) is None or n.node_of_net(net).id not in banned)
+        fanins = rng.sample(pool, rng.randint(1, min(4, len(pool))))
+        n.replace_node(nid, fanins, TruthTable(len(fanins), rng.getrandbits(1 << len(fanins))))
+        n.sweep_dead(pool)
+        for m in (n, n.copy()):
+            assert list(m.nodes) == sorted(m.nodes)
+            assert all(ids == sorted(ids) for ids in m.reader_ids.values())
 
 
 def test_simulate_demo_row(demo_netlist):

@@ -113,7 +113,7 @@ def test_fm_pass_cuts_never_increase():
     graph = _FmGraph(names, weights, [pins for _d, pins in hyperedges(n)])
     total = sum(graph.weights)
     trace = []
-    _fm_bipartition(graph, (total, total), random.Random(3), trace=trace)
+    _fm_bipartition(graph, (total, total), random.Random(3), total / 2, trace)
     for start, accepted in trace:
         assert accepted <= start
     starts = [s for s, _a in trace]
@@ -187,6 +187,19 @@ def test_assignment_file_errors(tmp_path, demo_netlist):
     with pytest.raises(PartitionError) as err:
         load_assignment(demo_netlist, unknown)
     assert "unknown" in str(err.value)
+
+
+def test_dies_header_must_match_a_given_die_count(tmp_path, demo_netlist):
+    path = tmp_path / "p.txt"
+    path.write_text("X 0\n# dies 3\nY 1\nF 1\n")
+    assert load_assignment(demo_netlist, path).num_dies == 3
+    assert load_assignment(demo_netlist, path, 3).num_dies == 3
+    with pytest.raises(PartitionError, match="line 2: '# dies 3' disagrees with the 2 dies"):
+        load_assignment(demo_netlist, path, 2)
+    # without a header a given count rules, and the file's highest die otherwise
+    path.write_text("X 0\nY 1\nF 1\n")
+    assert load_assignment(demo_netlist, path, 4).num_dies == 4
+    assert load_assignment(demo_netlist, path).num_dies == 2
 
 
 def test_assignment_file_defaults_pis_to_reader_die(tmp_path, demo_netlist):

@@ -18,9 +18,9 @@ WIDE = ResynConfig(d1=30, d2=30, window_pi_cap=14)
 def _find(netlist, assignment, pivot_name, config=WIDE, care_net=None):
     pivot = netlist.node_of_net(pivot_name)
     window = build_window(netlist, pivot, config)
-    sim = WindowSim(netlist, window)
-    care = extract_care_set(netlist, window, sim, care_net)
-    return find_equiv_func(netlist, window, care, assignment, config, sim)
+    sim = WindowSim(netlist, window, injected_care=care_net)
+    care = extract_care_set(netlist, sim)
+    return find_equiv_func(netlist, sim, care, assignment, config)
 
 
 def test_cross_die_fanin_selection_prefers_deepest():

@@ -123,7 +123,7 @@ def test_divisors_exclude_mffc_and_tfo(demo_netlist, demo_assignment):
 
 def test_care_pivot_is_window_output(demo_netlist, demo_assignment):
     w = build_window(demo_netlist, demo_netlist.node_of_net("F"), WIDE)
-    care = extract_care_set(demo_netlist, w)
+    care = extract_care_set(demo_netlist, WindowSim(demo_netlist, w))
     assert care == (1 << 16) - 1  # F is a PO: every minterm matters
 
 
@@ -134,13 +134,13 @@ def test_care_constant_masked_pivot_all_dont_care():
             ".names zero\n.end")
     n = parse_blif(text)
     w = build_window(n, n.node_of_net("p"), WIDE)
-    care = extract_care_set(n, w)
+    care = extract_care_set(n, WindowSim(n, w))
     assert care == 0
 
 
 def test_care_demo_with_injected_predicate(demo_netlist, demo_care):
     w = build_window(demo_netlist, demo_netlist.node_of_net("F"), WIDE)
-    care = extract_care_set(demo_netlist, w, injected_care=demo_care)
+    care = extract_care_set(demo_netlist, WindowSim(demo_netlist, w, injected_care=demo_care))
     expected = set()
     for a, b, c, d, _X, _Y, _F, _Fp, is_care in TABLE2:
         idx = {"a": a, "b": b, "c": c, "d": d}
@@ -158,14 +158,14 @@ def test_care_ignores_predicate_outside_window():
     n = parse_blif(text)
     pred = parse_blif(".model p\n.inputs e\n.outputs c\n.names e c\n1 1\n.end")
     w = build_window(n, n.node_of_net("y"), ResynConfig(d1=1, d2=1))
-    care = extract_care_set(n, w, injected_care=pred)
+    care = extract_care_set(n, WindowSim(n, w, injected_care=pred))
     assert care == (1 << w.width) - 1
 
 
 def test_exist_check_demo(demo_netlist, demo_care):
     w = build_window(demo_netlist, demo_netlist.node_of_net("F"), WIDE)
-    sim = WindowSim(demo_netlist, w)
-    care = extract_care_set(demo_netlist, w, sim, demo_care)
+    sim = WindowSim(demo_netlist, w, injected_care=demo_care)
+    care = extract_care_set(demo_netlist, sim)
     assert exist_check(sim, care, ["a", "d"])      # own fanins
     assert not exist_check(sim, care, ["d"])       # base divisors alone fail
     assert exist_check(sim, care, ["d", "Y"])      # augmented with Y succeeds
@@ -173,8 +173,8 @@ def test_exist_check_demo(demo_netlist, demo_care):
 
 def test_interpolate_demo(demo_netlist, demo_care):
     w = build_window(demo_netlist, demo_netlist.node_of_net("F"), WIDE)
-    sim = WindowSim(demo_netlist, w)
-    care = extract_care_set(demo_netlist, w, sim, demo_care)
+    sim = WindowSim(demo_netlist, w, injected_care=demo_care)
+    care = extract_care_set(demo_netlist, sim)
     table = interpolate(sim, care, ["d", "Y"])
     assert table == TruthTable(2, 0b0110)  # F' = Y xor d
     for _a, _b, _c, d, _X, Y, F, Fp, is_care in TABLE2:
@@ -187,15 +187,15 @@ def test_interpolate_demo(demo_netlist, demo_care):
 def test_interpolate_own_fanins_recovers_function(demo_netlist):
     w = build_window(demo_netlist, demo_netlist.node_of_net("F"), WIDE)
     sim = WindowSim(demo_netlist, w)
-    care = extract_care_set(demo_netlist, w, sim)  # full care
+    care = extract_care_set(demo_netlist, sim)  # full care
     table = interpolate(sim, care, ["a", "d"])
     assert table == demo_netlist.node_of_net("F").function
 
 
 def test_interpolate_contract_violation(demo_netlist, demo_care):
     w = build_window(demo_netlist, demo_netlist.node_of_net("F"), WIDE)
-    sim = WindowSim(demo_netlist, w)
-    care = extract_care_set(demo_netlist, w, sim, demo_care)
+    sim = WindowSim(demo_netlist, w, injected_care=demo_care)
+    care = extract_care_set(demo_netlist, sim)
     with pytest.raises(ResynthError):
         interpolate(sim, care, ["d"])
 
@@ -203,7 +203,7 @@ def test_interpolate_contract_violation(demo_netlist, demo_care):
 def test_exist_check_unknown_net(demo_netlist):
     w = build_window(demo_netlist, demo_netlist.node_of_net("F"), WIDE)
     sim = WindowSim(demo_netlist, w)
-    care = extract_care_set(demo_netlist, w, sim)
+    care = extract_care_set(demo_netlist, sim)
     with pytest.raises(ResynthError):
         exist_check(sim, care, ["nope"])
 
@@ -239,7 +239,7 @@ def test_exist_and_interpolate_match_bruteforce_oracle():
             if w is None or w.num_pis > 10:
                 continue
             sim = WindowSim(n, w)
-            care = extract_care_set(n, w, sim)
+            care = extract_care_set(n, sim)
             divisors = collect_divisors(n, w, asg, cfg)
             pool = [net for net, _d, _l in divisors.candidates]
             if not pool:
