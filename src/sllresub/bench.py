@@ -6,6 +6,10 @@ cone packer, so the same function maps to different granularities for
 k=4/5/6. The builders intentionally skip common-subexpression sharing
 across blocks (like a mapper that duplicated logic), which leaves the
 redundancy that resubstitution feeds on in real netlists.
+
+Each gate op is a `TruthTable`, so the packer tabulates a LUT by one
+bit-parallel pass of `TruthTable.eval_masks` over the cluster's gates,
+fed the `minterm_masks` of the LUT's support.
 """
 
 from __future__ import annotations
@@ -14,20 +18,22 @@ import random
 from dataclasses import dataclass, field
 
 from .netlist import Netlist
-from .truthtab import TruthTable
+from .truthtab import TruthTable, minterm_masks
 
 _OPS = {
-    "BUF": (1, 0b10),
-    "NOT": (1, 0b01),
-    "AND": (2, 0b1000),
-    "OR": (2, 0b1110),
-    "XOR": (2, 0b0110),
-    "NAND": (2, 0b0111),
-    "NOR": (2, 0b0001),
-    "XNOR": (2, 0b1001),
-    "ANDN": (2, 0b0010),   # a & ~b
-    "MUX": (3, 0b11001010),  # s ? a : b  (inputs: b, a, s)
-    "MAJ": (3, 0b11101000),
+    "CONST0": TruthTable(0, 0),
+    "CONST1": TruthTable(0, 1),
+    "BUF": TruthTable(1, 0b10),
+    "NOT": TruthTable(1, 0b01),
+    "AND": TruthTable(2, 0b1000),
+    "OR": TruthTable(2, 0b1110),
+    "XOR": TruthTable(2, 0b0110),
+    "NAND": TruthTable(2, 0b0111),
+    "NOR": TruthTable(2, 0b0001),
+    "XNOR": TruthTable(2, 0b1001),
+    "ANDN": TruthTable(2, 0b0010),   # a & ~b
+    "MUX": TruthTable(3, 0b11001010),  # s ? a : b  (inputs: b, a, s)
+    "MAJ": TruthTable(3, 0b11101000),
 }
 
 
@@ -50,7 +56,7 @@ class GateNetwork:
         return [self.pi("%s%d" % (prefix, i)) for i in range(n)]
 
     def gate(self, op: str, *ins: str) -> str:
-        arity, _bits = _OPS[op]
+        arity = _OPS[op].num_inputs
         if len(ins) != arity:
             raise ValueError("%s expects %d inputs" % (op, arity))
         name = "g%d" % self._n
@@ -59,10 +65,7 @@ class GateNetwork:
         return name
 
     def const(self, value: int) -> str:
-        name = "g%d" % self._n
-        self._n += 1
-        self.gates[name] = ("CONST1" if value else "CONST0", ())
-        return name
+        return self.gate("CONST1" if value else "CONST0")
 
     def po(self, net: str):
         self.outputs.append((net, net))
@@ -102,18 +105,6 @@ class GateNetwork:
         return acc
 
 
-def _gate_eval(op: str, vals: tuple[int, ...]) -> int:
-    if op == "CONST0":
-        return 0
-    if op == "CONST1":
-        return 1
-    _arity, bits = _OPS[op]
-    idx = 0
-    for i, v in enumerate(vals):
-        idx |= (v & 1) << i
-    return (bits >> idx) & 1
-
-
 def pack_to_luts(net: GateNetwork, k: int) -> Netlist:
     """Greedy cone packing of a gate network into k-input LUTs.
 
@@ -138,7 +129,7 @@ def pack_to_luts(net: GateNetwork, k: int) -> Netlist:
     observable = {po for po, _ in net.outputs} | {d for d, _ in net.latches}
     roots = {g for g in net.gates if g in observable or fanout[g] != 1}
 
-    def grow(root: str) -> tuple[set[str], list[str]]:
+    def grow(root: str) -> list[str]:
         cluster = {root}
         support = list(dict.fromkeys(net.gates[root][1]))
         while True:
@@ -159,29 +150,20 @@ def pack_to_luts(net: GateNetwork, k: int) -> Netlist:
                 break
             cluster.add(best)
             support = best_support
-        return cluster, support
+        return support
 
     # A gate left on some cluster's support must emit its own LUT: promote
     # such gates to roots and re-grow until the root set closes.
     while True:
-        clusters = {root: grow(root) for root in sorted(roots)}
+        supports = {root: grow(root) for root in sorted(roots)}
         missing = set()
-        for _root, (_cluster, support) in clusters.items():
+        for support in supports.values():
             for s in support:
                 if s in net.gates and s not in roots:
                     missing.add(s)
         if not missing:
             break
         roots |= missing
-
-    def eval_cone(root: str, cluster: set[str], env: dict[str, int]) -> int:
-        def val(n: str) -> int:
-            if n in env:
-                return env[n]
-            op, ins = net.gates[n]
-            env[n] = _gate_eval(op, tuple(val(i) for i in ins))
-            return env[n]
-        return val(root)
 
     out = Netlist(net.name, max(k, 3))
     for name in net.inputs:
@@ -195,10 +177,10 @@ def pack_to_luts(net: GateNetwork, k: int) -> Netlist:
     seen = set()
 
     def visit(g: str):
-        if g in seen or g not in clusters:
+        if g in seen or g not in supports:
             return
         seen.add(g)
-        for s in clusters[g][1]:
+        for s in supports[g]:
             if s not in sources:
                 visit(s)
         order.append(g)
@@ -206,13 +188,17 @@ def pack_to_luts(net: GateNetwork, k: int) -> Netlist:
     for root in sorted(roots):
         visit(root)
     for root in order:
-        cluster, support = clusters[root]
-        bits = 0
-        for m in range(1 << len(support)):
-            env = {s: (m >> i) & 1 for i, s in enumerate(support)}
-            if eval_cone(root, cluster, env):
-                bits |= 1 << m
-        out.add_node(root, list(support), TruthTable(len(support), bits))
+        support = supports[root]
+        values = minterm_masks(support)
+        width = 1 << len(support)
+
+        def val(n: str) -> int:
+            if n not in values:
+                op, ins = net.gates[n]
+                values[n] = _OPS[op].eval_masks([val(i) for i in ins], width)
+            return values[n]
+
+        out.add_node(root, list(support), TruthTable(len(support), val(root)))
     out.validate()
     return out
 
@@ -655,28 +641,3 @@ def build(name: str, lut_k: int = 4) -> Netlist:
     """Named benchmark mapped to k-input LUTs."""
     return pack_to_luts(gate_network(name), lut_k)
 
-
-def random_netlist(seed: int, num_pis: int = 8, num_nodes: int = 30, k: int = 4,
-                   num_pos: int = 4, num_latches: int = 0) -> Netlist:
-    """Seeded random k-LUT DAG for property tests."""
-    rng = random.Random(seed)
-    n = Netlist("rand%d" % seed, k)
-    pool = []
-    for i in range(num_pis):
-        n.add_input("pi%d" % i)
-        pool.append("pi%d" % i)
-    for i in range(num_latches):
-        pool.append("lq%d" % i)
-    for i in range(num_nodes):
-        nf = rng.randint(1, min(k, len(pool)))
-        fanins = rng.sample(pool, nf)
-        bits = rng.getrandbits(1 << nf)
-        n.add_node("n%d" % i, fanins, TruthTable(nf, bits))
-        pool.append("n%d" % i)
-    node_nets = ["n%d" % i for i in range(num_nodes)]
-    for i in range(num_latches):
-        n.add_latch(rng.choice(node_nets), "lq%d" % i, "0")
-    for net in rng.sample(node_nets, min(num_pos, len(node_nets))):
-        n.add_output(net)
-    n.validate()
-    return n

@@ -244,8 +244,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("equiv", help="combinational equivalence check")
     p.add_argument("a")
     p.add_argument("b")
-    p.add_argument("--exhaustive", action="store_true")
-    p.add_argument("--random", type=int, default=None, metavar="N")
+    how = p.add_mutually_exclusive_group()
+    how.add_argument("--exhaustive", action="store_true")
+    how.add_argument("--random", type=int, default=None, metavar="N")
     p.add_argument("--care", default=None)
     _add_common(p)
     p.set_defaults(func=cmd_equiv)

@@ -23,7 +23,7 @@ import random
 from dataclasses import dataclass
 
 from .netlist import LutNode, Netlist, eval_nodes
-from .truthtab import full_mask
+from .truthtab import full_mask, minterm_masks
 
 EXHAUSTIVE_PI_BOUND = 18
 DEFAULT_VECTOR_BUDGET = 100_000
@@ -174,7 +174,7 @@ def check_equivalence(a: Netlist, b: Netlist, mode: str = "auto", seed: int = 0,
     a_cone = _read_cone(a, outside.union(sinks))
 
     if mode == "exhaustive":
-        masks, width = a.exhaustive_masks()
+        masks, width = minterm_masks(sources), 1 << len(sources)
         a_vals, b_vals = _eval_both(a_cone, cone, masks, width)
         care_bits = care_mask(care, masks, width)
         sink, bit = _first_mismatch(a_vals, b_vals, sinks, care_bits, width)

@@ -109,6 +109,9 @@ def run_flow(config: FlowConfig) -> FlowResult:
     equivalence failure; stage errors raise FlowError. The verify options,
     the care predicate and the die assignment are settled before `out_dir`
     is created, so a bad one leaves no directory and no artifact.
+    `partition.txt` holds the input assignment and `partition_post.txt`
+    the assignment of `post.blif`, from which `metrics.json`'s `after`
+    section and the `die*.blif` files are made.
     """
     try:
         check_options(config.verify_mode, config.vector_budget)
@@ -149,6 +152,8 @@ def run_flow(config: FlowConfig) -> FlowResult:
         result = resynthesize(netlist, assignment, config.resyn, injected_care=care)
         write_blif_file(result.netlist, path("post.blif"))
         artifacts["post_blif"] = path("post.blif")
+        save_assignment(result.assignment, path("partition_post.txt"))
+        artifacts["partition_post"] = path("partition_post.txt")
         with open(path("report.json"), "w", encoding="utf-8") as fh:
             fh.write(result.report.to_json() + "\n")
         artifacts["report"] = path("report.json")

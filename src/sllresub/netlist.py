@@ -17,7 +17,7 @@ import io
 from collections import deque
 from dataclasses import dataclass, field
 
-from .truthtab import TruthTable, cover_to_table, full_mask, table_to_cover, var_mask
+from .truthtab import TruthTable, cover_to_table, full_mask, table_to_cover
 
 DEFAULT_K_MAX = 6
 
@@ -393,16 +393,6 @@ class Netlist:
         """Single-vector simulation: PI/latch-output bits in, PO/latch-input bits out."""
         values = self.eval_masks({net: 1 if v else 0 for net, v in assignment.items()}, 1)
         return {net: values[net] & 1 for net in self.sink_nets()}
-
-    def exhaustive_masks(self) -> tuple[dict[str, int], int]:
-        """Source masks enumerating all input minterms (sorted source order).
-
-        Bit m of every returned mask corresponds to the assignment where
-        source i (sorted by name) takes bit i of m.
-        """
-        sources = sorted(self.source_nets())
-        width = 1 << len(sources)
-        return {net: var_mask(i, len(sources)) for i, net in enumerate(sources)}, width
 
 
 def net_terminals(netlist: Netlist):

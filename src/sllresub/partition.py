@@ -73,7 +73,13 @@ class PartitionConfig:
 
 
 def entities(netlist: Netlist) -> list[tuple[str, int]]:
-    """(name, weight) for every die-assignable driver, in stable order."""
+    """(name, weight) for every die-assignable driver, in stable order.
+
+    Every partition mode starts here, so each refuses a netlist with no
+    LUT or latch, whose die weights (and imbalance) are all zero.
+    """
+    if not netlist.nodes and not netlist.latches:
+        raise PartitionError("cannot partition an empty netlist")
     out = [(name, 0) for name in netlist.primary_inputs]
     out.extend((latch.output_net, 1) for latch in netlist.latches)
     out.extend((node.output_net, 1) for node in netlist.nodes.values())
@@ -279,8 +285,6 @@ def partition_fm(netlist: Netlist, config: PartitionConfig) -> DieAssignment:
     if config.num_dies < 2:
         raise PartitionError("partitioning needs at least 2 dies")
     ents = entities(netlist)
-    if not ents or all(w == 0 for _n, w in ents):
-        raise PartitionError("cannot partition an empty netlist")
     weights = dict(ents)
     total = sum(w for _n, w in ents)
     # Integer per-die capacity; the ceiling term keeps tiny instances

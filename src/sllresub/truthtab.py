@@ -15,6 +15,12 @@ sub-functions share one slot. Slots 0 and 1 hold the constants 0 and
 all-ones; mux op ``j`` writes slot ``j + 2`` from two lower slots, so
 the ops run in list order. A table of n inputs needs at most
 ``2**n - 1`` ops and a constant none; no minterm is enumerated.
+
+Every exhaustive minterm space is `minterm_masks(names)`: name ``i``
+takes the `var_mask` of input ``i``, so pattern ``m`` of each mask is
+minterm ``m``. `eval_masks` over those masks tabulates a function;
+`cover_to_table` ORs one cube mask per cover row, the AND of the
+literals' input masks or their complements.
 """
 
 from __future__ import annotations
@@ -116,25 +122,27 @@ class TruthTable:
         return vals[out]
 
 
+def minterm_masks(names: list[str]) -> dict[str, int]:
+    """Masks enumerating every minterm of `names`: name i takes bit i of m."""
+    return {name: var_mask(i, len(names)) for i, name in enumerate(names)}
+
+
 def cover_to_table(num_inputs: int, rows: list[str]) -> TruthTable:
     """Compile BLIF on-set cover rows (strings over 0/1/-) to a table."""
+    full = full_mask(1 << num_inputs)
     bits = 0
     for row in rows:
         if len(row) != num_inputs:
             raise ValueError("cover row %r does not match %d inputs" % (row, num_inputs))
-        free = [i for i, c in enumerate(row) if c == "-"]
-        base = 0
+        cube = full
         for i, c in enumerate(row):
             if c == "1":
-                base |= 1 << i
-            elif c not in "0-":
+                cube &= var_mask(i, num_inputs)
+            elif c == "0":
+                cube &= ~var_mask(i, num_inputs)
+            elif c != "-":
                 raise ValueError("bad cover character %r" % c)
-        for k in range(1 << len(free)):
-            m = base
-            for j, i in enumerate(free):
-                if (k >> j) & 1:
-                    m |= 1 << i
-            bits |= 1 << m
+        bits |= cube
     return TruthTable(num_inputs, bits)
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from . import equiv
 from .netlist import LutNode, Netlist, eval_nodes
 from .partition import DieAssignment
-from .truthtab import TruthTable, full_mask, var_mask
+from .truthtab import TruthTable, full_mask, minterm_masks
 
 
 class ResynthError(Exception):
@@ -335,9 +335,7 @@ class WindowSim:
         self.window = window
         self.width = window.width
         self.full = full_mask(self.width)
-        self.values: dict[str, int] = {
-            net: var_mask(i, window.num_pis) for i, net in enumerate(window.window_pis)
-        }
+        self.values: dict[str, int] = minterm_masks(window.window_pis)
         # `values` holds the window PIs, and only them, until a net is read
         if injected_care is not None and all(p in self.values
                                              for p in injected_care.source_nets()):
@@ -409,13 +407,13 @@ class WindowSim:
         live = sorted((node for node in live if node is not None),
                       key=lambda node: (level[node.id], node.id))
         values = {net: self.values[net] for net in pis}
-        for node in live:
-            try:
-                ins = [values[f] for f in node.fanins]
-            except KeyError as exc:
-                raise ResynthError("window node %r reads %r from outside the window"
-                                   % (node.output_net, exc.args[0])) from None
-            values[node.output_net] = node.function.eval_masks(ins, self.width)
+        try:
+            eval_nodes(live, values, self.width)
+        except KeyError as exc:
+            # no live node drives the missing net, so its first reader raised
+            reader = next(node for node in live if exc.args[0] in node.fanins)
+            raise ResynthError("window node %r reads %r from outside the window"
+                               % (reader.output_net, exc.args[0])) from None
         for node in live:
             net = node.output_net
             if not observable(netlist, net, self.nodes):

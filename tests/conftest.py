@@ -1,7 +1,10 @@
+import random
+
 import pytest
 
-from sllresub.netlist import parse_blif
+from sllresub.netlist import Netlist, parse_blif
 from sllresub.partition import DieAssignment
+from sllresub.truthtab import TruthTable
 
 DEMO_BLIF = """\
 .model twodie_xor
@@ -36,6 +39,10 @@ BAD_CARE = {
                    ".names b c care\n00 1\n11 1\n.names b other\n1 1\n.end\n",
     "internal_input": ".model p\n.inputs X\n.outputs care\n.names X care\n0 1\n.end\n",
 }
+
+# A netlist with no LUT or latch: its one PI is its PO. No partition mode
+# takes it, since every die weight would be zero.
+NO_LOGIC_BLIF = ".model t\n.inputs a\n.outputs a\n.end\n"
 
 # Pivot truth table rows in (a, b, c, d) order: X, Y, original F, rebuilt
 # F' = Y xor d, and the care flag (b == c). The reference grid every
@@ -109,3 +116,31 @@ def cone_input_nets(netlist, node_ids):
     """Nets feeding the node set from outside it, sorted by name."""
     inner = {netlist.nodes[n].output_net for n in node_ids}
     return sorted({f for n in node_ids for f in netlist.nodes[n].fanins if f not in inner})
+
+
+# Random netlists of the property tests; the program never builds one.
+
+def random_netlist(seed: int, num_pis: int = 8, num_nodes: int = 30, k: int = 4,
+                   num_pos: int = 4, num_latches: int = 0) -> Netlist:
+    """Seeded random k-LUT DAG for property tests."""
+    rng = random.Random(seed)
+    n = Netlist("rand%d" % seed, k)
+    pool = []
+    for i in range(num_pis):
+        n.add_input("pi%d" % i)
+        pool.append("pi%d" % i)
+    for i in range(num_latches):
+        pool.append("lq%d" % i)
+    for i in range(num_nodes):
+        nf = rng.randint(1, min(k, len(pool)))
+        fanins = rng.sample(pool, nf)
+        bits = rng.getrandbits(1 << nf)
+        n.add_node("n%d" % i, fanins, TruthTable(nf, bits))
+        pool.append("n%d" % i)
+    node_nets = ["n%d" % i for i in range(num_nodes)]
+    for i in range(num_latches):
+        n.add_latch(rng.choice(node_nets), "lq%d" % i, "0")
+    for net in rng.sample(node_nets, min(num_pos, len(node_nets))):
+        n.add_output(net)
+    n.validate()
+    return n

@@ -4,10 +4,14 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import sllresub
 from sllresub import bench
 from sllresub.equiv import check_equivalence
+from sllresub.truthtab import TruthTable
+
+from conftest import random_netlist
 
 
 @pytest.mark.parametrize("name", bench.BENCH_NAMES)
@@ -88,9 +92,110 @@ def test_voter_is_majority_of_redundant_channels():
     assert got == u
 
 
+# The former per-minterm packer tabulation, kept as the reference: one env
+# dict per support minterm, walked through a gate interpreter with its own
+# op table, so a wrong entry in `bench._OPS` shows.
+_REF_OPS = {
+    "CONST0": (0, 0b0),
+    "CONST1": (0, 0b1),
+    "BUF": (1, 0b10),
+    "NOT": (1, 0b01),
+    "AND": (2, 0b1000),
+    "OR": (2, 0b1110),
+    "XOR": (2, 0b0110),
+    "NAND": (2, 0b0111),
+    "NOR": (2, 0b0001),
+    "XNOR": (2, 0b1001),
+    "ANDN": (2, 0b0010),
+    "MUX": (3, 0b11001010),
+    "MAJ": (3, 0b11101000),
+}
+
+
+def _gate_eval(op, vals):
+    idx = 0
+    for i, v in enumerate(vals):
+        idx |= (v & 1) << i
+    return (_REF_OPS[op][1] >> idx) & 1
+
+
+def _ref_value(net, env, n):
+    """Net `n` of gate network `net` under the 0/1 values in `env`, which
+    it extends."""
+    if n not in env:
+        op, ins = net.gates[n]
+        env[n] = _gate_eval(op, [_ref_value(net, env, i) for i in ins])
+    return env[n]
+
+
+def _reference_tables(net, packed):
+    """Each LUT's table of its support, one minterm at a time."""
+    tables = {}
+    for node in packed.nodes.values():
+        bits = 0
+        for m in range(1 << len(node.fanins)):
+            env = {s: (m >> i) & 1 for i, s in enumerate(node.fanins)}
+            bits |= _ref_value(net, env, node.output_net) << m
+        tables[node.output_net] = TruthTable(len(node.fanins), bits)
+    return tables
+
+
+def _packed_tables(net, k):
+    packed = bench.pack_to_luts(net, k)
+    return {node.output_net: node.function for node in packed.nodes.values()}, packed
+
+
+def test_op_tables_match_the_reference():
+    assert {op: (t.num_inputs, t.bits) for op, t in bench._OPS.items()} == _REF_OPS
+
+
+@pytest.mark.parametrize("name", bench.BENCH_NAMES)
+def test_packer_tables_match_per_minterm_reference(name):
+    net = bench.gate_network(name)
+    for k in (3, 4, 5, 6):
+        got, packed = _packed_tables(net, k)
+        assert got == _reference_tables(net, packed), k
+
+
+@st.composite
+def _gate_networks(draw):
+    """A small gate network that uses every op, constants included, and
+    reads 0-2 latch outputs."""
+    g = bench.GateNetwork("h")
+    pool = g.pis("x", draw(st.integers(1, 4)))
+    qs = ["q%d" % i for i in range(draw(st.integers(0, 2)))]
+    pool += qs
+    ops = draw(st.permutations(sorted(_REF_OPS)))
+    ops += draw(st.lists(st.sampled_from(sorted(_REF_OPS)), max_size=12))
+    gates = []
+    for op in ops:
+        ins = [draw(st.sampled_from(pool)) for _ in range(_REF_OPS[op][0])]
+        gates.append(g.gate(op, *ins))
+        pool.append(gates[-1])
+    for q in qs:
+        g.latch(draw(st.sampled_from(gates)), q)
+    for net in draw(st.lists(st.sampled_from(gates), min_size=1, max_size=4, unique=True)):
+        g.po(net)
+    return g
+
+
+@settings(max_examples=150, deadline=None)
+@given(net=_gate_networks(), k=st.integers(3, 6))
+def test_packer_matches_per_minterm_reference_on_random_networks(net, k):
+    got, packed = _packed_tables(net, k)
+    assert got == _reference_tables(net, packed)
+    # the LUTs compose to the network: every sink agrees on every minterm
+    sources = net.inputs + [q for _d, q in net.latches]
+    sinks = [po for po, _net in net.outputs] + [d for d, _q in net.latches]
+    for m in range(1 << len(sources)):
+        env = {s: (m >> i) & 1 for i, s in enumerate(sources)}
+        out = packed.simulate(env)
+        assert {s: out[s] for s in sinks} == {s: _ref_value(net, env, s) for s in sinks}
+
+
 def test_random_netlist_determinism():
-    a = bench.random_netlist(9, num_pis=6, num_nodes=20, k=4, num_pos=3)
-    b = bench.random_netlist(9, num_pis=6, num_nodes=20, k=4, num_pos=3)
+    a = random_netlist(9, num_pis=6, num_nodes=20, k=4, num_pos=3)
+    b = random_netlist(9, num_pis=6, num_nodes=20, k=4, num_pos=3)
     from sllresub.netlist import write_blif
     assert write_blif(a) == write_blif(b)
 

@@ -1,5 +1,7 @@
 """Exit codes of every CLI subcommand: 0 ok, 1 counterexample, 2 usage or stage error."""
 
+import filecmp
+import json
 import os
 
 import pytest
@@ -7,7 +9,7 @@ import pytest
 from sllresub import cli, flow
 from sllresub.equiv import EquivVerdict
 
-from conftest import BAD_CARE
+from conftest import BAD_CARE, NO_LOGIC_BLIF
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DEMO = os.path.join(REPO, "demo", "twodie_xor.blif")
@@ -69,6 +71,8 @@ def test_equiv_exit_codes(tmp_path, mutated, capsys):
     assert run("equiv", DEMO, mutated) == 1
     assert capsys.readouterr().out.startswith("MISMATCH on F")
     assert run("equiv", DEMO, CARE) == 2           # interfaces differ
+    assert run("equiv", DEMO, DEMO, "--exhaustive", "--random", 5) == 2
+    assert "not allowed with argument --exhaustive" in capsys.readouterr().err
 
 
 def test_vector_budget_below_one_is_a_usage_error(tmp_path, capsys):
@@ -111,6 +115,40 @@ def test_flow_exit_codes(tmp_path, monkeypatch):
 
     monkeypatch.setattr(flow, "check_equivalence", refuted)
     assert run(*args, "--outdir", tmp_path / "bad") == 1
+
+
+@pytest.mark.parametrize("mode", ["fm", "hash", "file"])
+def test_netlist_without_logic_is_a_partition_stage_error(tmp_path, capsys, mode):
+    src = tmp_path / "t.blif"
+    src.write_text(NO_LOGIC_BLIF)
+    dies = tmp_path / "t.dies"
+    dies.write_text("# dies 2\na 0\n")
+    assert run("flow", "--in", src, "--partition-mode", mode, "--partition-file", dies,
+               "--outdir", tmp_path / "out") == 2
+    assert "[partition] cannot partition an empty netlist" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_post_assignment_reproduces_metrics_and_split(tmp_path):
+    """`partition_post.txt` is the assignment of `post.blif`: with it,
+    `metrics` gives `metrics.json`'s after section and `split` gives the
+    flow's die files, where the input assignment names swept nodes."""
+    src, labels, out = tmp_path / "i2c.blif", tmp_path / "hash.dies", tmp_path / "out"
+    assert run("bench", "i2c", "--lut-k", 6, "-o", src) == 0
+    assert run("partition", src, "-o", labels, "--dies", 3, "--partition-mode", "hash") == 0
+    assert run("flow", "--in", src, "--outdir", out, "--dies", 3, "--partition-mode", "file",
+               "--partition-file", labels) == 0
+    assert filecmp.cmp(out / "partition.txt", labels, shallow=False)
+    post = ("--in", out / "post.blif", "--partition")
+    assert run("metrics", *post, out / "partition.txt") == 2
+    assert run("metrics", *post, out / "partition_post.txt", "--json", tmp_path / "m.json") == 0
+    got = json.loads((tmp_path / "m.json").read_text())["after"]
+    assert got == json.loads((out / "metrics.json").read_text())["after"]
+    assert run("split", *post, out / "partition_post.txt", "--outdir", tmp_path / "split") == 0
+    dies = sorted(os.listdir(tmp_path / "split"))
+    assert dies == ["die0.blif", "die1.blif", "die2.blif"]
+    for name in dies:
+        assert filecmp.cmp(tmp_path / "split" / name, out / name, shallow=False), name
 
 
 @pytest.mark.parametrize("kind", sorted(BAD_CARE))

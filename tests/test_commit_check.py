@@ -20,6 +20,8 @@ from sllresub.resynth import (ResubCandidate, ResynConfig, apply_resubstitution,
 from sllresub.truthtab import TruthTable
 from sllresub.windows import ResynthError, WindowSim, build_window, extract_care_set
 
+from conftest import random_netlist
+
 
 def _commits_against_exhaustive(netlist, assignment, config):
     """Resynthesize; at every commit compare the window verdict with an
@@ -82,16 +84,16 @@ def _commits_against_exhaustive(netlist, assignment, config):
 @given(seed=st.integers(0, 10**6), dies=st.integers(2, 4), latches=st.integers(0, 2),
        d1=st.integers(0, 2), cap=st.sampled_from([4, 6, 14]))
 def test_window_verdict_agrees_with_exhaustive_equivalence(seed, dies, latches, d1, cap):
-    n = bench.random_netlist(seed, num_pis=6, num_nodes=24, k=4, num_pos=4,
-                             num_latches=latches)
+    n = random_netlist(seed, num_pis=6, num_nodes=24, k=4, num_pos=4,
+                       num_latches=latches)
     _commits_against_exhaustive(n, partition_hash(n, dies),
                                 ResynConfig(d1=d1, window_pi_cap=cap))
 
 
 @pytest.mark.parametrize("seed, dies", [(2, 2), (13, 3)])
 def test_window_pi_in_the_pivots_fanout(seed, dies):
-    n = bench.random_netlist(seed, num_pis=6, num_nodes=24, k=4, num_pos=4,
-                             num_latches=seed % 3)
+    n = random_netlist(seed, num_pis=6, num_nodes=24, k=4, num_pos=4,
+                       num_latches=seed % 3)
     seen = _commits_against_exhaustive(n, partition_hash(n, dies), ResynConfig())
     assert seen["tfo_pi"] >= 1 and seen["rejected"] >= 1
 

@@ -8,9 +8,9 @@ from sllresub.equiv import EquivError, EquivVerdict, check_equivalence
 from sllresub.netlist import Netlist, parse_blif, write_blif
 from sllresub.partition import DieAssignment
 from sllresub.resynth import ResynConfig, resynthesize
-from sllresub.truthtab import TruthTable, full_mask
+from sllresub.truthtab import TruthTable, full_mask, minterm_masks
 
-from conftest import DEMO_BLIF, TABLE2
+from conftest import DEMO_BLIF, TABLE2, random_netlist
 
 
 def test_netlist_vs_itself_exhaustive(demo_netlist):
@@ -43,7 +43,7 @@ def test_demo_care_restricted_and_full(demo_netlist, demo_assignment, demo_care)
 
 def test_mutation_is_caught_with_counterexample():
     for seed in range(10):
-        n = bench.random_netlist(seed, num_pis=6, num_nodes=15, k=4, num_pos=4)
+        n = random_netlist(seed, num_pis=6, num_nodes=15, k=4, num_pos=4)
         mutated = n.copy()
         # flip the PO driver's table at the minterm its fanins reach under
         # the all-zero input: reachable by construction, observable at a PO
@@ -88,7 +88,7 @@ def test_latch_interface_compared(demo_netlist):
 
 
 def test_exhaustive_bound_enforced(monkeypatch):
-    n = bench.random_netlist(0, num_pis=8, num_nodes=10, k=4, num_pos=2)
+    n = random_netlist(0, num_pis=8, num_nodes=10, k=4, num_pos=2)
     monkeypatch.setattr(equiv, "EXHAUSTIVE_PI_BOUND", 4)
     with pytest.raises(EquivError):
         check_equivalence(n, n.copy(), mode="exhaustive")
@@ -104,7 +104,7 @@ def test_vector_budget_below_one_is_refused(demo_netlist, mode, budget):
 
 
 def test_random_mode_deterministic_and_minimized():
-    n = bench.random_netlist(3, num_pis=10, num_nodes=25, k=4, num_pos=4)
+    n = random_netlist(3, num_pis=10, num_nodes=25, k=4, num_pos=4)
     mutated = n.copy()
     po_driver = mutated.node_of_net(mutated.primary_outputs[0])
     mutated.replace_node(po_driver.id, list(po_driver.fanins),
@@ -153,7 +153,7 @@ def _reference_check(a, b, mode, seed=0, vector_budget=equiv.DEFAULT_VECTOR_BUDG
         return None, None
 
     if mode == "exhaustive":
-        masks, width = a.exhaustive_masks()
+        masks, width = minterm_masks(sources), 1 << len(sources)
         sink, bit = first_mismatch(masks, width)
         if sink is None:
             return EquivVerdict(True, mode, width)
@@ -184,7 +184,7 @@ def test_changed_cone_one_row_flip_matches_full_evaluation(mode):
     kwargs = {"mode": mode, "seed": 3, "vector_budget": 20_000}
     mismatches = 0
     for seed in range(4):
-        n = bench.random_netlist(seed, num_pis=6, num_nodes=15, k=4, num_pos=4)
+        n = random_netlist(seed, num_pis=6, num_nodes=15, k=4, num_pos=4)
         for net in sorted(node.output_net for node in n.nodes.values()):
             post = n.copy()
             node = post.node_of_net(net)
@@ -244,8 +244,8 @@ def _edit(netlist, kind, pick):
        mode=st.sampled_from(["exhaustive", "random"]), care_bits=st.integers(0, 16))
 def test_restricted_final_check_matches_full_reference(seed, latches, kind, pick, mode,
                                                        care_bits):
-    a = bench.random_netlist(seed, num_pis=6, num_nodes=20, k=4, num_pos=5,
-                             num_latches=latches)
+    a = random_netlist(seed, num_pis=6, num_nodes=20, k=4, num_pos=5,
+                       num_latches=latches)
     b = _edit(a, kind, pick)
     care = None
     if care_bits < 16:     # 16: no predicate
@@ -273,8 +273,8 @@ def _count_evaluations(monkeypatch):
 
 
 def test_unchanged_copy_evaluates_no_node(monkeypatch, demo_netlist, demo_care):
+    i2c = parse_blif(write_blif(bench.build("i2c", 4)))     # the packer evaluates
     calls = _count_evaluations(monkeypatch)
-    i2c = parse_blif(write_blif(bench.build("i2c", 4)))
     got = check_equivalence(i2c, i2c.copy(), mode="random", vector_budget=20_000)
     assert got == EquivVerdict(True, "random", 20_000)
     got = check_equivalence(demo_netlist, demo_netlist.copy(), care=demo_care)

@@ -13,7 +13,7 @@ from sllresub.partition import (DieAssignment, PartitionConfig, partition_hash,
                                 save_assignment)
 from sllresub.resynth import ResynConfig
 
-from conftest import BAD_CARE
+from conftest import BAD_CARE, NO_LOGIC_BLIF, random_netlist
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DEMO_DIR = os.path.join(REPO, "demo")
@@ -163,8 +163,8 @@ def test_split_rejects_reserved_prefix():
 
 def test_split_stitch_roundtrip_50_random_pairs():
     for seed in range(50):
-        n = bench.random_netlist(seed, num_pis=6, num_nodes=18, k=4,
-                                 num_pos=4, num_latches=seed % 3)
+        n = random_netlist(seed, num_pis=6, num_nodes=18, k=4,
+                           num_pos=4, num_latches=seed % 3)
         k = 2 + seed % 3
         asg = partition_hash(n, k)
         parts = split_per_die(n, asg)
@@ -177,8 +177,8 @@ def test_split_stitch_roundtrip_50_random_pairs():
 
 
 def test_split_keeps_latches_on_their_die():
-    n = bench.random_netlist(5, num_pis=5, num_nodes=15, k=4, num_pos=3,
-                             num_latches=3)
+    n = random_netlist(5, num_pis=5, num_nodes=15, k=4, num_pos=3,
+                       num_latches=3)
     asg = partition_hash(n, 2)
     parts = split_per_die(n, asg)
     for die, part in enumerate(parts):
@@ -205,6 +205,21 @@ def test_flow_malformed_dies_header_is_a_partition_error(tmp_path):
     cfg = _demo_flow_config(tmp_path / "out")
     cfg.partition.partition_file = str(bad)
     with pytest.raises(FlowError, match="line 1") as err:
+        run_flow(cfg)
+    assert err.value.stage == "partition"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("mode", ["fm_mincut", "hash_label", "external_file"])
+def test_flow_refuses_a_netlist_without_logic_at_partition(tmp_path, mode):
+    src = tmp_path / "t.blif"
+    src.write_text(NO_LOGIC_BLIF)
+    dies = tmp_path / "t.dies"
+    dies.write_text("# dies 2\na 0\n")
+    cfg = FlowConfig(input_path=str(src), out_dir=str(tmp_path / "out"),
+                     partition=PartitionConfig(num_dies=2, mode=mode,
+                                               partition_file=str(dies)))
+    with pytest.raises(FlowError, match="cannot partition an empty netlist") as err:
         run_flow(cfg)
     assert err.value.stage == "partition"
     assert not (tmp_path / "out").exists()

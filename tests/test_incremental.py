@@ -18,11 +18,11 @@ from sllresub.metrics import count_sll_fo
 from sllresub.netlist import NetlistError, write_blif
 from sllresub.partition import entities, partition_hash
 from sllresub.resynth import ResynConfig, resynthesize
-from sllresub.truthtab import TruthTable, full_mask, var_mask
+from sllresub.truthtab import TruthTable, full_mask, minterm_masks
 from sllresub.windows import (ResynthError, ValueCache, Window, WindowSim, build_window,
                               extract_care_set, observable)
 
-from conftest import cone_input_nets, tfi
+from conftest import cone_input_nets, random_netlist, tfi
 
 
 def _reference_grow_window(netlist, pivot, d1, d2):
@@ -229,8 +229,8 @@ def test_build_window_matches_regrowth_at_every_shrink_step(name):
 @given(seed=st.integers(0, 10**6), latches=st.integers(0, 2), d1=st.integers(0, 3),
        d2=st.integers(1, 4), cap=st.integers(1, 8))
 def test_build_window_matches_regrowth_on_random_netlists(seed, latches, d1, d2, cap):
-    n = bench.random_netlist(seed, num_pis=6, num_nodes=40, k=4, num_pos=4,
-                             num_latches=latches)
+    n = random_netlist(seed, num_pis=6, num_nodes=40, k=4, num_pos=4,
+                       num_latches=latches)
     config = ResynConfig(d1=d1, d2=d2, window_pi_cap=cap)
     for pivot in sorted(n.nodes):
         _assert_matches_regrowth(n, pivot, config, n.tfo(pivot, None))
@@ -266,8 +266,8 @@ def _levels_by_name(netlist):
 @given(seed=st.integers(0, 10**6), dies=st.integers(2, 4), latches=st.integers(0, 2),
        passes=st.sampled_from([1, -1]))
 def test_commit_state_matches_recomputation(seed, dies, latches, passes):
-    n = bench.random_netlist(seed, num_pis=6, num_nodes=24, k=4, num_pos=4,
-                             num_latches=latches)
+    n = random_netlist(seed, num_pis=6, num_nodes=24, k=4, num_pos=4,
+                       num_latches=latches)
     asg = partition_hash(n, dies)
     seen = []
     apply = resynth.apply_resubstitution
@@ -295,7 +295,7 @@ def test_commit_state_matches_recomputation(seed, dies, latches, passes):
 @given(seed=st.integers(0, 10**6), edits=st.integers(1, 12))
 def test_levels_follow_random_edits(seed, edits):
     rng = random.Random(seed)
-    n = bench.random_netlist(seed, num_pis=5, num_nodes=20, k=4, num_pos=3)
+    n = random_netlist(seed, num_pis=5, num_nodes=20, k=4, num_pos=3)
     n.levels()
     for _ in range(edits):
         nid = rng.choice(sorted(n.nodes))
@@ -312,7 +312,7 @@ def test_levels_follow_random_edits(seed, edits):
 
 
 def test_edit_that_closes_a_cycle_is_reported_by_levels():
-    n = bench.random_netlist(3, num_pis=4, num_nodes=12, k=4, num_pos=2)
+    n = random_netlist(3, num_pis=4, num_nodes=12, k=4, num_pos=2)
     n.levels()
     deep = max(n.nodes, key=lambda nid: n.levels()[nid])
     first = next(nid for nid in sorted(n.nodes) if deep in n.tfo(nid))
@@ -323,7 +323,7 @@ def test_edit_that_closes_a_cycle_is_reported_by_levels():
 
 @pytest.mark.parametrize("seed", range(30))
 def test_fanout_cone_check_matches_tfo(seed):
-    n = bench.random_netlist(seed, num_pis=5, num_nodes=25, k=4, num_pos=4, num_latches=seed % 2)
+    n = random_netlist(seed, num_pis=5, num_nodes=25, k=4, num_pos=4, num_latches=seed % 2)
     nets = n.source_nets() + [node.output_net for node in n.nodes.values()]
     for pivot in n.nodes:
         cone = n.tfo(pivot) | {pivot}
@@ -335,7 +335,7 @@ def test_fanout_cone_check_matches_tfo(seed):
 def _eager_window_values(netlist, window, forced=None):
     """Every window net simulated in topological order, the pivot forced
     to the constant `forced` unless it is None."""
-    values = {net: var_mask(i, window.num_pis) for i, net in enumerate(window.window_pis)}
+    values = minterm_masks(window.window_pis)
     pivot = netlist.nodes[window.pivot]
     for nid in window.internal:
         node = netlist.nodes[nid]
@@ -407,7 +407,7 @@ def test_forced_pivot_resim_matches_full_window_resim(name):
 def _captured_values(sim):
     """Every net of `sim`'s window simulated from the nodes it captured."""
     window = sim.window
-    values = {net: var_mask(i, window.num_pis) for i, net in enumerate(window.window_pis)}
+    values = minterm_masks(window.window_pis)
     for node in sim.nodes.values():     # captured in topological order
         values[node.output_net] = node.function.eval_masks(
             [values[f] for f in node.fanins], window.width)
@@ -451,8 +451,8 @@ def _outputs(result):
 @given(seed=st.integers(0, 10**6), dies=st.integers(2, 4), latches=st.integers(0, 2),
        passes=st.sampled_from([1, -1]), verify=st.booleans())
 def test_shared_masks_match_each_windows_own_simulation(seed, dies, latches, passes, verify):
-    n = bench.random_netlist(seed, num_pis=6, num_nodes=30, k=4, num_pos=4,
-                             num_latches=latches)
+    n = random_netlist(seed, num_pis=6, num_nodes=30, k=4, num_pos=4,
+                       num_latches=latches)
     asg = partition_hash(n, dies)
     config = ResynConfig(passes=passes, verify_each_commit=verify)
     shared, _served = _resynthesize_recording(n, asg, config)

@@ -4,7 +4,6 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sllresub import bench
 from sllresub.flow import split_per_die
 from sllresub.metrics import (MetricsError, PlacementData, bbox_cost_md,
                               bbox_cost_sd, count_sll, count_sll_fo, load_placement,
@@ -13,6 +12,8 @@ from sllresub.metrics import _hpwl
 from sllresub.netlist import SLL_PREFIX, net_terminals, parse_blif
 from sllresub.partition import DieAssignment, entities, partition_hash
 from sllresub.resynth import ResynConfig, resynthesize
+
+from conftest import random_netlist
 
 
 def test_count_sll_demo(demo_netlist, demo_assignment, demo_care):
@@ -72,8 +73,8 @@ def _brute_force_edges(netlist, assignment):
 
 def test_count_sll_fo_matches_bruteforce_on_100_instances():
     for seed in range(100):
-        n = bench.random_netlist(seed, num_pis=6, num_nodes=25, k=4,
-                                 num_pos=4, num_latches=seed % 3)
+        n = random_netlist(seed, num_pis=6, num_nodes=25, k=4,
+                           num_pos=4, num_latches=seed % 3)
         asg = partition_hash(n, 2 + seed % 3)
         assert count_sll_fo(n, asg) == _brute_force_edges(n, asg)
         assert count_sll(n, asg) <= count_sll_fo(n, asg)
@@ -97,8 +98,8 @@ def _brute_force_counts(netlist, assignment):
 @given(seed=st.integers(0, 10**6), dies=st.integers(2, 4), latches=st.integers(0, 3),
        hashed=st.booleans())
 def test_crossing_counts_match_bruteforce_and_split_pins(seed, dies, latches, hashed):
-    n = bench.random_netlist(seed, num_pis=6, num_nodes=30, k=4, num_pos=4,
-                             num_latches=latches)
+    n = random_netlist(seed, num_pis=6, num_nodes=30, k=4, num_pos=4,
+                       num_latches=latches)
     if hashed:
         asg = partition_hash(n, dies)
     else:
@@ -186,7 +187,7 @@ def test_bbox_md_without_crossings_collapses(demo_netlist):
 
 
 def test_bbox_md_linear_in_link_length():
-    n = bench.random_netlist(4, num_pis=5, num_nodes=20, k=4, num_pos=4)
+    n = random_netlist(4, num_pis=5, num_nodes=20, k=4, num_pos=4)
     asg = partition_hash(n, 2)
     rng = random.Random(0)
     coords = {}
@@ -203,7 +204,7 @@ def test_bbox_md_linear_in_link_length():
 
 def test_bbox_md_degenerates_to_sd_with_one_die():
     for seed in range(5):
-        n = bench.random_netlist(seed, num_pis=5, num_nodes=20, k=4, num_pos=4)
+        n = random_netlist(seed, num_pis=5, num_nodes=20, k=4, num_pos=4)
         asg = DieAssignment(1, {name: 0 for name, _w in
                                 [(x, 0) for x in n.primary_inputs]
                                 + [(nd.output_net, 1) for nd in n.nodes.values()]},
@@ -248,7 +249,7 @@ def _reference_box_costs(netlist, p, assignment, sll_mode):
 
 @pytest.mark.parametrize("sll_mode", ["per-die", "raw-net"])
 def test_snapshot_boxes_equal_the_public_costs_exactly(sll_mode):
-    n = bench.random_netlist(6, num_pis=6, num_nodes=40, k=4, num_pos=4, num_latches=2)
+    n = random_netlist(6, num_pis=6, num_nodes=40, k=4, num_pos=4, num_latches=2)
     asg = partition_hash(n, 3)
     rng = random.Random(6)
     coords = {name: (rng.randrange(12), rng.randrange(9), asg.die(name)) for name in asg.die_of}

@@ -3,12 +3,11 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sllresub import bench
 from sllresub.netlist import (BlifParseError, NetlistError, has_generated_names, parse_blif,
                               write_blif)
-from sllresub.truthtab import TruthTable
+from sllresub.truthtab import TruthTable, minterm_masks
 
-from conftest import TABLE2, cone_input_nets, tfi
+from conftest import TABLE2, cone_input_nets, random_netlist, tfi
 
 
 def test_parse_and_cover():
@@ -125,8 +124,8 @@ def test_buffer_feedthrough_roundtrip():
 
 def test_random_netlists_roundtrip_bit_exact():
     for seed in range(100):
-        n = bench.random_netlist(seed, num_pis=6, num_nodes=14, k=4,
-                                 num_pos=3, num_latches=seed % 3)
+        n = random_netlist(seed, num_pis=6, num_nodes=14, k=4,
+                           num_pos=3, num_latches=seed % 3)
         again = parse_blif(write_blif(n))
         assert again.lut_count() == n.lut_count()
         for node in n.nodes.values():
@@ -227,8 +226,8 @@ def _mffc_by_deletion(netlist, root_id):
 
 def test_mffc_matches_deletion_fixpoint_on_random_netlists():
     for seed in range(25):
-        n = bench.random_netlist(seed, num_pis=5, num_nodes=30, k=4, num_pos=4,
-                                 num_latches=seed % 2)
+        n = random_netlist(seed, num_pis=5, num_nodes=30, k=4, num_pos=4,
+                           num_latches=seed % 2)
         for node in n.nodes.values():
             assert n.mffc(node) == _mffc_by_deletion(n, node.id), \
                 "seed %d node %s" % (seed, node.output_net)
@@ -238,8 +237,8 @@ def test_mffc_matches_deletion_fixpoint_on_random_netlists():
 @given(seed=st.integers(0, 10**6), latches=st.integers(0, 2), edits=st.integers(1, 12))
 def test_nodes_and_readers_stay_in_id_order_under_edits(seed, latches, edits):
     rng = random.Random(seed)
-    n = bench.random_netlist(seed, num_pis=5, num_nodes=20, k=4, num_pos=3,
-                             num_latches=latches)
+    n = random_netlist(seed, num_pis=5, num_nodes=20, k=4, num_pos=3,
+                       num_latches=latches)
     for _ in range(edits):
         if not n.nodes:
             break
@@ -295,12 +294,11 @@ def test_simulate_latch_boundaries():
 def test_simulate_matches_masks_on_random_netlists():
     rng = random.Random(7)
     for seed in range(10):
-        n = bench.random_netlist(seed, num_pis=5, num_nodes=20, k=4, num_pos=4)
-        masks, width = n.exhaustive_masks()
-        values = n.eval_masks(masks, width)
+        n = random_netlist(seed, num_pis=5, num_nodes=20, k=4, num_pos=4)
         sources = sorted(n.source_nets())
+        values = n.eval_masks(minterm_masks(sources), 1 << len(sources))
         for _ in range(20):
-            m = rng.randrange(width)
+            m = rng.randrange(1 << len(sources))
             assignment = {net: (m >> i) & 1 for i, net in enumerate(sources)}
             sim = n.simulate(assignment)
             for sink, v in sim.items():

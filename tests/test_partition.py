@@ -4,7 +4,6 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sllresub import bench
 from sllresub.metrics import count_sll
 from sllresub.netlist import parse_blif
 from sllresub.partition import (DieAssignment, PartitionConfig, PartitionError,
@@ -12,6 +11,8 @@ from sllresub.partition import (DieAssignment, PartitionConfig, PartitionError,
                                 entities, fnv1a64, hyperedges,
                                 load_assignment, partition_fm, partition_hash,
                                 save_assignment)
+
+from conftest import random_netlist
 
 
 def validate_assignment(netlist, assignment):
@@ -88,7 +89,7 @@ def test_demo_circuit_split_matches_enumeration(demo_netlist):
 
 
 def test_fm_deterministic_for_fixed_seed():
-    n = bench.random_netlist(42, num_pis=12, num_nodes=100, k=4, num_pos=8)
+    n = random_netlist(42, num_pis=12, num_nodes=100, k=4, num_pos=8)
     cfg = PartitionConfig(num_dies=2, ub=1.25, seed=5)
     a = partition_fm(n, cfg)
     b = partition_fm(n, cfg)
@@ -97,9 +98,9 @@ def test_fm_deterministic_for_fixed_seed():
 
 def test_fm_respects_imbalance_bound_randomized():
     for seed in range(6):
-        n = bench.random_netlist(seed + 100, num_pis=10,
-                                 num_nodes=60 + 15 * seed, k=4, num_pos=6,
-                                 num_latches=seed % 3)
+        n = random_netlist(seed + 100, num_pis=10,
+                           num_nodes=60 + 15 * seed, k=4, num_pos=6,
+                           num_latches=seed % 3)
         for k in (2, 3, 4):
             a = partition_fm(n, PartitionConfig(num_dies=k, ub=1.25, seed=seed))
             assert a.imbalance() <= 1.25 + 1e-12, (seed, k)
@@ -107,7 +108,7 @@ def test_fm_respects_imbalance_bound_randomized():
 
 
 def test_fm_pass_cuts_never_increase():
-    n = bench.random_netlist(7, num_pis=10, num_nodes=80, k=4, num_pos=6)
+    n = random_netlist(7, num_pis=10, num_nodes=80, k=4, num_pos=6)
     names = [e for e, _w in entities(n)]
     weights = dict(entities(n))
     graph = _FmGraph(names, weights, [pins for _d, pins in hyperedges(n)])
@@ -150,7 +151,7 @@ def test_hash_rename_changes_only_that_label(demo_netlist):
 
 
 def test_hash_balance_on_large_netlist():
-    n = bench.random_netlist(1, num_pis=16, num_nodes=1200, k=4, num_pos=10)
+    n = random_netlist(1, num_pis=16, num_nodes=1200, k=4, num_pos=10)
     a = partition_hash(n, 2)
     assert a.imbalance() <= 1.15
 
@@ -262,8 +263,8 @@ def _pin_sets(netlist):
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 10**6), dies=st.integers(2, 4), latches=st.integers(0, 3))
 def test_hyperedges_match_pin_sets_and_cut_is_raw_net_sll(seed, dies, latches):
-    n = bench.random_netlist(seed, num_pis=6, num_nodes=30, k=4, num_pos=4,
-                             num_latches=latches)
+    n = random_netlist(seed, num_pis=6, num_nodes=30, k=4, num_pos=4,
+                       num_latches=latches)
     edges = hyperedges(n)
     ref = _pin_sets(n)
     assert edges == [(name, ref[name]) for name, _w in entities(n) if name in ref]

@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sllresub.truthtab import (TruthTable, cover_to_table, full_mask,
+from sllresub.truthtab import (TruthTable, cover_to_table, full_mask, minterm_masks,
                                table_to_cover, var_mask)
 
 
@@ -136,6 +136,45 @@ def test_cover_to_table_and_expansion():
         cover_to_table(2, ["1"])
     with pytest.raises(ValueError):
         cover_to_table(2, ["1x"])
+
+
+def _cover_by_enumeration(rows):
+    """The former `cover_to_table`, kept as the reference: every free
+    position of every cube, one minterm at a time."""
+    bits = 0
+    for row in rows:
+        free = [i for i, c in enumerate(row) if c == "-"]
+        base = sum(1 << i for i, c in enumerate(row) if c == "1")
+        for k in range(1 << len(free)):
+            m = base
+            for j, i in enumerate(free):
+                if (k >> j) & 1:
+                    m |= 1 << i
+            bits |= 1 << m
+    return bits
+
+
+@st.composite
+def _covers(draw):
+    n = draw(st.integers(0, 6))
+    rows = draw(st.lists(st.text(alphabet="01-", min_size=n, max_size=n), max_size=8))
+    return n, rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(cover=_covers())
+def test_cover_to_table_matches_cube_enumeration(cover):
+    n, rows = cover
+    assert cover_to_table(n, rows) == TruthTable(n, _cover_by_enumeration(rows))
+
+
+def test_minterm_masks_enumerate_every_minterm():
+    for names in ([], ["a"], ["b", "a", "c"], ["x%d" % i for i in range(6)]):
+        masks = minterm_masks(names)
+        assert list(masks) == names
+        for m in range(1 << len(names)):
+            assert {n: (v >> m) & 1 for n, v in masks.items()} == \
+                {n: (m >> i) & 1 for i, n in enumerate(names)}
 
 
 def test_cover_round_trip():

@@ -2,7 +2,6 @@ import random
 
 import pytest
 
-from sllresub import bench
 from sllresub.netlist import parse_blif
 from sllresub.partition import DieAssignment, partition_hash
 from sllresub.resynth import ResynConfig
@@ -10,7 +9,7 @@ from sllresub.truthtab import TruthTable
 from sllresub.windows import (ResynthError, WindowSim, build_window, collect_divisors,
                               exist_check, extract_care_set, interpolate, observable)
 
-from conftest import TABLE2
+from conftest import TABLE2, random_netlist
 
 WIDE = ResynConfig(d1=30, d2=30, window_pi_cap=14)
 
@@ -75,7 +74,7 @@ def test_window_cap_shrinks_or_skips():
 
 def test_window_caps_hold_across_random_pivots():
     for seed in range(5):
-        n = bench.random_netlist(seed, num_pis=10, num_nodes=40, k=4, num_pos=5)
+        n = random_netlist(seed, num_pis=10, num_nodes=40, k=4, num_pos=5)
         cfg = ResynConfig(d1=2, d2=8, window_pi_cap=8)
         for node in n.topological_order():
             w = build_window(n, node, cfg)
@@ -232,7 +231,7 @@ def test_exist_and_interpolate_match_bruteforce_oracle():
     cfg = ResynConfig(d1=2, d2=4, window_pi_cap=10)
     checked = 0
     for seed in range(8):
-        n = bench.random_netlist(seed, num_pis=8, num_nodes=30, k=4, num_pos=5)
+        n = random_netlist(seed, num_pis=8, num_nodes=30, k=4, num_pos=5)
         asg = partition_hash(n, 2)
         for node in n.topological_order():
             w = build_window(n, node, cfg)
