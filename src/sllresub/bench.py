@@ -173,32 +173,41 @@ def pack_to_luts(net: GateNetwork, k: int) -> Netlist:
     for d, q in net.latches:
         out.add_latch(d, q, "0")
 
+    # LUTs in post-order of a depth-first walk over the roots' supports,
+    # with an explicit stack so that long chains do not hit the recursion limit
     order: list[str] = []
     seen = set()
-
-    def visit(g: str):
-        if g in seen or g not in supports:
-            return
-        seen.add(g)
-        for s in supports[g]:
-            if s not in sources:
-                visit(s)
-        order.append(g)
-
     for root in sorted(roots):
-        visit(root)
+        if root in seen:
+            continue
+        seen.add(root)
+        stack = [(root, iter(supports[root]))]
+        while stack:
+            g, rest = stack[-1]
+            for s in rest:
+                if s not in sources and s not in seen and s in supports:
+                    seen.add(s)
+                    stack.append((s, iter(supports[s])))
+                    break
+            else:
+                stack.pop()
+                order.append(g)
     for root in order:
         support = supports[root]
         values = minterm_masks(support)
         width = 1 << len(support)
-
-        def val(n: str) -> int:
-            if n not in values:
-                op, ins = net.gates[n]
-                values[n] = _OPS[op].eval_masks([val(i) for i in ins], width)
-            return values[n]
-
-        out.add_node(root, list(support), TruthTable(len(support), val(root)))
+        # Every cluster gate but the root has one reader, in the cluster, so
+        # the cluster is a tree: found from the root down, each gate once,
+        # and tabulated in the reverse order, after its fanins.
+        cluster = [root]
+        for g in cluster:
+            for i in net.gates[g][1]:
+                if i not in values:
+                    cluster.append(i)
+        for g in reversed(cluster):
+            op, ins = net.gates[g]
+            values[g] = _OPS[op].eval_masks([values[i] for i in ins], width)
+        out.add_node(root, list(support), TruthTable(len(support), values[root]))
     out.validate()
     return out
 

@@ -118,8 +118,10 @@ def cmd_partition(args) -> int:
     netlist = parse_blif_file(args.input, args.k_max)
     assignment = assignment_for(netlist, _partition_config(args))
     save_assignment(assignment, args.output)
-    _say(args, "cut=%d rho=%.4f -> %s"
-         % (count_sll(netlist, assignment, "raw-net"), assignment.imbalance(), args.output))
+    if args.verbose:    # the message costs a cut count; build it only when shown
+        _say(args, "cut=%d rho=%.4f -> %s"
+             % (count_sll(netlist, assignment, "raw-net"), assignment.imbalance(),
+                args.output))
     return 0
 
 

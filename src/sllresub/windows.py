@@ -6,13 +6,13 @@ Everything inside is exhaustively simulable from the window PIs, which
 keeps existence checks and interpolation exact.
 
 A care set is an int mask over the window-PI minterms. The existence
-check and the interpolation are one tabulation, as in ABC `mfs`
-(Mishchenko, Brayton, Jiang, Jang, ACM TRETS 2011).
+check and the interpolation split it into the same care cofactors of a
+support, as in ABC `mfs` (Mishchenko, Brayton, Jiang, Jang, ACM TRETS
+2011).
 """
 
 from __future__ import annotations
 
-import heapq
 from collections import OrderedDict
 from dataclasses import dataclass, field
 
@@ -55,6 +55,8 @@ def _fanin_layers(netlist: Netlist, pivot: LutNode,
     layers = [[pivot.output_net]]
     drivers = {pivot.output_net: pivot}
     seen = {pivot.output_net}
+    nodes = netlist.nodes
+    node_of_net = netlist._node_of_net      # read directly: one lookup per fanin walked
     for _ in range(depth):
         layer = []
         for net in layers[-1]:
@@ -65,16 +67,17 @@ def _fanin_layers(netlist: Netlist, pivot: LutNode,
                 if f not in seen:
                     seen.add(f)
                     layer.append(f)
-                    fdrv = netlist.node_of_net(f)
-                    if fdrv is not None:
-                        drivers[f] = fdrv
+                    fid = node_of_net.get(f)
+                    if fid is not None:
+                        drivers[f] = nodes[fid]
         layers.append(layer)
     return layers, drivers
 
 
 def _fanout_layers(netlist: Netlist, pivot: int, d1: int, d2: int,
-                   level: dict[int, int]) -> tuple[list[list[LutNode]], set[int]]:
-    """The pivot's TFO by BFS distance up to `d1`, and its TFO up to a level.
+                   level: dict[int, int]) -> tuple[list[list[LutNode]], set[int], int]:
+    """The pivot's TFO by BFS distance up to `d1`, its TFO up to a level,
+    and that level.
 
     Layer 0 holds the pivot. The set holds the id of every TFO node at
     level at most L0 + d1 + d2, where L0 is the highest level in layers
@@ -101,7 +104,7 @@ def _fanout_layers(netlist: Netlist, pivot: int, d1: int, d2: int,
     frontier = layers[-1]
     while frontier:
         frontier = next_layer(frontier, bound)
-    return layers, seen
+    return layers, seen, bound
 
 
 def build_window(netlist: Netlist, pivot: LutNode, config) -> Window | None:
@@ -118,18 +121,23 @@ def build_window(netlist: Netlist, pivot: LutNode, config) -> Window | None:
     them not free. Its depth is one more than the highest depth among
     those fanins: core nets and leaves count 0, free sources add nothing,
     and a leaf whose driver joins as side logic takes that driver's depth.
-    It joins when its depth is at most d1 + d2. Nodes are decided in
-    (level, id) order, which is topological, so each is decided after
-    every fanin driver.
+    It joins when its depth is at most d1 + d2.
+
+    Nodes are decided level by level, from one list of queued nodes per
+    level. A node's fanin drivers all sit at lower levels, so each node is
+    decided after every fanin driver, and a decision queues only readers,
+    which sit at higher levels than the node. Two nodes of one level never
+    read each other, so the order within a level does not matter, and the
+    outcome is that of deciding in (level, id) order.
 
     The side logic is grown once, at the configured bounds. Each shrink
     step is derived from the previous one by change propagation: it
-    decides again, in (level, id) order, only the readers of base nets
-    (core nets and leaves) that dropped out, the side nodes now deeper
-    than d1 + d2, the TFI nodes that left the core, and the readers of
-    every node whose membership or depth changed. Filtering the previous
-    window would not do: when a leaf's driver drops out of the side logic
-    the leaf's depth falls back to 0, so a reader rejected before may now
+    decides again, level by level, only the readers of base nets (core
+    nets and leaves) that dropped out, the side nodes now deeper than
+    d1 + d2, the TFI nodes that left the core, and the readers of every
+    node whose membership or depth changed. Filtering the previous window
+    would not do: when a leaf's driver drops out of the side logic the
+    leaf's depth falls back to 0, so a reader rejected before may now
     join, and consecutive windows need not be nested.
 
     A side node of depth d sits at level at most L0 + d, where L0 is the
@@ -137,7 +145,8 @@ def build_window(netlist: Netlist, pivot: LutNode, config) -> Window | None:
     leaves sit at or below L0. So the pivot's TFO up to level L0 + d1 + d2
     keeps out the same side logic as its whole TFO at every step, and it
     covers every window node and window PI in the TFO. `Window.tfo` is
-    that set.
+    that set. No node above that level can join at any step, so none is
+    queued.
     """
     if pivot.id not in netlist.nodes:
         raise ResynthError("pivot is not a LUT node in this netlist")
@@ -147,7 +156,7 @@ def build_window(netlist: Netlist, pivot: LutNode, config) -> Window | None:
     level = netlist.levels()
     d1, d2 = config.d1, config.d2
     ins, drivers = _fanin_layers(netlist, pivot, d2 + 1)
-    outs, tfo = _fanout_layers(netlist, pivot.id, d1, d2, level)
+    outs, tfo, top = _fanout_layers(netlist, pivot.id, d1, d2, level)
     free = set(netlist.source_nets())
 
     core_nodes = [drivers[net] for layer in ins[:d2 + 1] for net in layer if net in drivers]
@@ -169,39 +178,43 @@ def build_window(netlist: Netlist, pivot: LutNode, config) -> Window | None:
     def decide_again(seeds, cap):
         """Decide `seeds` again, and the readers of every node that changes."""
         queued = core | tfo
-        heap = []
+        buckets: dict[int, list[int]] = {}     # level -> queued node ids
         for nid in seeds:
             if nid not in queued:
                 queued.add(nid)
-                heap.append((level[nid], nid))
-        heapq.heapify(heap)
-        while heap:
-            cur = nodes[heapq.heappop(heap)[1]]
-            d = 0
-            for f in cur.fanins:
-                fd = depth.get(f)
-                if fd is None:
-                    if f in base:
-                        fd = 0
-                    elif f in free:
-                        continue
-                    else:
-                        d = 0
-                        break
-                if fd >= d:
-                    d = fd + 1
-            new = d if 0 < d <= cap else None
-            out = cur.output_net
-            if new == depth.get(out):
-                continue
-            if new is None:
-                del depth[out], side[out]
-            else:
-                depth[out], side[out] = new, cur
-            for r in readers(out, ()):
-                if r not in queued:
-                    queued.add(r)
-                    heapq.heappush(heap, (level[r], r))
+                lv = level[nid]
+                if lv <= top:
+                    buckets.setdefault(lv, []).append(nid)
+        while buckets:
+            for nid in buckets.pop(min(buckets)):
+                cur = nodes[nid]
+                d = 0
+                for f in cur.fanins:
+                    fd = depth.get(f)
+                    if fd is None:
+                        if f in base:
+                            fd = 0
+                        elif f in free:
+                            continue
+                        else:
+                            d = 0
+                            break
+                    if fd >= d:
+                        d = fd + 1
+                new = d if 0 < d <= cap else None
+                out = cur.output_net
+                if new == depth.get(out):
+                    continue
+                if new is None:
+                    del depth[out], side[out]
+                else:
+                    depth[out], side[out] = new, cur
+                for r in readers(out, ()):
+                    if r not in queued:
+                        queued.add(r)
+                        lv = level[r]
+                        if lv <= top:
+                            buckets.setdefault(lv, []).append(r)
 
     while True:
         if d1 > 0:
@@ -242,7 +255,9 @@ def build_window(netlist: Netlist, pivot: LutNode, config) -> Window | None:
     pis -= absorbed
     internal_set = core | {n.id for n in side.values()}
     internal_set.update(node_of_net(net).id for net in absorbed)
-    internal = sorted(internal_set, key=lambda n: (level[n], n))
+    # (level, id) order: sorted by id, then stably by level
+    internal = sorted(internal_set)
+    internal.sort(key=level.__getitem__)
     return Window(pivot.id, sorted(pis), internal, tfo)
 
 
@@ -355,6 +370,8 @@ class WindowSim:
             if nid in tfo:
                 self.pivot_fanout.append(node)
         self.pivot_mask = self.value_of(self.pivot_net)
+        # support prefix and care mask -> mixed care cofactors (exist_check)
+        self.mixed_blocks: dict[tuple[tuple[str, ...], int], list[int]] = {}
 
     def value_of(self, net: str) -> int:
         """The mask of a window net: kept, shared, or evaluated after its
@@ -517,26 +534,47 @@ def collect_divisors(netlist: Netlist, window: Window, assignment: DieAssignment
 # existence check and interpolation
 
 
+def _support_masks(sim: WindowSim, support: list[str]) -> list[int]:
+    """The window masks of `support`, which must be narrow enough to tabulate."""
+    masks = [sim.value_of(net) for net in support]
+    if len(support) > 16:
+        raise ResynthError("support of %d nets is too wide to tabulate" % len(support))
+    return masks
+
+
+def _cofactors(care: int, masks: list[int]) -> list[tuple[int, int]]:
+    """The nonempty care cofactors of a support whose nets have `masks`.
+
+    Each pair is a support pattern t (bit i: the value of net i) and the
+    care minterms on which the support takes that pattern. The care set
+    is split by one net at a time, and empty blocks are dropped.
+    """
+    blocks = [(0, care)]
+    for i, vm in enumerate(masks):
+        bit = 1 << i
+        split = []
+        for t, part in blocks:
+            hi = part & vm
+            if hi != part:
+                split.append((t, part ^ hi))
+            if hi:
+                split.append((t | bit, hi))
+        blocks = split
+    return blocks
+
+
 def _tabulate(sim: WindowSim, care: int, support: list[str]) -> TruthTable | None:
     """The table over `support` agreeing with the pivot on every care
     minterm (0 where no care minterm hits), or None if there is none."""
     if not care:
         return TruthTable(len(support), 0)
-    masks = [sim.value_of(net) for net in support]
-    if len(support) > 16:
-        raise ResynthError("support of %d nets is too wide to tabulate" % len(support))
-    full = sim.full
-    on = sim.pivot_mask & care
-    off = ~sim.pivot_mask & full & care
+    masks = _support_masks(sim, support)
+    pivot = sim.pivot_mask
     bits = 0
-    for t in range(1 << len(support)):
-        part = care
-        for i, vm in enumerate(masks):
-            part &= vm if (t >> i) & 1 else full & ~vm
-            if not part:
-                break
-        if part & on:
-            if part & off:
+    for t, part in _cofactors(care, masks):
+        on = part & pivot
+        if on:
+            if on != part:
                 return None
             bits |= 1 << t
     return TruthTable(len(support), bits)
@@ -547,8 +585,34 @@ def exist_check(sim: WindowSim, care: int, support: list[str]) -> bool:
 
     Canonical pairwise-distinguishability semantics: no two care minterms
     may agree on every support net yet disagree on the pivot.
+
+    The answer is read from the care cofactors of `support` that hold both
+    onset and offset minterms of the pivot (mixed blocks): it is True when
+    there are none. A block that is not mixed stays so when split further,
+    so the mixed blocks of `support` are those of its prefix (every net but
+    the last), each split by the last net. `sim.mixed_blocks` keeps the
+    mixed blocks of each prefix, keyed by the prefix and `care`, so the
+    calls `base + [d]` over many divisors d cofactor `base` once and then
+    split only its mixed blocks.
     """
-    return _tabulate(sim, care, support) is not None
+    if not care:
+        return True
+    masks = _support_masks(sim, support)
+    pivot = sim.pivot_mask
+    key = (tuple(support[:-1]), care)
+    mixed = sim.mixed_blocks.get(key)
+    if mixed is None:
+        mixed = sim.mixed_blocks[key] = [part for _t, part in _cofactors(care, masks[:-1])
+                                         if 0 != part & pivot != part]
+    if not masks:
+        return not mixed
+    vm = masks[-1]
+    for part in mixed:
+        hi = part & vm
+        lo = part ^ hi
+        if 0 != hi & pivot != hi or 0 != lo & pivot != lo:
+            return False
+    return True
 
 
 def interpolate(sim: WindowSim, care: int, support: list[str]) -> TruthTable:

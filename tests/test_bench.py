@@ -193,6 +193,38 @@ def test_packer_matches_per_minterm_reference_on_random_networks(net, k):
         assert {s: out[s] for s in sinks} == {s: _ref_value(net, env, s) for s in sinks}
 
 
+def _not_chain(length, every_gate_a_po):
+    """`length` chained NOT gates from the PI x to the PO g0: gate gi reads
+    g(i+1), and the last one reads x. So a walk from g0, the first root
+    in name order, goes down the whole chain. Returns the network and
+    the gate names, g0 first."""
+    g = bench.GateNetwork("not_chain")
+    g.pi("x")
+    chain = ["g%d" % i for i in range(length)]
+    for i in range(length):
+        g.gate("NOT", chain[i + 1] if i + 1 < length else "x")
+    for net in chain if every_gate_a_po else chain[:1]:
+        g.po(net)
+    return g, chain
+
+
+def test_packer_takes_chains_deeper_than_the_recursion_limit():
+    # one root absorbs the whole chain: an even number of NOTs is a buffer
+    net, chain = _not_chain(1500, every_gate_a_po=False)
+    packed = bench.pack_to_luts(net, 4)
+    assert [(n.output_net, n.fanins, n.function) for n in packed.nodes.values()] \
+        == [("g0", ["x"], TruthTable(1, 0b10))]
+    # every gate a root: one inverter LUT per gate, each after its fanin
+    net, chain = _not_chain(1500, every_gate_a_po=True)
+    packed = bench.pack_to_luts(net, 4)
+    assert [n.output_net for n in packed.nodes.values()] == chain[::-1]
+    assert [n.fanins for n in packed.nodes.values()] == [["x"]] + [[g] for g in chain[:0:-1]]
+    assert all(n.function == TruthTable(1, 0b01) for n in packed.nodes.values())
+    for x in (0, 1):
+        out = packed.simulate({"x": x})
+        assert [out[g] for g in chain] == [x ^ (len(chain) - i) % 2 for i in range(len(chain))]
+
+
 def test_random_netlist_determinism():
     a = random_netlist(9, num_pis=6, num_nodes=20, k=4, num_pos=3)
     b = random_netlist(9, num_pis=6, num_nodes=20, k=4, num_pos=3)

@@ -55,6 +55,24 @@ def test_partition_exit_codes(tmp_path):
     assert run("partition", DEMO, "-o", tmp_path / "q.txt", "--dies", "two") == 2
 
 
+def test_partition_counts_the_cut_only_for_its_verbose_message(tmp_path, monkeypatch,
+                                                               capsys):
+    calls = []
+    count_sll = cli.count_sll
+
+    def counted(*args):
+        calls.append(args[2:])
+        return count_sll(*args)
+
+    monkeypatch.setattr(cli, "count_sll", counted)
+    assert run("partition", DEMO, "-o", tmp_path / "quiet.txt") == 0
+    assert calls == [] and capsys.readouterr().err == ""
+    assert run("partition", DEMO, "-o", tmp_path / "verbose.txt", "--verbose") == 0
+    assert calls == [("raw-net",)]
+    assert capsys.readouterr().err.startswith("cut=")
+    assert (tmp_path / "quiet.txt").read_text() == (tmp_path / "verbose.txt").read_text()
+
+
 def test_resynth_exit_codes(tmp_path, bad_dies):
     out = tmp_path / "post.blif"
     assert run("resynth", "--in", DEMO, "--partition", DIES, "--out", out,

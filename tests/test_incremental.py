@@ -196,7 +196,12 @@ def test_grow_window_matches_global_scan_on_every_pivot(name):
 
 
 def _assert_matches_regrowth(netlist, pivot, config, full_tfo):
-    got = build_window(netlist, netlist.nodes[pivot], config)
+    _assert_window_matches_regrowth(netlist, build_window(netlist, netlist.nodes[pivot], config),
+                                    pivot, config, full_tfo)
+
+
+def _assert_window_matches_regrowth(netlist, got, pivot, config, full_tfo):
+    """`got`, build_window's answer for `pivot`, is the regrown window."""
     want = _reference_build_window(netlist, pivot, config, full_tfo)
     assert (got is None) == (want is None), pivot
     if got is None:
@@ -255,6 +260,47 @@ def test_shrink_steps_need_not_be_nested():
     config = ResynConfig(d1=2, d2=1, window_pi_cap=15)
     assert g36 in build_window(n, n.nodes[pivot], config).internal
     _assert_matches_regrowth(n, pivot, config, full_tfo)
+
+
+def _sweep_checking_windows(netlist, assignment, config):
+    """Resynthesize, checking every window built mid-sweep against regrowth;
+    returns the number of windows built and the number of commits."""
+    build = resynth.build_window
+    built = []
+
+    def checked(work, pivot, cfg):
+        got = build(work, pivot, cfg)
+        _assert_window_matches_regrowth(work, got, pivot.id, cfg, work.tfo(pivot.id, None))
+        built.append(got)
+        return got
+
+    with mock.patch.object(resynth, "build_window", checked):
+        result = resynthesize(netlist, assignment, config)
+    return len(built), result.report.commits
+
+
+MID_SWEEP_CONFIGS = [ResynConfig(passes=-1, verify_each_commit=False),
+                     ResynConfig(d1=1, d2=3, window_pi_cap=6, passes=-1,
+                                 verify_each_commit=False)]
+
+
+@pytest.mark.parametrize("name, k", [("dec", 4), ("log2", 6)])
+@pytest.mark.parametrize("dies", [2, 4])
+def test_windows_built_mid_sweep_match_regrowth_on_builtins(name, k, dies):
+    """Commits give the nodes they touch fresh ids and move levels; every
+    window the sweep builds after them is still the regrown one."""
+    n = bench.build(name, k)
+    for config in MID_SWEEP_CONFIGS:
+        built, commits = _sweep_checking_windows(n, partition_hash(n, dies), config)
+        assert built > 100 and commits > 20
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_windows_built_mid_sweep_match_regrowth_on_random_netlists(seed):
+    n = random_netlist(seed, num_pis=6, num_nodes=40, k=4, num_pos=4,
+                       num_latches=1 + seed % 2)
+    for config in MID_SWEEP_CONFIGS:
+        _sweep_checking_windows(n, partition_hash(n, 2 + seed % 3), config)
 
 
 def _levels_by_name(netlist):

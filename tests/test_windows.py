@@ -2,9 +2,10 @@ import random
 
 import pytest
 
+from sllresub import bench
 from sllresub.netlist import parse_blif
 from sllresub.partition import DieAssignment, partition_hash
-from sllresub.resynth import ResynConfig
+from sllresub.resynth import ResynConfig, select_cross_die_fanin
 from sllresub.truthtab import TruthTable
 from sllresub.windows import (ResynthError, WindowSim, build_window, collect_divisors,
                               exist_check, extract_care_set, interpolate, observable)
@@ -252,3 +253,34 @@ def test_exist_and_interpolate_match_bruteforce_oracle():
                     assert interpolate(sim, care, support) == want_table
                 checked += 1
     assert checked > 100
+
+
+def test_exist_check_memo_answers_every_care_mask_of_one_sim():
+    """The calls find_equiv_func makes, base then base + [d] for every
+    usable divisor d, under three care masks on one sim: the extracted
+    care set, the full mask and a random sub-mask. The memo holds the
+    mixed cofactors of each prefix under each care mask."""
+    rng = random.Random(12)
+    cfg = ResynConfig(window_pi_cap=10)
+    answers = []
+    for name in ("i2c", "dec"):
+        n = bench.build(name, 4)
+        asg = partition_hash(n, 2)
+        for node in n.topological_order():
+            u = select_cross_die_fanin(n, asg, node)
+            w = build_window(n, node, cfg) if u is not None else None
+            if w is None:
+                continue
+            sim = WindowSim(n, w)
+            base = [f for f in node.fanins if f != u]
+            usable = [d for d in collect_divisors(n, w, asg, cfg).in_die if d not in base]
+            cares = [extract_care_set(n, sim), sim.full, rng.getrandbits(w.width)]
+            for care in cares:
+                for support in [base] + [base + [d] for d in usable]:
+                    want, _table = _oracle_exist_and_table(sim, care, support)
+                    got = exist_check(sim, care, support)
+                    assert got == want, (name, node.output_net, support, care == sim.full)
+                    answers.append(got)
+            assert set(sim.mixed_blocks) == {(tuple(prefix), care) for care in cares if care
+                                             for prefix in [base[:-1]] + [base] * bool(usable)}
+    assert answers.count(True) > 100 and answers.count(False) > 100
