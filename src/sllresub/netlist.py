@@ -373,6 +373,9 @@ class Netlist:
             out.add_latch(latch.input_net, latch.output_net, latch.init_value)
         for node in self.nodes.values():
             out.add_node(node.output_net, list(node.fanins), node.function)
+        if self._level is not None:
+            # the copy numbers the nodes in this netlist's id order
+            out._level = dict(zip(out.nodes, map(self._level.__getitem__, self.nodes)))
         return out
 
     # ------------------------------------------------------------------
@@ -449,6 +452,32 @@ def _logical_lines(text: str):
         yield pending_no, pending.split()
 
 
+def _cover_table(out_net: str, num_inputs: int, rows: list[str], row_nos: list[int],
+                 line_no: int) -> TruthTable:
+    """Compile the cover `rows`, read from lines `row_nos`, of the `.names`
+    block at `line_no`."""
+    in_rows = []
+    for row_no, row in zip(row_nos, rows):
+        parts = row.split()
+        if len(parts) == 1:
+            in_part, out_part = "", parts[0]
+        else:
+            in_part, out_part = parts
+        if out_part == "-":
+            raise BlifParseError(
+                "don't-care output plane on %r is rejected" % out_net, row_no)
+        if out_part == "0":
+            raise BlifParseError(
+                "off-set cover on %r is rejected; use the on-set" % out_net, row_no)
+        if out_part != "1":
+            raise BlifParseError("bad cover output %r" % out_part, row_no)
+        in_rows.append(in_part)
+    try:
+        return cover_to_table(num_inputs, in_rows)
+    except ValueError as exc:
+        raise BlifParseError(str(exc), line_no) from exc
+
+
 def parse_blif(text: str, k_max: int = DEFAULT_K_MAX) -> Netlist:
     """Parse flat BLIF (.model/.inputs/.outputs/.names/.latch/.end).
 
@@ -461,26 +490,29 @@ def parse_blif(text: str, k_max: int = DEFAULT_K_MAX) -> Netlist:
     ended = False
     inputs: list[str] = []
     outputs: list[str] = []
-    names: list[tuple[int, list[str], list]] = []  # (line_no, signals, rows)
+    # (line_no, signals, cover rows, the rows' line_nos)
+    names: list[tuple[int, list[str], list[str], list[int]]] = []
     latches: list[tuple[int, list[str]]] = []
-    cur_cover: list | None = None
+    cur_rows: list[str] | None = None
+    cur_nos: list[int] = []
 
     for line_no, tokens in _logical_lines(text):
         if ended:
             raise BlifParseError("content after .end", line_no)
         cmd = tokens[0]
         if not cmd.startswith("."):
-            if cur_cover is None:
+            if cur_rows is None:
                 raise BlifParseError("cover row outside .names", line_no)
             if len(tokens) == 1 and not names[-1][1][:-1]:
                 # constant node: a bare output value
-                cur_cover.append((line_no, tokens[0]))
+                cur_rows.append(tokens[0])
             elif len(tokens) == 2:
-                cur_cover.append((line_no, tokens[0] + " " + tokens[1]))
+                cur_rows.append(tokens[0] + " " + tokens[1])
             else:
                 raise BlifParseError("malformed cover row %r" % " ".join(tokens), line_no)
+            cur_nos.append(line_no)
             continue
-        cur_cover = None
+        cur_rows = None
         if cmd == ".model":
             if model_seen:
                 raise BlifParseError("multiple .model sections; flat netlists only", line_no)
@@ -497,9 +529,8 @@ def parse_blif(text: str, k_max: int = DEFAULT_K_MAX) -> Netlist:
             if len(sig) - 1 > k_max:
                 raise BlifParseError("node %r has %d fanins, exceeds k_max=%d"
                                      % (sig[-1], len(sig) - 1, k_max), line_no)
-            rows: list[str] = []
-            names.append((line_no, sig, rows))
-            cur_cover = rows
+            cur_rows, cur_nos = [], []
+            names.append((line_no, sig, cur_rows, cur_nos))
         elif cmd == ".latch":
             if len(tokens) < 3:
                 raise BlifParseError(".latch needs input and output", line_no)
@@ -541,28 +572,18 @@ def parse_blif(text: str, k_max: int = DEFAULT_K_MAX) -> Netlist:
         except NetlistError as exc:
             raise BlifParseError(str(exc), line_no) from exc
 
-    for line_no, sig, rows in names:
+    # identical covers share one table, and so its compiled mux plan; only
+    # a cover that compiled is stored, so an error names its first line
+    tables: dict[tuple[int, tuple[str, ...]], TruthTable] = {}
+    for line_no, sig, rows, row_nos in names:
         fanins, out_net = sig[:-1], sig[-1]
-        in_rows = []
-        for row_no, row in rows:
-            parts = row.split()
-            if len(parts) == 1:
-                in_part, out_part = "", parts[0]
-            else:
-                in_part, out_part = parts
-            if out_part == "-":
-                raise BlifParseError(
-                    "don't-care output plane on %r is rejected" % out_net, row_no)
-            if out_part == "0":
-                raise BlifParseError(
-                    "off-set cover on %r is rejected; use the on-set" % out_net, row_no)
-            if out_part != "1":
-                raise BlifParseError("bad cover output %r" % out_part, row_no)
-            in_rows.append(in_part)
+        key = (len(fanins), tuple(rows))
+        table = tables.get(key)
+        if table is None:
+            table = tables[key] = _cover_table(out_net, len(fanins), rows, row_nos, line_no)
         try:
-            table = cover_to_table(len(fanins), in_rows)
             netlist.add_node(out_net, fanins, table)
-        except (ValueError, NetlistError) as exc:
+        except NetlistError as exc:
             raise BlifParseError(str(exc), line_no) from exc
 
     try:
@@ -588,14 +609,17 @@ def write_blif(netlist: Netlist) -> str:
             out.write(".latch %s %s %s\n" % (latch.input_net, latch.output_net, latch.init_value))
         else:
             out.write(".latch %s %s\n" % (latch.input_net, latch.output_net))
+    covers: dict[tuple[int, int], str] = {}    # one cover text per distinct function
     level = netlist.levels()
     for node in sorted(netlist.nodes.values(), key=lambda n: (level[n.id], n.output_net)):
         out.write(".names%s %s\n" % ("".join(" " + f for f in node.fanins), node.output_net))
-        for row in table_to_cover(node.function):
-            if row:
-                out.write("%s 1\n" % row)
-            else:
-                out.write("1\n")
+        fn = node.function
+        key = (fn.num_inputs, fn.bits)
+        cover = covers.get(key)
+        if cover is None:
+            cover = covers[key] = "".join("%s 1\n" % row if row else "1\n"
+                                          for row in table_to_cover(fn))
+        out.write(cover)
     out.write(".end\n")
     return out.getvalue()
 

@@ -144,12 +144,12 @@ def _bfs_order(graph: _FmGraph, rng: random.Random) -> list[int]:
     return order
 
 
-def _fm_bipartition(graph: _FmGraph, caps: tuple[int, int], rng: random.Random,
-                    target0: float, trace: list | None = None) -> list[int]:
-    """Two-way FM with gain buckets; returns side (0/1) per vertex index.
+def _fm_seed(graph: _FmGraph, caps: tuple[int, int], rng: random.Random,
+             target0: float) -> tuple[list[int], list[int]]:
+    """(side per vertex index, weight per side) of FM's starting bisection.
 
-    The seed fills side 0 up to weight `target0`. `trace`, when given,
-    collects (pass start cut, accepted cut) pairs.
+    A seeded BFS fills side 0 up to weight `target0`, then vertices move
+    to side 0 until side 1 fits its cap.
     """
     n = len(graph.vertices)
     total = sum(graph.weights)
@@ -177,6 +177,23 @@ def _fm_bipartition(graph: _FmGraph, caps: tuple[int, int], rng: random.Random,
                 side_w[1] -= w
     if side_w[0] > caps[0] or side_w[1] > caps[1]:
         raise PartitionError("infeasible balance bound: cannot seed partition")
+    return side, side_w
+
+
+def _fm_bipartition(graph: _FmGraph, caps: tuple[int, int], rng: random.Random,
+                    target0: float, trace: list | None = None) -> list[int]:
+    """Two-way FM from `_fm_seed`; returns side (0/1) per vertex index.
+
+    Each pass moves the unlocked vertex of highest gain (lowest index on
+    ties) that fits the target side's cap, taken from a lazy heap of
+    (-gain, index, gain) entries, locks it, and keeps the best prefix of
+    its moves. A net with locked pins on both sides stays cut for the
+    rest of the pass, so once the count of such nets reaches the best cut
+    so far no later prefix can beat it, and the pass ends there. `trace`,
+    when given, collects (pass start cut, accepted cut) pairs.
+    """
+    n = len(graph.vertices)
+    side, side_w = _fm_seed(graph, caps, rng, target0)
 
     def net_counts():
         counts = [[0, 0] for _ in graph.nets]
@@ -200,14 +217,14 @@ def _fm_bipartition(graph: _FmGraph, caps: tuple[int, int], rng: random.Random,
                 if counts[ni][1 - f] == 0:
                     gains[p] -= 1
         locked = [False] * n
-        heap = []
-        for v in range(n):
-            heapq.heappush(heap, (-gains[v], v, gains[v]))
-        moves = []  # (vertex, cut_after)
+        locked_on = [[0, 0] for _ in graph.nets]   # per net, locked pins per side
+        dead = 0            # nets with locked pins on both sides: cut until the pass ends
+        heap = [(-g, v, g) for v, g in enumerate(gains)]
+        heapq.heapify(heap)        # exact: the entries are distinct
+        moves = []
         best_cut, best_len = cut, 0
         cur_cut = cut
-        moved = 0
-        while moved < n:
+        while len(moves) < n and dead < best_cut:
             entry = None
             skipped = []
             while heap:
@@ -233,6 +250,10 @@ def _fm_bipartition(graph: _FmGraph, caps: tuple[int, int], rng: random.Random,
             # FM incremental gain update around the move of v.
             for ni in graph.nets_of[v]:
                 pins = graph.nets[ni]
+                lk = locked_on[ni]
+                lk[t] += 1
+                if lk[t] == 1 and lk[f]:
+                    dead += 1
                 if counts[ni][t] == 0:
                     for p in pins:
                         if not locked[p]:
@@ -259,7 +280,6 @@ def _fm_bipartition(graph: _FmGraph, caps: tuple[int, int], rng: random.Random,
             side[v] = t
             side_w[f] -= graph.weights[v]
             side_w[t] += graph.weights[v]
-            moved += 1
             moves.append(v)
             if cur_cut < best_cut:
                 best_cut, best_len = cur_cut, len(moves)

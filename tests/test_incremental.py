@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from sllresub import bench, resynth, windows
 from sllresub.metrics import count_sll_fo
-from sllresub.netlist import NetlistError, write_blif
+from sllresub.netlist import Netlist, NetlistError, write_blif
 from sllresub.partition import entities, partition_hash
 from sllresub.resynth import ResynConfig, resynthesize
 from sllresub.truthtab import TruthTable, full_mask, minterm_masks
@@ -303,11 +303,6 @@ def test_windows_built_mid_sweep_match_regrowth_on_random_netlists(seed):
         _sweep_checking_windows(n, partition_hash(n, 2 + seed % 3), config)
 
 
-def _levels_by_name(netlist):
-    level = netlist.levels()
-    return {node.output_net: level[nid] for nid, node in netlist.nodes.items()}
-
-
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 10**6), dies=st.integers(2, 4), latches=st.integers(0, 2),
        passes=st.sampled_from([1, -1]))
@@ -322,7 +317,7 @@ def test_commit_state_matches_recomputation(seed, dies, latches, passes):
         """The commit, then its levels against a rebuild and its exact edge change."""
         before = count_sll_fo(netlist, assignment)
         change = apply(netlist, assignment, candidate)
-        assert _levels_by_name(netlist) == _levels_by_name(netlist.copy())
+        assert netlist.levels() == netlist._levels_from_scratch()
         seen.append(count_sll_fo(netlist, assignment) - before)
         return change
 
@@ -352,8 +347,50 @@ def test_levels_follow_random_edits(seed, edits):
         table = TruthTable(len(fanins), rng.getrandbits(1 << len(fanins)))
         node = n.replace_node(nid, fanins, table)
         n.sweep_dead(pool)
-        assert _levels_by_name(n) == _levels_by_name(n.copy())
+        assert n.levels() == n._levels_from_scratch()
         if node.id not in n.nodes:
+            break
+
+
+def _copy_without_relevelling(netlist):
+    with mock.patch.object(Netlist, "_levels_from_scratch",
+                           side_effect=AssertionError("copy recomputed its levels")):
+        out = netlist.copy()
+        out.levels()
+    return out
+
+
+@pytest.mark.parametrize("name", bench.BENCH_NAMES)
+def test_copy_carries_levels_on_builtins(name):
+    n = bench.build(name, 6)
+    n.levels()
+    c = _copy_without_relevelling(n)
+    assert c.levels() == c._levels_from_scratch()
+    level, copied = n.levels(), c.levels()
+    assert ({node.output_net: level[nid] for nid, node in n.nodes.items()}
+            == {node.output_net: copied[nid] for nid, node in c.nodes.items()})
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10**6), latches=st.integers(0, 3), edits=st.integers(1, 8))
+def test_copy_carries_levels_through_edits(seed, latches, edits):
+    rng = random.Random(seed)
+    n = random_netlist(seed, num_pis=5, num_nodes=24, k=4, num_pos=3, num_latches=latches)
+    # edit the original first, so that its ids have gaps the copy closes
+    victim = rng.choice(sorted(n.nodes))
+    n.replace_node(victim, list(n.nodes[victim].fanins), n.nodes[victim].function)
+    c = _copy_without_relevelling(n)
+    assert c.levels() == c._levels_from_scratch()
+    for _ in range(edits):
+        nid = rng.choice(sorted(c.nodes))
+        banned = c.tfo(nid) | {nid}
+        pool = sorted(net for net in c.source_nets() + [x.output_net for x in c.nodes.values()]
+                      if c.node_of_net(net) is None or c.node_of_net(net).id not in banned)
+        fanins = rng.sample(pool, rng.randint(1, min(4, len(pool))))
+        c.replace_node(nid, fanins, TruthTable(len(fanins), rng.getrandbits(1 << len(fanins))))
+        c.sweep_dead(pool)
+        assert c.levels() == c._levels_from_scratch()
+        if not c.nodes:
             break
 
 

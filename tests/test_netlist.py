@@ -3,9 +3,10 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sllresub import bench
 from sllresub.netlist import (BlifParseError, NetlistError, has_generated_names, parse_blif,
                               write_blif)
-from sllresub.truthtab import TruthTable, minterm_masks
+from sllresub.truthtab import TruthTable, minterm_masks, table_to_cover
 
 from conftest import TABLE2, cone_input_nets, random_netlist, tfi
 
@@ -310,3 +311,85 @@ def test_generated_prefix_detection(demo_netlist):
     n = parse_blif(".model m\n.inputs __sll_x_in\n.outputs y\n"
                    ".names __sll_x_in y\n1 1\n.end")
     assert has_generated_names(n)
+
+
+def test_equal_covers_share_one_table():
+    n = parse_blif(".model m\n.inputs a b c\n.outputs x y z w\n"
+                   ".names a b x\n11 1\n.names b c y\n11 1\n"
+                   ".names a c z\n1- 1\n-1 1\n.names c b w\n1- 1\n-1 1\n.end")
+    x, y, z, w = (n.node_of_net(s).function for s in "xyzw")
+    assert x is y and z is w
+    assert x == TruthTable(2, 0b1000) and z == TruthTable(2, 0b1110)
+
+
+@pytest.mark.parametrize("cover,line,message", [
+    ("1- 0", 7, "off-set"),            # a bad row is named by its own line
+    ("1- 1\n-1 -", 8, "don't-care"),
+    ("11- 1", 6, "does not match"),    # a row-width error names the .names line
+])
+def test_bad_cover_reports_its_first_line(cover, line, message):
+    # lines 4-5 compile a cover first; y (line 6) and z carry the same bad one
+    text = (".model m\n.inputs a b\n.outputs x y z\n.names a b x\n11 1\n"
+            ".names a b y\n%s\n.names b a z\n%s\n.end" % (cover, cover))
+    with pytest.raises(BlifParseError) as err:
+        parse_blif(text)
+    assert err.value.line_no == line
+    assert message in str(err.value)
+
+
+def test_equal_rows_of_another_arity_are_not_shared():
+    text = ".model m\n.inputs a b\n.outputs x y\n.names a b x\n11 1\n.names a y\n11 1\n.end"
+    with pytest.raises(BlifParseError) as err:
+        parse_blif(text)
+    assert err.value.line_no == 6
+    assert "does not match 1 inputs" in str(err.value)
+
+
+def _reference_write_blif(netlist):
+    """The BLIF writer with each node's cover rendered on its own."""
+    lines = [".model %s" % netlist.model_name,
+             ".inputs" + "".join(" " + n for n in netlist.primary_inputs),
+             ".outputs" + "".join(" " + n for n in netlist.primary_outputs)]
+    for latch in netlist.latches:
+        init = " " + latch.init_value if latch.init_value in ("0", "1") else ""
+        lines.append(".latch %s %s%s" % (latch.input_net, latch.output_net, init))
+    level = netlist.levels()
+    for node in sorted(netlist.nodes.values(), key=lambda n: (level[n.id], n.output_net)):
+        lines.append(".names" + "".join(" " + f for f in node.fanins) + " " + node.output_net)
+        lines += [row + " 1" if row else "1" for row in table_to_cover(node.function)]
+    return "\n".join(lines + [".end"]) + "\n"
+
+
+def _with_constants(netlist):
+    """`netlist` plus 0-input LUTs, empty covers and a latch, all read."""
+    pi = netlist.primary_inputs[0]
+    for bits in (0, 1):
+        netlist.add_node("const%d" % bits, [], TruthTable(0, bits))
+        netlist.add_node("one_in%d" % bits, [pi], TruthTable(1, bits))  # bits 1 is NOT
+        netlist.add_output("const%d" % bits)
+        netlist.add_output("one_in%d" % bits)
+    netlist.add_node("never", [pi, "const1"], TruthTable(2, 0))
+    netlist.add_latch("never", "held", "1")
+    netlist.add_node("uses_held", ["held", "const0"], TruthTable(2, 0b0110))
+    netlist.add_output("uses_held")
+    return netlist
+
+
+@pytest.mark.parametrize("k", [4, 6])
+def test_write_blif_matches_per_node_covers_on_builtins(k):
+    for name in bench.BENCH_NAMES:
+        n = bench.build(name, k)
+        assert write_blif(n) == _reference_write_blif(n), name
+    n = _with_constants(bench.build("dec", k))
+    assert write_blif(n) == _reference_write_blif(n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10**6), latches=st.integers(0, 3), constants=st.booleans())
+def test_write_blif_matches_per_node_covers_on_random_netlists(seed, latches, constants):
+    n = random_netlist(seed, num_pis=5, num_nodes=25, k=4, num_pos=3, num_latches=latches)
+    if constants:
+        n = _with_constants(n)
+    text = write_blif(n)
+    assert text == _reference_write_blif(n)
+    assert write_blif(parse_blif(text)) == text

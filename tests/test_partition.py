@@ -1,13 +1,16 @@
+import heapq
 import itertools
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sllresub import bench, partition
 from sllresub.metrics import count_sll
 from sllresub.netlist import parse_blif
-from sllresub.partition import (DieAssignment, PartitionConfig, PartitionError,
-                                _FmGraph, _fm_bipartition, assignment_for,
+from sllresub.partition import (MAX_FM_PASSES, DieAssignment, PartitionConfig, PartitionError,
+                                _FmGraph, _fm_bipartition, _fm_seed, assignment_for,
                                 entities, fnv1a64, hyperedges,
                                 load_assignment, partition_fm, partition_hash,
                                 save_assignment)
@@ -275,3 +278,155 @@ def test_hyperedges_match_pin_sets_and_cut_is_raw_net_sll(seed, dies, latches):
                             dict(entities(n)))):
         cut = sum(1 for _net, pins in edges if len({a.die(p) for p in pins}) > 1)
         assert _cut(n, a) == cut
+
+
+def _reference_fm_bipartition(graph, caps, rng, target0, trace):
+    """FM as `_fm_bipartition` runs it, but every pass moves until no
+    unlocked vertex fits its target side, with no cut-off."""
+    n = len(graph.vertices)
+    side, side_w = _fm_seed(graph, caps, rng, target0)
+    for _pass in range(MAX_FM_PASSES):
+        counts = [[0, 0] for _ in graph.nets]
+        for ni, pins in enumerate(graph.nets):
+            for p in pins:
+                counts[ni][side[p]] += 1
+        cut = sum(1 for c in counts if c[0] and c[1])
+        gains = [0] * n
+        for ni, pins in enumerate(graph.nets):
+            for p in pins:
+                f = side[p]
+                if counts[ni][f] == 1:
+                    gains[p] += 1
+                if counts[ni][1 - f] == 0:
+                    gains[p] -= 1
+        locked = [False] * n
+        heap = []
+        for v in range(n):
+            heapq.heappush(heap, (-gains[v], v, gains[v]))
+        moves = []
+        best_cut, best_len = cut, 0
+        cur_cut = cut
+        while len(moves) < n:
+            entry = None
+            skipped = []
+            while heap:
+                g, v, g_at_push = heapq.heappop(heap)
+                if locked[v] or g_at_push != gains[v]:
+                    continue
+                t = 1 - side[v]
+                if side_w[t] + graph.weights[v] > caps[t]:
+                    skipped.append((g, v, g_at_push))
+                    continue
+                entry = v
+                break
+            for s in skipped:
+                heapq.heappush(heap, s)
+            if entry is None:
+                break
+            v = entry
+            f = side[v]
+            t = 1 - f
+            move_gain = gains[v]
+            locked[v] = True
+            for ni in graph.nets_of[v]:
+                pins = graph.nets[ni]
+                if counts[ni][t] == 0:
+                    for p in pins:
+                        if not locked[p]:
+                            gains[p] += 1
+                            heapq.heappush(heap, (-gains[p], p, gains[p]))
+                elif counts[ni][t] == 1:
+                    for p in pins:
+                        if not locked[p] and side[p] == t:
+                            gains[p] -= 1
+                            heapq.heappush(heap, (-gains[p], p, gains[p]))
+                counts[ni][f] -= 1
+                counts[ni][t] += 1
+                if counts[ni][f] == 0:
+                    for p in pins:
+                        if not locked[p]:
+                            gains[p] -= 1
+                            heapq.heappush(heap, (-gains[p], p, gains[p]))
+                elif counts[ni][f] == 1:
+                    for p in pins:
+                        if not locked[p] and side[p] == f:
+                            gains[p] += 1
+                            heapq.heappush(heap, (-gains[p], p, gains[p]))
+            cur_cut -= move_gain
+            side[v] = t
+            side_w[f] -= graph.weights[v]
+            side_w[t] += graph.weights[v]
+            moves.append(v)
+            if cur_cut < best_cut:
+                best_cut, best_len = cur_cut, len(moves)
+        for v in reversed(moves[best_len:]):
+            t = side[v]
+            side[v] = 1 - t
+            side_w[t] -= graph.weights[v]
+            side_w[1 - t] += graph.weights[v]
+        trace.append((cut, min(best_cut, cut)))
+        if best_cut >= cut:
+            break
+    return side
+
+
+def _assert_fm_matches_reference(netlist, num_dies, seed=0):
+    """Partition `netlist`, checking every bisection against the reference."""
+    checked = []
+
+    def both(graph, caps, rng, target0, trace=None):
+        ref_rng = random.Random()
+        ref_rng.setstate(rng.getstate())
+        ref_trace, got_trace = [], []
+        ref = _reference_fm_bipartition(graph, caps, ref_rng, target0, ref_trace)
+        got = _fm_bipartition(graph, caps, rng, target0, got_trace)
+        assert got == ref
+        assert got_trace == ref_trace
+        checked.append(len(graph.vertices))
+        return got
+
+    with mock.patch.object(partition, "_fm_bipartition", both):
+        partition_fm(netlist, PartitionConfig(num_dies=num_dies, seed=seed))
+    assert len(checked) == num_dies - 1
+
+
+@pytest.mark.parametrize("k", [4, 6])
+@pytest.mark.parametrize("name", bench.BENCH_NAMES)
+def test_fm_cutoff_matches_full_passes_on_builtins(name, k):
+    n = bench.build(name, k)
+    for dies in (2, 3, 4):
+        _assert_fm_matches_reference(n, dies)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10**6), dies=st.integers(2, 4), latches=st.integers(0, 3))
+def test_fm_cutoff_matches_full_passes_on_random_netlists(seed, dies, latches):
+    n = random_netlist(seed, num_pis=8, num_nodes=60, k=4, num_pos=4,
+                       num_latches=latches)
+    _assert_fm_matches_reference(n, dies, seed)
+
+
+class _CountingList(list):
+    """A list that counts its item reads."""
+
+    reads = 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return super().__getitem__(i)
+
+
+def test_fm_cutoff_ends_passes_early():
+    # FM reads nets_of[v] once per vertex in the seed's BFS and once per
+    # move; with caps that block no move, a pass without the cut-off moves
+    # all n vertices
+    n = bench.build("i2c", 6)
+    ents = entities(n)
+    graph = _FmGraph([e for e, _w in ents], dict(ents), [pins for _d, pins in hyperedges(n)])
+    total = sum(graph.weights)
+    size = len(graph.vertices)
+    graph.nets_of = _CountingList(graph.nets_of)
+    trace = []
+    _fm_bipartition(graph, (total, total), random.Random(0), total / 2, trace)
+    moves = graph.nets_of.reads - size
+    assert 0 < moves < len(trace) * size
