@@ -405,13 +405,25 @@ class WindowSim:
         """Certify a commit made inside this window; raise ResynthError if not.
 
         `self` holds the window nodes as they were before the commit;
-        `netlist` is the netlist after it. The surviving window nodes are
-        simulated again as they now are, and every one still `observable`
-        must keep its value on every window-PI minterm that `care_mask`
-        allows. A pre-commit value not read before comes from the shared
-        table, which is not yet invalidated, or from the captured nodes,
-        never from `netlist`. The check reads no care set, and it visits
-        no node outside the window.
+        `netlist` is the netlist after it. Every surviving window node still
+        `observable` must keep its value on every window-PI minterm that
+        `care_mask` allows. The live window nodes are visited twice in
+        (level, id) order: first each fanin must be a window PI or an
+        earlier live net, then values are propagated from the change.
+
+        The value pass applies the twin rule of `equiv._changed_cone`: a
+        node with the same fanins and an equal function as its captured
+        node, none of whose fanins changed, keeps its pre-commit mask and is
+        not evaluated. Any other node is evaluated from the changed masks
+        and the pre-commit ones (`value_of`), and counts as changed only if
+        its mask differs. By induction in that order every live net gets
+        the mask a full simulation would give it, so the verdict, the net
+        and the minterm reported are those of a full re-simulation, at the
+        cost of the nodes the commit changed. A pre-commit value not read
+        before comes from the shared table, which is not yet invalidated, or
+        from the captured nodes, never from `netlist`; those of the nodes
+        the pivot feeds are mostly kept by `extract_care_set`. The check
+        reads no care set, and it visits no node outside the window.
 
         Nothing outside the window changed, so when each observable net
         keeps its function of the window PIs the whole netlist keeps its
@@ -423,20 +435,29 @@ class WindowSim:
         live = [netlist.node_of_net(net) for net in self.nodes]
         live = sorted((node for node in live if node is not None),
                       key=lambda node: (level[node.id], node.id))
-        values = {net: self.values[net] for net in pis}
-        try:
-            eval_nodes(live, values, self.width)
-        except KeyError as exc:
-            # no live node drives the missing net, so its first reader raised
-            reader = next(node for node in live if exc.args[0] in node.fanins)
-            raise ResynthError("window node %r reads %r from outside the window"
-                               % (reader.output_net, exc.args[0])) from None
+        known = set(pis)
+        for node in live:
+            for f in node.fanins:
+                if f not in known:
+                    raise ResynthError("window node %r reads %r from outside the window"
+                                       % (node.output_net, f))
+            known.add(node.output_net)
+        value_of = self.value_of
+        changed: dict[str, int] = {}    # live net -> its new mask, where it differs
         for node in live:
             net = node.output_net
-            if not observable(netlist, net, self.nodes):
+            twin = self.nodes[net]
+            if ((twin is node or twin.fanins == node.fanins and twin.function == node.function)
+                    and (not changed or changed.keys().isdisjoint(node.fanins))):
                 continue
-            diff = (values[net] ^ self.value_of(net)) & self.care_mask
-            if diff:
+            mask = node.function.eval_masks(
+                [changed[f] if f in changed else value_of(f) for f in node.fanins], self.width)
+            diff = mask ^ value_of(net)
+            if not diff:
+                continue
+            changed[net] = mask
+            diff &= self.care_mask
+            if diff and observable(netlist, net, self.nodes):
                 minterm = (diff & -diff).bit_length() - 1
                 raise ResynthError("commit on %r changed window output %r at %s" % (
                     self.pivot_net, net,
@@ -474,6 +495,12 @@ def extract_care_set(netlist: Netlist, sim: WindowSim) -> int:
     Bit m of the returned int is set iff window minterm m is care:
     flipping the pivot there changes some `observable` window net, and
     the sim's `care_mask` allows it.
+
+    The two forced simulations also give the mask of each window node the
+    pivot feeds: on each minterm the pivot's own value picks the forcing.
+    Those masks go into `sim.values` for `check_commit`, so it need not
+    evaluate them again. Only that check reads them, and the commit it
+    certifies invalidates them, so they are not published.
     """
     if observable(netlist, sim.pivot_net, sim.nodes):
         care = sim.full
@@ -483,8 +510,11 @@ def extract_care_set(netlist: Netlist, sim: WindowSim) -> int:
         v1 = sim.resim_with_pivot(1)
         care = 0
         for node in sim.pivot_fanout:
-            if observable(netlist, node.output_net, sim.nodes):
-                care |= v0[node.output_net] ^ v1[node.output_net]
+            net = node.output_net
+            flips = v0[net] ^ v1[net]
+            if observable(netlist, net, sim.nodes):
+                care |= flips
+            sim.values[net] = v0[net] ^ (flips & sim.pivot_mask)
     return care & sim.care_mask
 
 
@@ -506,27 +536,46 @@ def collect_divisors(netlist: Netlist, window: Window, assignment: DieAssignment
     its MFFC, and window nodes in the pivot's TFO (those would create
     cycles). Candidates are ordered by (window level, name), truncated at
     the divisor cap; `in_die` keeps the ones sharing the pivot's die.
+
+    Window levels are computed in one pass over `window.internal`, and each
+    qualifying net at level at most `d2` goes into the list of its level.
+    Names are sorted only within a level, and collection stops at the cap,
+    so only the levels the cap reaches are sorted.
     """
-    pivot_node = netlist.nodes[window.pivot]
-    excluded = {netlist.nodes[n].output_net for n in netlist.mffc(window.pivot)}
-    excluded.update(netlist.nodes[n].output_net for n in window.internal if n in window.tfo)
+    nodes = netlist.nodes
+    pivot_node = nodes[window.pivot]
+    excluded = {nodes[n].output_net for n in netlist.mffc(window.pivot)}
+    tfo = window.tfo
+    excluded.update(nodes[n].output_net for n in window.internal if n in tfo)
     excluded.add(pivot_node.output_net)
 
-    levels: dict[str, int] = {net: 0 for net in window.window_pis}
+    top = config.d2
+    by_level = [[net for net in window.window_pis if net not in excluded]]
+    by_level += [[] for _ in range(top)]
+    levels = dict.fromkeys(window.window_pis, 0)
     for nid in window.internal:
-        node = netlist.nodes[nid]
-        levels[node.output_net] = 1 + max((levels[f] for f in node.fanins), default=0)
+        node = nodes[nid]
+        lvl = 0
+        for f in node.fanins:
+            if levels[f] > lvl:
+                lvl = levels[f]
+        lvl += 1
+        net = node.output_net
+        levels[net] = lvl
+        if lvl <= top and net not in excluded:
+            by_level[lvl].append(net)
 
-    ordered = sorted(levels.items(), key=lambda kv: (kv[1], kv[0]))
     candidates = []
-    for net, lvl in ordered:
-        if net in excluded or lvl > config.d2:
-            continue
-        candidates.append((net, assignment.die(net), lvl))
-        if len(candidates) >= config.divisor_cap:
+    cap = config.divisor_cap
+    die = assignment.die
+    for lvl, nets in enumerate(by_level):
+        nets.sort()
+        for net in nets[:cap - len(candidates)]:
+            candidates.append((net, die(net), lvl))
+        if len(candidates) >= cap:
             break
-    pivot_die = assignment.die(pivot_node.output_net)
-    in_die = [net for net, die, _lvl in candidates if die == pivot_die]
+    pivot_die = die(pivot_node.output_net)
+    in_die = [net for net, d, _lvl in candidates if d == pivot_die]
     return DivisorSet(candidates, in_die)
 
 

@@ -1,11 +1,12 @@
 import random
+from unittest import mock
 
 import pytest
 
-from sllresub import bench
+from sllresub import bench, resynth
 from sllresub.netlist import parse_blif
 from sllresub.partition import DieAssignment, partition_hash
-from sllresub.resynth import ResynConfig, select_cross_die_fanin
+from sllresub.resynth import ResynConfig, resynthesize, select_cross_die_fanin
 from sllresub.truthtab import TruthTable
 from sllresub.windows import (ResynthError, WindowSim, build_window, collect_divisors,
                               exist_check, extract_care_set, interpolate, observable)
@@ -119,6 +120,75 @@ def test_divisors_exclude_mffc_and_tfo(demo_netlist, demo_assignment):
     nets = {net for net, _die, _lvl in d.candidates}
     assert "Y" not in nets
     assert "X" not in nets  # in mffc(Y)
+
+
+def _reference_collect_divisors(netlist, window, assignment, config):
+    """Divisors by sorting every window net by (window level, name)."""
+    pivot_node = netlist.nodes[window.pivot]
+    excluded = {netlist.nodes[n].output_net for n in netlist.mffc(window.pivot)}
+    excluded.update(netlist.nodes[n].output_net for n in window.internal if n in window.tfo)
+    excluded.add(pivot_node.output_net)
+    levels = {net: 0 for net in window.window_pis}
+    for nid in window.internal:
+        node = netlist.nodes[nid]
+        levels[node.output_net] = 1 + max((levels[f] for f in node.fanins), default=0)
+    candidates = []
+    for net, lvl in sorted(levels.items(), key=lambda kv: (kv[1], kv[0])):
+        if net in excluded or lvl > config.d2:
+            continue
+        candidates.append((net, assignment.die(net), lvl))
+        if len(candidates) >= config.divisor_cap:
+            break
+    pivot_die = assignment.die(pivot_node.output_net)
+    return candidates, [net for net, die, _lvl in candidates if die == pivot_die]
+
+
+def _divisors_against_reference(netlist, assignment, config):
+    """Sweep, and compare the divisors of every window built with the
+    reference: under the divisor caps 1 and 5 at the sweep's d2, and under
+    the cap 150 at each d2 from 1 to 8. Returns the number of windows.
+
+    A commit keeps the die of every net it leaves, so `assignment` gives
+    the dies of the working netlist."""
+    real_build = resynth.build_window
+    probes = [ResynConfig(d2=config.d2, divisor_cap=cap) for cap in (1, 5)]
+    probes += [ResynConfig(d2=d2, divisor_cap=150) for d2 in range(1, 9)]
+    windows = []
+
+    def build(work, pivot, cfg):
+        window = real_build(work, pivot, cfg)
+        if window is not None:
+            windows.append(window)
+            for probe in probes:
+                got = collect_divisors(work, window, assignment, probe)
+                want = _reference_collect_divisors(work, window, assignment, probe)
+                assert (got.candidates, got.in_die) == want, (
+                    pivot.output_net, probe.divisor_cap, probe.d2)
+        return window
+
+    with mock.patch.object(resynth, "build_window", build):
+        resynthesize(netlist, assignment, config)
+    return len(windows)
+
+
+@pytest.mark.parametrize("k", [4, 6])
+def test_divisors_match_sort_everything_reference_on_builtins(k):
+    compared = 0
+    for i, name in enumerate(bench.BENCH_NAMES):
+        n = bench.build(name, k)
+        config = ResynConfig(d2=1 + i % 8)
+        compared += _divisors_against_reference(n, partition_hash(n, 2 + i % 3), config)
+    assert compared > 300
+
+
+def test_divisors_match_sort_everything_reference_with_latches():
+    compared = 0
+    for seed in range(6):
+        n = random_netlist(seed, num_pis=8, num_nodes=40, k=4, num_pos=5,
+                           num_latches=1 + seed % 2)
+        config = ResynConfig(d2=1 + seed, window_pi_cap=10)
+        compared += _divisors_against_reference(n, partition_hash(n, 2 + seed % 3), config)
+    assert compared > 50
 
 
 def test_care_pivot_is_window_output(demo_netlist, demo_assignment):
