@@ -111,18 +111,17 @@ def _read_cone(a: Netlist, nets) -> list[LutNode]:
     """Nodes of `a` that the values of `nets` depend on, in (level, id) order."""
     seen = set(nets)
     stack = list(seen)
-    nodes = []
+    ids = []
     while stack:
         drv = a.node_of_net(stack.pop())
         if drv is None:
             continue
-        nodes.append(drv)
+        ids.append(drv.id)
         for f in drv.fanins:
             if f not in seen:
                 seen.add(f)
                 stack.append(f)
-    level = a.levels()
-    return sorted(nodes, key=lambda n: (level[n.id], n.id))
+    return [a.nodes[nid] for nid in a.level_order(ids)]
 
 
 def _eval_both(a_cone, b_cone, source_masks, width):
@@ -135,7 +134,7 @@ def _eval_both(a_cone, b_cone, source_masks, width):
     return a_vals, b_vals
 
 
-def _first_mismatch(a_vals, b_vals, sinks, care_bits, width):
+def _first_mismatch(a_vals, b_vals, sinks, care_bits):
     for sink in sinks:
         diff = (a_vals[sink] ^ b_vals[sink]) & care_bits
         if diff:
@@ -164,41 +163,37 @@ def check_equivalence(a: Netlist, b: Netlist, mode: str = "auto", seed: int = 0,
                          % (EXHAUSTIVE_PI_BOUND, len(sources)))
     if mode == "auto":
         mode = "exhaustive" if len(sources) <= EXHAUSTIVE_PI_BOUND else "random"
+    # exhaustive mode is one chunk holding every minterm
+    total = 1 << len(sources) if mode == "exhaustive" else vector_budget
     cone = _changed_cone(a, b)
     changed = {node.output_net for node in cone}
     sinks = [net for net in sorted(a.sink_nets()) if net in changed]
     if not sinks:
-        return EquivVerdict(True, mode, 1 << len(sources) if mode == "exhaustive"
-                            else vector_budget)
+        return EquivVerdict(True, mode, total)
     outside = {f for node in cone for f in node.fanins if f not in changed}
     a_cone = _read_cone(a, outside.union(sinks))
 
-    if mode == "exhaustive":
-        masks, width = minterm_masks(sources), 1 << len(sources)
-        a_vals, b_vals = _eval_both(a_cone, cone, masks, width)
-        care_bits = care_mask(care, masks, width)
-        sink, bit = _first_mismatch(a_vals, b_vals, sinks, care_bits, width)
-        if sink is None:
-            return EquivVerdict(True, "exhaustive", width)
-        assignment = {net: (bit >> i) & 1 for i, net in enumerate(sources)}
-        _mismatch_output(a, b, assignment)   # raises unless it re-simulates
-        return EquivVerdict(False, "exhaustive", width, assignment, sink)
-
     rng = random.Random(seed)
     checked = 0
-    while checked < vector_budget:
-        width = min(_CHUNK, vector_budget - checked)
-        masks = {net: rng.getrandbits(width) for net in sources}
+    while checked < total:
+        if mode == "exhaustive":
+            width, masks = total, minterm_masks(sources)
+        else:
+            width = min(_CHUNK, total - checked)
+            masks = {net: rng.getrandbits(width) for net in sources}
         a_vals, b_vals = _eval_both(a_cone, cone, masks, width)
         care_bits = care_mask(care, masks, width)
-        sink, bit = _first_mismatch(a_vals, b_vals, sinks, care_bits, width)
+        sink, bit = _first_mismatch(a_vals, b_vals, sinks, care_bits)
         checked += width
         if sink is not None:
+            # in exhaustive mode `_mismatch_output` names `sink`: an earlier
+            # sink that differed at this care minterm would have been found
             assignment = {net: (masks[net] >> bit) & 1 for net in sources}
-            assignment = _minimize(a, b, assignment, care)
-            return EquivVerdict(False, "random", checked,
+            if mode == "random":
+                assignment = _minimize(a, b, assignment, care)
+            return EquivVerdict(False, mode, checked,
                                 assignment, _mismatch_output(a, b, assignment))
-    return EquivVerdict(True, "random", checked)
+    return EquivVerdict(True, mode, checked)
 
 
 def _mismatch_output(a: Netlist, b: Netlist, assignment: dict[str, int]) -> str:

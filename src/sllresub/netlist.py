@@ -5,9 +5,15 @@ Latches act as sequential boundaries everywhere: a latch output is a
 pseudo primary input and a latch input is a pseudo primary output for
 all combinational analyses. Node levels are computed on the first
 `levels()` call and from then on kept current by every edit, so the
-mutation helpers used by resubstitution (`replace_node`, `remove_node`,
-`sweep_dead`) cost time in proportion to the logic they touch. Edits
-require exclusive access (no internal locking).
+mutation helpers used by resubstitution (`replace_node`, `sweep_dead`)
+cost time in proportion to the logic they touch. Edits require exclusive
+access (no internal locking).
+
+Each structural fact has one index: `reader_ids` holds the LUTs reading
+a net, and the PO, latch-reader and source indexes stay private behind
+`has_driver`, `is_sink` (a PO or a latch input reads the net) and
+`reader_names` (the LUT readers, then the latch readers). `level_order`
+is the one (level, id) order, the tie-break of every topological walk.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ from __future__ import annotations
 import heapq
 import io
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .truthtab import TruthTable, cover_to_table, full_mask, table_to_cover
 
@@ -51,15 +57,6 @@ class LatchElement:
     init_value: str = "unknown"  # '0' | '1' | 'unknown'
 
 
-@dataclass
-class _NetUse:
-    """Readers of one net: LUT node ids, latch indices, and PO marker."""
-
-    node_ids: list[int] = field(default_factory=list)
-    latch_idxs: list[int] = field(default_factory=list)
-    is_po: bool = False
-
-
 class Netlist:
     def __init__(self, model_name: str = "top", k_max: int = DEFAULT_K_MAX):
         self.model_name = model_name
@@ -71,23 +68,17 @@ class Netlist:
         self.latches: list[LatchElement] = []
         self._next_id = 0
         self._node_of_net: dict[str, int] = {}
-        self._latch_of_net: dict[str, int] = {}
-        self._pi_set: set[str] = set()
-        self._uses: dict[str, _NetUse] = {}
-        # net -> ids of the LUTs reading it, the same lists as in `_uses`;
-        # read-only outside this class, and a net nobody reads may be absent
+        self._sources: set[str] = set()     # PIs and latch outputs
+        self._pos: set[str] = set()
+        # net -> output nets of the latches reading it, in latch index order
+        self._latch_readers: dict[str, list[str]] = {}
+        # net -> ids of the LUTs reading it, in id order; read-only outside
+        # this class, and a net nobody reads may be absent
         self.reader_ids: dict[str, list[int]] = {}
         self._level: dict[int, int] | None = None   # built by the first levels() call
 
     # ------------------------------------------------------------------
     # construction
-
-    def _use(self, net: str) -> _NetUse:
-        u = self._uses.get(net)
-        if u is None:
-            u = self._uses[net] = _NetUse()
-            self.reader_ids[net] = u.node_ids
-        return u
 
     def _check_new_driver(self, net: str):
         if self.has_driver(net):
@@ -107,13 +98,13 @@ class Netlist:
     def add_input(self, name: str):
         self._check_new_driver(name)
         self.primary_inputs.append(name)
-        self._pi_set.add(name)
+        self._sources.add(name)
 
     def add_output(self, name: str):
-        if name in self.primary_outputs:
+        if name in self._pos:
             raise NetlistError("output %r declared twice" % name)
         self.primary_outputs.append(name)
-        self._use(name).is_po = True
+        self._pos.add(name)
 
     def add_node(self, output_net: str, fanins: list[str], function: TruthTable) -> LutNode:
         self._check_new_driver(output_net)
@@ -123,7 +114,7 @@ class Netlist:
         self.nodes[node.id] = node
         self._node_of_net[output_net] = node.id
         for f in fanins:
-            self._use(f).node_ids.append(node.id)
+            self.reader_ids.setdefault(f, []).append(node.id)
         if self._level is not None:
             self._relevel(node.id)
         return node
@@ -133,10 +124,9 @@ class Netlist:
         if init_value not in ("0", "1", "unknown"):
             raise NetlistError("bad latch init value %r" % init_value)
         latch = LatchElement(input_net, output_net, init_value)
-        idx = len(self.latches)
         self.latches.append(latch)
-        self._latch_of_net[output_net] = idx
-        self._use(input_net).latch_idxs.append(idx)
+        self._sources.add(output_net)
+        self._latch_readers.setdefault(input_net, []).append(output_net)
         return latch
 
     # ------------------------------------------------------------------
@@ -144,15 +134,22 @@ class Netlist:
 
     def has_driver(self, net: str) -> bool:
         """True when a PI, a LUT or a latch drives `net`."""
-        return net in self._pi_set or net in self._node_of_net or net in self._latch_of_net
+        return net in self._node_of_net or net in self._sources
+
+    def is_sink(self, net: str) -> bool:
+        """True when a PO or a latch input reads `net`."""
+        return net in self._pos or net in self._latch_readers
+
+    def reader_names(self, net: str) -> list[str]:
+        """Output nets of the LUTs reading `net` in id order, then of the
+        latches reading it in index order."""
+        nodes = self.nodes
+        return ([nodes[r].output_net for r in self.reader_ids.get(net, ())]
+                + self._latch_readers.get(net, []))
 
     def node_of_net(self, net: str) -> LutNode | None:
         nid = self._node_of_net.get(net)
         return self.nodes[nid] if nid is not None else None
-
-    def readers_of(self, net: str) -> _NetUse:
-        use = self._uses.get(net)
-        return use if use is not None else _NetUse()
 
     def lut_count(self) -> int:
         return len(self.nodes)
@@ -201,7 +198,7 @@ class Netlist:
             nid = ready.popleft()
             node = self.nodes[nid]
             level[nid] = self._fanin_level(node, level)
-            for rid in self.readers_of(node.output_net).node_ids:
+            for rid in self.reader_ids.get(node.output_net, ()):
                 indeg[rid] -= 1
                 if indeg[rid] == 0:
                     ready.append(rid)
@@ -239,7 +236,7 @@ class Netlist:
             if new == old:
                 continue
             level[cur] = new
-            for rid in self.readers_of(self.nodes[cur].output_net).node_ids:
+            for rid in self.reader_ids.get(self.nodes[cur].output_net, ()):
                 if rid == nid:
                     self._level = None
                     return
@@ -247,10 +244,16 @@ class Netlist:
                     queued.add(rid)
                     heapq.heappush(heap, (level[rid], rid))
 
+    def level_order(self, ids) -> list[int]:
+        """The node ids `ids` in (level, id) order: sorted by id, then
+        stably by level."""
+        order = sorted(ids)
+        order.sort(key=self.levels().__getitem__)
+        return order
+
     def topological_order(self) -> list[LutNode]:
         """Nodes ordered by (level, id); deterministic for a fixed netlist."""
-        level = self.levels()
-        return [self.nodes[nid] for nid in sorted(self.nodes, key=lambda n: (level[n], n))]
+        return [self.nodes[nid] for nid in self.level_order(self.nodes)]
 
     # ------------------------------------------------------------------
     # traversal
@@ -276,7 +279,7 @@ class Netlist:
             depth += 1
             nxt = []
             for cur in frontier:
-                for rid in self.readers_of(self.nodes[cur].output_net).node_ids:
+                for rid in self.reader_ids.get(self.nodes[cur].output_net, ()):
                     if rid not in out and rid != nid:
                         out.add(rid)
                         nxt.append(rid)
@@ -299,10 +302,9 @@ class Netlist:
         while stack:
             for f in self.nodes[stack.pop()].fanins:
                 drv = self._node_of_net.get(f)
-                use = self._uses[f]
-                if drv is None or use.is_po or use.latch_idxs:
+                if drv is None or self.is_sink(f):
                     continue
-                refs[drv] = refs.get(drv, len(use.node_ids)) - 1
+                refs[drv] = refs.get(drv, len(self.reader_ids[f])) - 1
                 if refs[drv] == 0:
                     member.add(drv)
                     stack.append(drv)
@@ -326,18 +328,10 @@ class Netlist:
         self._unlink(old)
         return self.add_node(old.output_net, fanins, function)
 
-    def remove_node(self, node):
-        """Delete a node with no readers of its output net."""
-        n = self.nodes[self._node_id(node)]
-        use = self.readers_of(n.output_net)
-        if use.node_ids or use.latch_idxs or use.is_po:
-            raise NetlistError("cannot remove %r: net still read" % n.output_net)
-        self._unlink(n)
-
     def _unlink(self, node: LutNode):
         """Drop `node` and its fanin edges; its net is left undriven."""
         for f in node.fanins:
-            self._uses[f].node_ids.remove(node.id)
+            self.reader_ids[f].remove(node.id)
         del self.nodes[node.id]
         del self._node_of_net[node.output_net]
         if self._level is not None:
@@ -352,13 +346,10 @@ class Netlist:
         while work:
             net = work.popleft()
             nid = self._node_of_net.get(net)
-            if nid is None:
-                continue
-            use = self.readers_of(net)
-            if use.node_ids or use.latch_idxs or use.is_po:
+            if nid is None or self.reader_ids.get(net) or self.is_sink(net):
                 continue
             node = self.nodes[nid]
-            self.remove_node(nid)
+            self._unlink(node)
             removed.append(node)
             work.extend(node.fanins)
         return sorted(removed, key=lambda n: n.output_net)
@@ -404,10 +395,7 @@ def net_terminals(netlist: Netlist):
     The sinks are the reading LUTs and latches; a PO is not a sink.
     """
     for name in netlist.source_nets() + [n.output_net for n in netlist.nodes.values()]:
-        use = netlist.readers_of(name)
-        sinks = [netlist.nodes[nid].output_net for nid in use.node_ids]
-        sinks += [netlist.latches[i].output_net for i in use.latch_idxs]
-        yield name, sinks
+        yield name, netlist.reader_names(name)
 
 
 def eval_nodes(nodes, values: dict[str, int], width: int):

@@ -385,8 +385,9 @@ def save_assignment(assignment: DieAssignment, path):
 def load_assignment(netlist: Netlist, path, num_dies: int | None = None) -> DieAssignment:
     """Read `<name> <die>` lines; must cover every weighted node.
 
-    Unlisted primary inputs default to the die of their lowest-id reader
-    (die 0 when unread) so hand-written files may list logic only.
+    Unlisted primary inputs default to the die of their first listed
+    reader, LUTs in id order before latches (die 0 when none is listed),
+    so hand-written files may list logic only.
 
     The die count is `num_dies` when given, else the `# dies <count>`
     header, else one more than the highest die listed. A header that
@@ -440,17 +441,8 @@ def load_assignment(netlist: Netlist, path, num_dies: int | None = None) -> DieA
         if name in entries:
             die_of[name] = entries[name]
         elif w == 0:
-            use = netlist.readers_of(name)
-            reader_dies = []
-            for nid in sorted(use.node_ids):
-                rname = netlist.nodes[nid].output_net
-                if rname in entries:
-                    reader_dies.append(entries[rname])
-            for idx in sorted(use.latch_idxs):
-                rname = netlist.latches[idx].output_net
-                if rname in entries:
-                    reader_dies.append(entries[rname])
-            die_of[name] = reader_dies[0] if reader_dies else 0
+            die_of[name] = next((entries[r] for r in netlist.reader_names(name)
+                                 if r in entries), 0)
         else:
             raise PartitionError("assignment file is missing node %r" % name)
     return DieAssignment(k, die_of, weights)

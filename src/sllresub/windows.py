@@ -255,10 +255,7 @@ def build_window(netlist: Netlist, pivot: LutNode, config) -> Window | None:
     pis -= absorbed
     internal_set = core | {n.id for n in side.values()}
     internal_set.update(node_of_net(net).id for net in absorbed)
-    # (level, id) order: sorted by id, then stably by level
-    internal = sorted(internal_set)
-    internal.sort(key=level.__getitem__)
-    return Window(pivot.id, sorted(pis), internal, tfo)
+    return Window(pivot.id, sorted(pis), netlist.level_order(internal_set), tfo)
 
 
 # Window-PI tuples whose masks one run keeps. On `chain` seed 1 a run
@@ -431,10 +428,10 @@ class WindowSim:
         too: the pivot reaches it only through observable nets.
         """
         pis = self.window.window_pis
-        level = netlist.levels()
+        nodes = netlist.nodes
         live = [netlist.node_of_net(net) for net in self.nodes]
-        live = sorted((node for node in live if node is not None),
-                      key=lambda node: (level[node.id], node.id))
+        live = [nodes[nid] for nid in netlist.level_order(
+            node.id for node in live if node is not None)]
         known = set(pis)
         for node in live:
             for f in node.fanins:
@@ -481,11 +478,10 @@ class WindowSim:
 def observable(netlist: Netlist, net: str, members) -> bool:
     """True when `net` is a PO, a latch input, or read by a LUT whose
     output net is not in `members` (the nets of a window's nodes)."""
-    use = netlist.readers_of(net)
-    if use.is_po or use.latch_idxs:
+    if netlist.is_sink(net):
         return True
     nodes = netlist.nodes
-    return any(nodes[r].output_net not in members for r in use.node_ids)
+    return any(nodes[r].output_net not in members for r in netlist.reader_ids.get(net, ()))
 
 
 def extract_care_set(netlist: Netlist, sim: WindowSim) -> int:
@@ -501,6 +497,13 @@ def extract_care_set(netlist: Netlist, sim: WindowSim) -> int:
     Those masks go into `sim.values` for `check_commit`, so it need not
     evaluate them again. Only that check reads them, and the commit it
     certifies invalidates them, so they are not published.
+
+    So a check evaluates the new pivot and at most one node per node the
+    pivot feeds when the pivot is not `observable` (the masks are kept) or
+    when `care_mask` is full (the new pivot keeps its mask). An observable
+    pivot under a partial `care_mask` may change outside it; the check
+    then evaluates the pre-commit masks of the nodes the pivot feeds and
+    of their side inputs, which nothing kept.
     """
     if observable(netlist, sim.pivot_net, sim.nodes):
         care = sim.full
@@ -612,23 +615,6 @@ def _cofactors(care: int, masks: list[int]) -> list[tuple[int, int]]:
     return blocks
 
 
-def _tabulate(sim: WindowSim, care: int, support: list[str]) -> TruthTable | None:
-    """The table over `support` agreeing with the pivot on every care
-    minterm (0 where no care minterm hits), or None if there is none."""
-    if not care:
-        return TruthTable(len(support), 0)
-    masks = _support_masks(sim, support)
-    pivot = sim.pivot_mask
-    bits = 0
-    for t, part in _cofactors(care, masks):
-        on = part & pivot
-        if on:
-            if on != part:
-                return None
-            bits |= 1 << t
-    return TruthTable(len(support), bits)
-
-
 def exist_check(sim: WindowSim, care: int, support: list[str]) -> bool:
     """True iff the pivot is a well-defined function of `support` on the care set.
 
@@ -670,7 +656,15 @@ def interpolate(sim: WindowSim, care: int, support: list[str]) -> TruthTable:
     Support patterns never hit by a care minterm are filled with 0.
     Raises when the support cannot express the pivot (exist_check false).
     """
-    table = _tabulate(sim, care, support)
-    if table is None:
-        raise ResynthError("interpolate called on an infeasible support")
-    return table
+    if not care:
+        return TruthTable(len(support), 0)
+    masks = _support_masks(sim, support)
+    pivot = sim.pivot_mask
+    bits = 0
+    for t, part in _cofactors(care, masks):
+        on = part & pivot
+        if on:
+            if on != part:
+                raise ResynthError("interpolate called on an infeasible support")
+            bits |= 1 << t
+    return TruthTable(len(support), bits)

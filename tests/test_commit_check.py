@@ -222,9 +222,11 @@ def test_window_node_reading_outside_the_window_is_an_error():
     assert _verdict(WindowSim.check_commit, sim, n) == _verdict(_reference_check_commit, sim, n)
 
 
-def test_commit_check_evaluates_only_what_the_commit_changed(monkeypatch):
-    """One evaluation for the new pivot and at most one for each window
-    node it feeds; none but the pivot's when its window mask is kept."""
+def _count_check_evals(monkeypatch):
+    """Count the `eval_masks` calls inside each `check_commit`. Returns the
+    list that gets one row per check: the calls, `len(pivot_fanout)`,
+    whether the new pivot keeps its window mask, whether the pivot is
+    `observable` and whether `care_mask` is partial."""
     real_eval = TruthTable.eval_masks
     real_check = WindowSim.check_commit
     counting = []
@@ -243,17 +245,43 @@ def test_commit_check_evaluates_only_what_the_commit_changed(monkeypatch):
             calls = counting.pop()
         new = post.node_of_net(sim.pivot_net)
         mask = real_eval(new.function, [sim.value_of(f) for f in new.fanins], sim.width)
-        rows.append((calls, len(sim.pivot_fanout), mask == sim.pivot_mask))
+        rows.append((calls, len(sim.pivot_fanout), mask == sim.pivot_mask,
+                     observable(post, sim.pivot_net, sim.nodes), sim.care_mask != sim.full))
 
     monkeypatch.setattr(TruthTable, "eval_masks", eval_masks)
     monkeypatch.setattr(WindowSim, "check_commit", check)
+    return rows
+
+
+def test_commit_check_evaluates_only_what_the_commit_changed(monkeypatch):
+    """One evaluation for the new pivot and at most one for each window
+    node it feeds; none but the pivot's when its window mask is kept."""
+    rows = _count_check_evals(monkeypatch)
     n = parse_blif(write_blif(bench.build("i2c", 4)))
     for dies in (2, 3, 4):
         assert resynthesize(n, partition_hash(n, dies), ResynConfig()).report.commits
-    assert all(calls <= 1 + fanout for calls, fanout, _keeps in rows), rows
-    assert all(calls == 1 for calls, _fanout, keeps in rows if keeps), rows
-    kept = sum(keeps for _calls, _fanout, keeps in rows)
+    assert all(calls <= 1 + fanout for calls, fanout, *_rest in rows), rows
+    assert all(calls == 1 for calls, _fanout, keeps, *_rest in rows if keeps), rows
+    kept = sum(keeps for _calls, _fanout, keeps, *_rest in rows)
     assert 0 < kept < len(rows)
+
+
+def test_commit_check_bound_needs_a_hidden_pivot_or_a_full_care_mask(monkeypatch):
+    """The bound of one evaluation per node the pivot feeds holds when
+    `extract_care_set` ran its forced simulations (the pivot is not
+    observable) or when every minterm is care. An observable pivot under a
+    partial care predicate may change outside `care_mask`; the check then
+    evaluates pre-commit masks that nothing kept, and may exceed it."""
+    rows = _count_check_evals(monkeypatch)
+    care = parse_blif(CARE_PI0_EQ_PI1)
+    for seed in range(40):
+        n = random_netlist(seed, num_pis=6, num_nodes=30)
+        resynthesize(n, partition_hash(n, 2), ResynConfig(), care)
+    bounded = [calls <= 1 + fanout for calls, fanout, _keeps, _obs, _partial in rows]
+    excepted = [obs and partial for _calls, _fanout, _keeps, obs, partial in rows]
+    assert all(ok or exc for ok, exc in zip(bounded, excepted)), rows
+    # both kinds of commit occur, so neither requirement is vacuous
+    assert any(excepted) and not all(excepted)
 
 
 @pytest.mark.parametrize("name", bench.BENCH_NAMES)

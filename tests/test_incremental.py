@@ -84,7 +84,7 @@ def _grow_window(netlist, pivot, d1, d2, full_tfo):
     level = netlist.levels()
 
     def queue_readers(net):
-        for r in netlist.readers_of(net).node_ids:
+        for r in netlist.reader_ids.get(net, ()):
             if r not in queued and r not in window and r not in full_tfo:
                 queued.add(r)
                 heapq.heappush(heap, (level[r], r))
@@ -160,11 +160,12 @@ def _reference_outputs(netlist, window):
     """Window nets that are POs, latch inputs or read by a node outside
     the window, by node id, sorted."""
     inside = set(window.internal)
+    sinks = set(netlist.sink_nets())
     outputs = []
     for nid in window.internal:
-        use = netlist.readers_of(netlist.nodes[nid].output_net)
-        if use.is_po or use.latch_idxs or any(r not in inside for r in use.node_ids):
-            outputs.append(netlist.nodes[nid].output_net)
+        net = netlist.nodes[nid].output_net
+        if net in sinks or any(r not in inside for r in netlist.reader_ids.get(net, ())):
+            outputs.append(net)
     return sorted(outputs)
 
 

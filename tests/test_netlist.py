@@ -205,21 +205,16 @@ def test_mffc_chain():
 
 def _mffc_by_deletion(netlist, root_id):
     """Brute-force oracle: delete the root, then sweep zero-fanout nodes."""
-    refs = {}
-    for node in netlist.nodes.values():
-        use = netlist.readers_of(node.output_net)
-        refs[node.id] = len(use.node_ids) + len(use.latch_idxs) + (1 if use.is_po else 0)
+    sinks = set(netlist.sink_nets())
     removed = {root_id}
     changed = True
     while changed:
         changed = False
         for node in netlist.nodes.values():
-            if node.id in removed:
+            if node.id in removed or node.output_net in sinks:
                 continue
-            use = netlist.readers_of(node.output_net)
-            if use.is_po or use.latch_idxs:
-                continue
-            if use.node_ids and all(r in removed for r in use.node_ids):
+            readers = netlist.reader_ids.get(node.output_net, [])
+            if readers and all(r in removed for r in readers):
                 removed.add(node.id)
                 changed = True
     return removed
@@ -234,12 +229,49 @@ def test_mffc_matches_deletion_fixpoint_on_random_netlists():
                 "seed %d node %s" % (seed, node.output_net)
 
 
+def _assert_indexes_match_scan(m, nets, rng):
+    """`reader_ids`, `is_sink`, `reader_names`, `has_driver` and
+    `level_order` agree with a scan of the nodes, latches and POs."""
+    readers = {}
+    for node in m.nodes.values():
+        for f in node.fanins:
+            readers.setdefault(f, []).append(node.id)
+    assert {net: ids for net, ids in m.reader_ids.items() if ids} == readers
+    sinks = set(m.primary_outputs) | {l.input_net for l in m.latches}
+    drivers = set(m.source_nets()) | {node.output_net for node in m.nodes.values()}
+    for net in nets:
+        assert m.is_sink(net) == (net in sinks), net
+        assert m.has_driver(net) == (net in drivers), net
+        assert m.reader_names(net) == (
+            [m.nodes[r].output_net for r in readers.get(net, [])]
+            + [l.output_net for l in m.latches if l.input_net == net]), net
+    level = {}
+    for nid in m.nodes:
+        stack = [nid]
+        while stack:
+            node = m.nodes[stack[-1]]
+            fanin_ids = [d.id for f in node.fanins if (d := m.node_of_net(f)) is not None]
+            todo = [d for d in fanin_ids if d not in level]
+            if todo:
+                stack.extend(todo)
+                continue
+            level[node.id] = 1 + max((level[d] for d in fanin_ids), default=0)
+            stack.pop()
+    assert m.levels() == level
+    ids = list(m.nodes)
+    rng.shuffle(ids)
+    for subset in (ids, ids[:len(ids) // 2]):
+        assert m.level_order(subset) == sorted(subset, key=lambda n: (level[n], n))
+
+
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 10**6), latches=st.integers(0, 2), edits=st.integers(1, 12))
 def test_nodes_and_readers_stay_in_id_order_under_edits(seed, latches, edits):
     rng = random.Random(seed)
     n = random_netlist(seed, num_pis=5, num_nodes=20, k=4, num_pos=3,
                        num_latches=latches)
+    # every net the edits may touch, plus one nobody drives or reads
+    nets = n.source_nets() + [x.output_net for x in n.nodes.values()] + ["nowhere"]
     for _ in range(edits):
         if not n.nodes:
             break
@@ -253,6 +285,7 @@ def test_nodes_and_readers_stay_in_id_order_under_edits(seed, latches, edits):
         for m in (n, n.copy()):
             assert list(m.nodes) == sorted(m.nodes)
             assert all(ids == sorted(ids) for ids in m.reader_ids.values())
+            _assert_indexes_match_scan(m, nets, rng)
 
 
 def test_simulate_demo_row(demo_netlist):
