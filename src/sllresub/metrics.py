@@ -30,16 +30,35 @@ class MetricsError(Exception):
 def crossing_nets(netlist: Netlist, assignment: DieAssignment):
     """Yield (net, sorted destination dies, crossing edges) per crossing net,
     in `net_terminals` order: the dies of its sinks other than its driver's,
-    and its driver->sink edges into them."""
-    die = assignment.die
-    for driver, sinks in net_terminals(netlist):
-        if not sinks:
+    and its driver->sink edges into them.
+
+    Each LUT's and latch's die is looked up once per walk. A net whose
+    driver or sink has no die raises the `PartitionError` of
+    `DieAssignment.die` for its first terminal without one, in
+    `net_terminals` order, the driver first.
+    """
+    die_of = assignment.die_of
+    nodes = netlist.nodes
+    lut_die = {nid: die_of.get(node.output_net) for nid, node in nodes.items()}
+    latch_dies: dict[str, list[int | None]] = {}    # net -> its latch readers' dies
+    for latch in netlist.latches:
+        latch_dies.setdefault(latch.input_net, []).append(die_of.get(latch.output_net))
+    readers = netlist.reader_ids.get
+    drivers = [(net, die_of.get(net)) for net in netlist.source_nets()]
+    drivers += [(node.output_net, lut_die[nid]) for nid, node in nodes.items()]
+    for net, dd in drivers:
+        sink_dies = [lut_die[r] for r in readers(net, ())]
+        latch_sinks = latch_dies.get(net)
+        if latch_sinks:
+            sink_dies += latch_sinks
+        if not sink_dies:
             continue
-        dd = die(driver)
-        sink_dies = [die(s) for s in sinks]
+        if dd is None or None in sink_dies:
+            for name in [net] + netlist.reader_names(net):
+                assignment.die(name)    # raises at the first terminal without a die
         edges = len(sink_dies) - sink_dies.count(dd)
         if edges:
-            yield driver, sorted(set(sink_dies) - {dd}), edges
+            yield net, sorted(set(sink_dies) - {dd}), edges
 
 
 def sll_counts(netlist: Netlist, assignment: DieAssignment,

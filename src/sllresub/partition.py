@@ -144,6 +144,28 @@ def _bfs_order(graph: _FmGraph, rng: random.Random) -> list[int]:
     return order
 
 
+def _connected(graph: _FmGraph) -> bool:
+    """True when the nets join every vertex of a graph with at least one
+    vertex into one component."""
+    n = len(graph.vertices)
+    seen = [False] * n
+    expanded = [False] * len(graph.nets)
+    seen[0] = True
+    stack = [0]
+    reached = 1
+    while stack:
+        for ni in graph.nets_of[stack.pop()]:
+            if expanded[ni]:
+                continue
+            expanded[ni] = True
+            for p in graph.nets[ni]:
+                if not seen[p]:
+                    seen[p] = True
+                    reached += 1
+                    stack.append(p)
+    return reached == n
+
+
 def _fm_seed(graph: _FmGraph, caps: tuple[int, int], rng: random.Random,
              target0: float) -> tuple[list[int], list[int]]:
     """(side per vertex index, weight per side) of FM's starting bisection.
@@ -189,11 +211,19 @@ def _fm_bipartition(graph: _FmGraph, caps: tuple[int, int], rng: random.Random,
     (-gain, index, gain) entries, locks it, and keeps the best prefix of
     its moves. A net with locked pins on both sides stays cut for the
     rest of the pass, so once the count of such nets reaches the best cut
-    so far no later prefix can beat it, and the pass ends there. `trace`,
-    when given, collects (pass start cut, accepted cut) pairs.
+    so far no later prefix can beat it, and the pass ends there.
+
+    The cut also has a floor. The seed and every move keep both sides
+    within their caps, so when both caps are below the total weight, both
+    sides keep some weight; if the nets also connect every vertex, each
+    state cuts at least one net. A pass then ends once its best cut is 1
+    (Fiduccia and Mattheyses, DAC 1982: the best prefix is the same).
+    `trace`, when given, collects (pass start cut, accepted cut) pairs.
     """
     n = len(graph.vertices)
     side, side_w = _fm_seed(graph, caps, rng, target0)
+    total = side_w[0] + side_w[1]
+    floor = 1 if max(caps) < total and _connected(graph) else 0
 
     def net_counts():
         counts = [[0, 0] for _ in graph.nets]
@@ -224,7 +254,7 @@ def _fm_bipartition(graph: _FmGraph, caps: tuple[int, int], rng: random.Random,
         moves = []
         best_cut, best_len = cut, 0
         cur_cut = cut
-        while len(moves) < n and dead < best_cut:
+        while len(moves) < n and max(dead, floor) < best_cut:
             entry = None
             skipped = []
             while heap:

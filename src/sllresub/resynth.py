@@ -62,7 +62,7 @@ class PivotAudit:
     pass_no: int
     pivot: str
     die: int
-    outcome: str                  # skipped | no-window | no-candidate | cycle-rejected | committed
+    outcome: str                  # no-window | no-candidate | cycle-rejected | committed
     cross_die_fanins: int = 0
     removed_fanin: str | None = None
     new_support: list[str] | None = None
@@ -73,12 +73,21 @@ class PivotAudit:
 
 @dataclass
 class ResynReport:
+    """What one `resynthesize` run did.
+
+    `audit` holds one row per pivot with a cross-die fanin, in sweep
+    order. A LUT the sweep visits without one is a skipped pivot; it gets
+    no row, and `skipped` counts them over all passes. A LUT off
+    `freeze_die` is not visited, and counts in neither.
+    """
+
     model: str
     config: dict
     before: dict
     after: dict = field(default_factory=dict)
     passes_run: int = 0
     commits: int = 0
+    skipped: int = 0
     audit: list[PivotAudit] = field(default_factory=list)
 
     def to_dict(self) -> dict:
@@ -89,6 +98,7 @@ class ResynReport:
             "after": self.after,
             "passes_run": self.passes_run,
             "commits": self.commits,
+            "skipped": self.skipped,
             "audit": [dict(vars(a)) for a in self.audit],   # flat rows: no deep copy
         }
 
@@ -239,7 +249,7 @@ def resynthesize(netlist: Netlist, assignment: DieAssignment, config: ResynConfi
                 continue
             cross = node_cross_die_fanins(work, asg, node)
             if not cross:
-                report.audit.append(PivotAudit(pass_no, node.output_net, die, "skipped"))
+                report.skipped += 1
                 continue
             window = build_window(work, node, config)
             if window is None:

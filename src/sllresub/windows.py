@@ -147,6 +147,11 @@ def build_window(netlist: Netlist, pivot: LutNode, config) -> Window | None:
     covers every window node and window PI in the TFO. `Window.tfo` is
     that set. No node above that level can join at any step, so none is
     queued.
+
+    A step's window PIs are the leaves, the fanins of the TFO up to d1 and
+    the free sources side nodes read, less the window nets. The side
+    nodes that read a free source outside the base are kept by net, so a
+    step unions only their fanins, not those of all side logic.
     """
     if pivot.id not in netlist.nodes:
         raise ResynthError("pivot is not a LUT node in this netlist")
@@ -172,6 +177,8 @@ def build_window(netlist: Netlist, pivot: LutNode, config) -> Window | None:
                   if (drv := node_of_net(f)) is not None and not drv.fanins)
     side: dict[str, LutNode] = {}   # side logic by net
     depth: dict[str, int] = {}      # side net -> depth
+    # side nodes that read a free source outside the base, by net
+    free_readers: dict[str, LutNode] = {}
     # the first step decides every reader of a base net
     seeds = [r for net in base for r in readers(net, ())] if d1 else []
 
@@ -189,12 +196,14 @@ def build_window(netlist: Netlist, pivot: LutNode, config) -> Window | None:
             for nid in buckets.pop(min(buckets)):
                 cur = nodes[nid]
                 d = 0
+                reads_free = False
                 for f in cur.fanins:
                     fd = depth.get(f)
                     if fd is None:
                         if f in base:
                             fd = 0
                         elif f in free:
+                            reads_free = True
                             continue
                         else:
                             d = 0
@@ -203,10 +212,15 @@ def build_window(netlist: Netlist, pivot: LutNode, config) -> Window | None:
                         d = fd + 1
                 new = d if 0 < d <= cap else None
                 out = cur.output_net
+                if new is not None and reads_free:
+                    # also at an unchanged depth: a source leaf that left
+                    # the base turns free under its side readers
+                    free_readers[out] = cur
                 if new == depth.get(out):
                     continue
                 if new is None:
                     del depth[out], side[out]
+                    free_readers.pop(out, None)
                 else:
                     depth[out], side[out] = new, cur
                 for r in readers(out, ()):
@@ -219,9 +233,10 @@ def build_window(netlist: Netlist, pivot: LutNode, config) -> Window | None:
     while True:
         if d1 > 0:
             decide_again(seeds, d1 + d2)
-        # the pivot and its TFI read only TFI nets and leaves
+        # the pivot and its TFI read only TFI nets and leaves, and a side
+        # node reads only window nets, leaves and free sources
         pis = leaves.union(*[n.fanins for layer in outs[1:d1 + 1] for n in layer],
-                           *[n.fanins for n in side.values()])
+                           *[n.fanins for n in free_readers.values()])
         pis -= core_nets
         pis.difference_update(side)
         absorbed = pis & consts
@@ -251,6 +266,7 @@ def build_window(netlist: Netlist, pivot: LutNode, config) -> Window | None:
         if d1 == 0:
             side.clear()
             depth.clear()
+            free_readers.clear()
 
     pis -= absorbed
     internal_set = core | {n.id for n in side.values()}

@@ -78,6 +78,12 @@ def test_resynth_exit_codes(tmp_path, bad_dies):
     assert run("resynth", "--in", DEMO, "--partition", DIES, "--out", out,
                "--inject-care", CARE, "--report", tmp_path / "r.json") == 0
     assert ".names d Y F" in out.read_text()
+    # the flow's report.json shape: a `skipped` count and no skipped rows
+    assert filecmp.cmp(tmp_path / "r.json", os.path.join(REPO, "demo", "golden", "report.json"),
+                       shallow=False)
+    report = json.loads((tmp_path / "r.json").read_text())
+    assert report["skipped"] == 1
+    assert [row["outcome"] for row in report["audit"]] == ["committed", "no-candidate"]
     assert run("resynth", "--in", DEMO, "--partition", bad_dies, "--out", out) == 2
     assert run("resynth", "--in", DEMO, "--partition", DIES, "--out", out,
                "--d2", "0") == 2

@@ -31,7 +31,7 @@ CASES = {
     "square_k4": (lambda: write_blif(bench.build("square", 4)),
                   PartitionConfig(num_dies=2, mode="fm_mincut"), ResynConfig(), {
         "post_blif": "55de91394acb89d8532e7c22629beca01e40a1e4dcd9b7115eeb52d074b6ffdd",
-        "report": "694c4b806c55191f0b99f5123b3384998ccbe6548371111db856f973d95a68d4",
+        "report": "267f1a9b2b4ad9cde5fac24789afb76360c437fe5dd383ef1b233d235946df3a",
         "metrics_json": "5678679f5941e904355b715ad370d33c4f94f70cf0ceae03224e2e62c55aaa60",
         "die0": "4fe04b1b694921262cbaf14a554d7c54c7f85e9e30f1f874af69afa4ff5433cd",
         "die1": "a041571947c0672d4f0892cb46ebbd8ab7353e69beb0e8d610100434cbcb5cd8",
@@ -39,7 +39,7 @@ CASES = {
     "sin_k4": (lambda: write_blif(bench.build("sin", 4)),
                PartitionConfig(num_dies=2, mode="fm_mincut"), ResynConfig(), {
         "post_blif": "1880dbaa8c33b917e7ffdf44f42464dd8b9a33ce00142dd801fa116225516561",
-        "report": "f703890e298ea825bc54c8cabc56c794d7f36f84c38d6c180e0028417cdf78e6",
+        "report": "6b3878b6a61fd7ef79c311cf411db2e9c03b51ba338dc490026add0795d38049",
         "metrics_json": "bf305a528fc09d2baac757c8ad72b23f982f9f8b84aa5271c7d53a722af65847",
         "die0": "d17186ba3a4858e914a561ff353283274c99526dd11ef2de8d412134780fdcd1",
         "die1": "c470e4b12883d5de914879d83990c9b79ffcd4e2652e6013950ddb07cb7ccbf9",
@@ -48,7 +48,7 @@ CASES = {
                PartitionConfig(num_dies=4, mode="hash_label"),
                ResynConfig(verify_each_commit=False), {
         "post_blif": "8ecbad0029ef36ff06c1d893377e320a432f860cc01220deba7ff340a6523f95",
-        "report": "c3ed103e69ee5f2dc8ddbec60a23b246cb2e6c819d6ed325d3ffeca9badf0dc2",
+        "report": "d2ca5bb7e1a08998060ea1afa2313c250b32163e07a3491dfb1d0b6ae1e57bf6",
         "metrics_json": "b6015a8081820a2a5146d55549027382fa8b4b8aff00d90de2762c0d1d6c3181",
         "die0": "a3abf9f3f32b34f56a9b859c7849e4cf242c3c95de59c5ef82b67b1f0d679da9",
         "die1": "9359cee1cffd4072eb565147bc016b23f6ac011a07e516b782069d0f8a5b3c28",
@@ -61,7 +61,7 @@ CASES = {
                         PartitionConfig(num_dies=4, mode="hash_label"),
                         ResynConfig(verify_each_commit=True, passes=-1), {
         "post_blif": "784bd2e9a3746a3dbc0caf64b67709685d692e54029a847cd6c5642d09c300fa",
-        "report": "e936507ded99c81a331e5facfdfb971ca2b452ef118deec4eaf2caf832f5704b",
+        "report": "3a47f2df053573b3d647a7cb838d3c9f827245e932b7fe070c89e244e082751e",
         "metrics_json": "ff75871ad340c5d9f502d95af0fadb022a7d559580e0f83079d67a2a7a3a95d7",
         "die0": "bb18cbc08eaa13435c830170f136675dceea538cd28ea9d7307c964f146acebc",
         "die1": "08235bb0200644a781e0fcc95a6f5de0c396597092bd1c2b135ba5ec21af4ff0",

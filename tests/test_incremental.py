@@ -263,6 +263,51 @@ def test_shrink_steps_need_not_be_nested():
     _assert_matches_regrowth(n, pivot, config, full_tfo)
 
 
+def _source_leaf_netlist(seed, d2, extra):
+    """A pivot whose TFI chain first reaches the PI `s` at distance d2 + 1,
+    and side nodes that read `s` and a chain net.
+
+    The chain nodes also read random PIs of `extra`, so a small PI cap
+    shrinks d2. `s` then leaves the base: its side readers keep their
+    depth but read a free source from then on, so `s` stays a window PI
+    only through them.
+    """
+    rng = random.Random(seed)
+    n = Netlist("leaf%d" % seed, 4)
+    extras = ["x%d" % i for i in range(extra)]
+    for pi in ["s"] + extras:
+        n.add_input(pi)
+
+    def lut(net, fanins):
+        n.add_node(net, fanins, TruthTable(len(fanins), rng.getrandbits(1 << len(fanins))))
+
+    chain, prev = [], "s"
+    for i in range(d2, -1, -1):             # a<d2> reads s, a0 is the pivot
+        lut("a%d" % i, [prev] + rng.sample(extras, rng.randint(0, min(2, extra))))
+        chain.append("a%d" % i)
+        prev = "a%d" % i
+    for j in range(rng.randint(1, 3)):
+        lut("side%d" % j, ["s", rng.choice(chain[:-1])]
+            + rng.sample(extras, rng.randint(0, min(1, extra))))
+    lut("out", ["a0", "side0"])
+    n.add_output("out")
+    n.validate()
+    return n
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10**6), d1=st.integers(1, 2), d2=st.integers(2, 4),
+       extra=st.integers(0, 6))
+def test_build_window_matches_regrowth_when_a_source_leaf_leaves_the_base(
+        seed, d1, d2, extra):
+    n = _source_leaf_netlist(seed, d2, extra)
+    pivot = n.node_of_net("a0").id
+    full_tfo = n.tfo(pivot, None)
+    for cap in range(1, extra + 4):
+        _assert_matches_regrowth(n, pivot, ResynConfig(d1=d1, d2=d2, window_pi_cap=cap),
+                                 full_tfo)
+
+
 def _sweep_checking_windows(netlist, assignment, config):
     """Resynthesize, checking every window built mid-sweep against regrowth;
     returns the number of windows built and the number of commits."""

@@ -6,11 +6,12 @@ from hypothesis import given, settings, strategies as st
 
 from sllresub.flow import split_per_die
 from sllresub.metrics import (MetricsError, PlacementData, bbox_cost_md,
-                              bbox_cost_sd, count_sll, count_sll_fo, load_placement,
-                              load_q_table, report, snapshot, wire_delay_table)
+                              bbox_cost_sd, count_sll, count_sll_fo, crossing_nets,
+                              load_placement, load_q_table, report, snapshot,
+                              wire_delay_table)
 from sllresub.metrics import _hpwl
 from sllresub.netlist import SLL_PREFIX, net_terminals, parse_blif
-from sllresub.partition import DieAssignment, entities, partition_hash
+from sllresub.partition import DieAssignment, PartitionError, entities, partition_hash
 from sllresub.resynth import ResynConfig, resynthesize
 
 from conftest import random_netlist
@@ -121,6 +122,53 @@ def test_crossing_counts_match_bruteforce_and_split_pins(seed, dies, latches, ha
                if po.startswith(SLL_PREFIX) and po.endswith("_out")]
     assert len(imports) == per_die
     assert len(exports) == raw_net
+
+
+def _reference_crossing_nets(netlist, assignment):
+    """`crossing_nets` as one die lookup per terminal of `net_terminals`."""
+    for driver, sinks in net_terminals(netlist):
+        if not sinks:
+            continue
+        dd = assignment.die(driver)
+        sink_dies = [assignment.die(s) for s in sinks]
+        edges = len(sink_dies) - sink_dies.count(dd)
+        if edges:
+            yield driver, sorted(set(sink_dies) - {dd}), edges
+
+
+def _walk(crossings):
+    """The tuples `crossings` yields, then the PartitionError text it ends
+    with (None when it ends without one)."""
+    got = []
+    try:
+        for item in crossings:
+            got.append(item)
+    except PartitionError as exc:
+        return got, str(exc)
+    return got, None
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10**6), dies=st.integers(2, 4), latches=st.integers(1, 3),
+       missing=st.lists(st.sampled_from(["pi", "lut", "latch"]), max_size=3))
+def test_crossing_nets_match_a_walk_over_net_terminals(seed, dies, latches, missing):
+    # entries dropped from the assignment must raise the same error at the
+    # same net: the first terminal without a die, the driver before sinks
+    n = random_netlist(seed, num_pis=6, num_nodes=30, k=4, num_pos=4,
+                       num_latches=latches)
+    rng = random.Random(seed)
+    asg = DieAssignment(dies, {name: rng.randrange(dies) for name, _w in entities(n)},
+                        dict(entities(n)))
+    names = {"pi": n.primary_inputs,
+             "lut": [node.output_net for node in n.nodes.values()],
+             "latch": [latch.output_net for latch in n.latches]}
+    for kind in missing:
+        asg.die_of.pop(rng.choice(names[kind]), None)
+    got = _walk(crossing_nets(n, asg))
+    assert got == _walk(_reference_crossing_nets(n, asg))
+    if "lut" in missing or "latch" in missing:
+        # a LUT or latch reads a net, so the walk meets it as a sink
+        assert got[1] is not None and got[1].startswith("no die assignment for")
 
 
 def _place(coords, dies=2, w=10, h=10, l_sll=1.0, q=None):

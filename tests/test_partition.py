@@ -430,3 +430,67 @@ def test_fm_cutoff_ends_passes_early():
     _fm_bipartition(graph, (total, total), random.Random(0), total / 2, trace)
     moves = graph.nets_of.reads - size
     assert 0 < moves < len(trace) * size
+
+
+def _random_hypergraph(rng, size, connected):
+    """`size` vertices of weight 0 to 2 and random nets of 2 to 4 pins. A
+    connected graph gets a spanning tree of 2-pin nets first; otherwise
+    every net stays within one of two halves."""
+    names = ["v%d" % i for i in range(size)]
+    weights = {v: rng.choice((0, 1, 1, 2)) for v in names}
+    nets = []
+    if connected:
+        nets += [(names[rng.randrange(i)], names[i]) for i in range(1, size)]
+        groups = [names]
+    else:
+        half = rng.randint(1, size - 1)
+        groups = [names[:half], names[half:]]
+    for _ in range(rng.randint(0, 2 * size)):
+        group = rng.choice(groups)
+        if len(group) >= 2:
+            nets.append(tuple(rng.sample(group, rng.randint(2, min(4, len(group))))))
+    return _FmGraph(names, weights, nets)
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 10**6), size=st.integers(2, 24), connected=st.booleans(),
+       slack=st.integers(-2, 3), lopsided=st.booleans())
+def test_fm_floor_matches_full_passes_on_random_hypergraphs(seed, size, connected,
+                                                            slack, lopsided):
+    # caps from below half the weight up to ones that let a side hold it all
+    rng = random.Random(seed)
+    graph = _random_hypergraph(rng, size, connected)
+    total = sum(graph.weights)
+    cap = max(-(-total // 2) + slack, max(graph.weights))
+    caps = (total, cap) if lopsided else (cap, cap)
+    target0 = total / 2
+    ref_trace, got_trace = [], []
+    try:
+        ref = _reference_fm_bipartition(graph, caps, random.Random(seed), target0, ref_trace)
+    except PartitionError:
+        with pytest.raises(PartitionError):
+            _fm_bipartition(graph, caps, random.Random(seed), target0)
+        return
+    assert _fm_bipartition(graph, caps, random.Random(seed), target0, got_trace) == ref
+    assert got_trace == ref_trace
+
+
+def test_fm_floor_ends_a_pass_at_cut_one():
+    # adder k=4 on 2 dies: both passes end at cut 1, after 5 moves in all
+    # with the floor and 65 without it; nets_of is read once per vertex by
+    # the seed's BFS and by the connectivity check, and once per move
+    n = bench.build("adder", 4)
+    ents = entities(n)
+    graph = _FmGraph([e for e, _w in ents], dict(ents), [pins for _d, pins in hyperedges(n)])
+    total = sum(graph.weights)
+    cap = max(int(1.25 * total / 2), -(-total // 2))
+    size = len(graph.vertices)
+    moves, sides = [], []
+    for floor in (True, False):
+        graph.nets_of = _CountingList(graph.nets_of)
+        with mock.patch.object(partition, "_connected",
+                               partition._connected if floor else lambda g: False):
+            sides.append(_fm_bipartition(graph, (cap, cap), random.Random(0), total / 2))
+        moves.append(graph.nets_of.reads - (2 if floor else 1) * size)
+    assert sides[0] == sides[1]
+    assert 0 < moves[0] < moves[1]

@@ -1,6 +1,10 @@
-import pytest
+import sys
+from unittest import mock
 
-from sllresub import bench
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from sllresub import bench, resynth
 from sllresub.equiv import check_equivalence
 from sllresub.metrics import count_sll, count_sll_fo
 from sllresub.netlist import parse_blif, write_blif
@@ -10,7 +14,7 @@ from sllresub.resynth import (ResubCandidate, ResynConfig, apply_resubstitution,
 from sllresub.truthtab import TruthTable
 from sllresub.windows import ResynthError, WindowSim, build_window, extract_care_set
 
-from conftest import TABLE2
+from conftest import TABLE2, random_netlist
 
 WIDE = ResynConfig(d1=30, d2=30, window_pi_cap=14)
 
@@ -135,7 +139,8 @@ def test_resynthesize_single_die_is_identity(demo_netlist):
     res = resynthesize(demo_netlist, asg, ResynConfig())
     assert res.report.commits == 0
     assert write_blif(res.netlist) == write_blif(demo_netlist)
-    assert all(a.outcome == "skipped" for a in res.report.audit)
+    assert res.report.audit == []
+    assert res.report.skipped == demo_netlist.lut_count()
 
 
 def test_resynthesize_voter_reduces_edges():
@@ -239,3 +244,32 @@ def test_freeze_die_must_name_a_die(demo_netlist, demo_assignment):
             resynthesize(demo_netlist, demo_assignment, ResynConfig(freeze_die=die))
     res = resynthesize(demo_netlist, demo_assignment, ResynConfig(freeze_die=1))
     assert {entry.die for entry in res.report.audit} == {1}
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 10**6), dies=st.integers(2, 3),
+       passes=st.sampled_from([1, -1]), freeze=st.booleans())
+def test_skipped_count_and_audit_rows_cover_every_visited_lut(seed, dies, passes, freeze):
+    # the sweep asks each LUT it visits for its cross-die fanins once; a
+    # LUT without one is counted in `skipped`, every other gets one row
+    n = random_netlist(seed, num_pis=6, num_nodes=30, k=4, num_pos=4)
+    asg = partition_hash(n, dies)
+    config = ResynConfig(passes=passes, freeze_die=0 if freeze else None,
+                         verify_each_commit=False)
+    visited = []
+    real = resynth.node_cross_die_fanins
+
+    def spy(netlist, assignment, node):
+        cross = real(netlist, assignment, node)
+        if sys._getframe(1).f_code is resynthesize.__code__:
+            visited.append((node.output_net, bool(cross)))
+        return cross
+
+    with mock.patch.object(resynth, "node_cross_die_fanins", spy):
+        report = resynthesize(n, asg, config).report
+    assert visited
+    assert report.skipped + len(report.audit) == len(visited)
+    assert report.skipped == sum(1 for _net, cross in visited if not cross)
+    assert [a.pivot for a in report.audit] == [net for net, cross in visited if cross]
+    assert all(a.outcome != "skipped" for a in report.audit)
+    assert report.to_dict()["skipped"] == report.skipped
