@@ -43,41 +43,35 @@ def split_per_die(netlist: Netlist, assignment: DieAssignment) -> list[Netlist]:
     """
     if has_generated_names(netlist):
         raise NetlistError("input netlist already uses the reserved %r prefix" % SLL_PREFIX)
-    k = assignment.num_dies
-    # crossing[net] = sorted destination dies
-    crossing = {net: dests for net, dests, _edges
-                in metrics_mod.crossing_nets(netlist, assignment)}
+    die = assignment.die
+    # (net, source die, sorted destination dies) per crossing net, by name
+    crossing = sorted((net, die(net), dests) for net, dests, _edges
+                      in metrics_mod.crossing_nets(netlist, assignment))
+    out = [Netlist("%s_die%d" % (netlist.model_name, d), netlist.k_max)
+           for d in range(assignment.num_dies)]
+    for name in netlist.primary_inputs:
+        out[die(name)].add_input(name)
+    for net, _src, dests in crossing:
+        for d in dests:
+            out[d].add_input(_import_name(net))
+    for po in netlist.primary_outputs:
+        out[die(po)].add_output(po)
+    for net, src, _dests in crossing:
+        out[src].add_output(_export_name(net))
 
-    out: list[Netlist] = []
-    for die in range(k):
-        sub = Netlist("%s_die%d" % (netlist.model_name, die), netlist.k_max)
-        for name in netlist.primary_inputs:
-            if assignment.die(name) == die:
-                sub.add_input(name)
-        for net in sorted(crossing):
-            if assignment.die(net) != die and die in crossing[net]:
-                sub.add_input(_import_name(net))
+    def local(net: str, d: int) -> str:
+        return net if die(net) == d else _import_name(net)
 
-        def local(net: str) -> str:
-            return net if assignment.die(net) == die else _import_name(net)
-
-        for po in netlist.primary_outputs:
-            if assignment.die(po) == die:
-                sub.add_output(po)
-        for net in sorted(crossing):
-            if assignment.die(net) == die:
-                sub.add_output(_export_name(net))
-        for latch in netlist.latches:
-            if assignment.die(latch.output_net) == die:
-                sub.add_latch(local(latch.input_net), latch.output_net, latch.init_value)
-        for node in netlist.nodes.values():
-            if assignment.die(node.output_net) == die:
-                sub.add_node(node.output_net, [local(f) for f in node.fanins], node.function)
-        for net in sorted(crossing):
-            if assignment.die(net) == die:
-                sub.add_node(_export_name(net), [net], TruthTable(1, 0b10))
+    for latch in netlist.latches:
+        d = die(latch.output_net)
+        out[d].add_latch(local(latch.input_net, d), latch.output_net, latch.init_value)
+    for node in netlist.nodes.values():
+        d = die(node.output_net)
+        out[d].add_node(node.output_net, [local(f, d) for f in node.fanins], node.function)
+    for net, src, _dests in crossing:
+        out[src].add_node(_export_name(net), [net], TruthTable(1, 0b10))
+    for sub in out:
         sub.validate()
-        out.append(sub)
     return out
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from importlib import resources
 
 from .netlist import Netlist, net_terminals
@@ -275,6 +276,11 @@ class MetricsReport:
             out[key] = (100.0 * d / base) if base else 0.0
         return out
 
+    @cached_property
+    def interconnect_delays(self) -> dict:
+        """`wire_delay_table`, read once per report."""
+        return wire_delay_table()
+
     def to_dict(self) -> dict:
         return {
             "sll_count_mode": self.sll_mode,
@@ -283,7 +289,7 @@ class MetricsReport:
             "delta": self.delta(),
             "delta_pct": self.delta_pct(),
             "notes": self.notes,
-            "interconnect_delays": wire_delay_table(),
+            "interconnect_delays": self.interconnect_delays,
         }
 
     def to_json(self) -> str:
@@ -308,7 +314,7 @@ class MetricsReport:
         widths = [max(len(r[i]) for r in rows) for i in range(5)]
         lines = ["  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)).rstrip()
                  for row in rows]
-        inter = wire_delay_table().get("L36", {})
+        inter = self.interconnect_delays.get("L36", {})
         lines.append("")
         lines.append("# SLL counting mode: %s; inter-die link delay %s ps (annotation only)"
                      % (self.sll_mode, inter.get("delay_ps", "?")))

@@ -18,7 +18,7 @@ import random
 from collections import deque
 from dataclasses import dataclass
 
-from .netlist import Netlist, net_terminals
+from .netlist import Netlist
 
 
 class PartitionError(Exception):
@@ -86,18 +86,21 @@ def entities(netlist: Netlist) -> list[tuple[str, int]]:
     return out
 
 
-def hyperedges(netlist: Netlist) -> list[tuple[str, tuple[str, ...]]]:
-    """(driver_net, pins) per net with at least two distinct entity pins.
+def hyperedges(netlist: Netlist) -> list[tuple[int, ...]]:
+    """Pins per net with at least two distinct entity pins, as indices into
+    `entities` order.
 
     Pins are the driver entity plus every reading LUT/latch entity; POs
-    are not physical pins.
+    are not physical pins. Nets are in driver (`entities`) order, and the
+    pins of a net in name order.
     """
-    edges = []
-    for name, sinks in net_terminals(netlist):
-        pins = {name, *sinks}
+    index = {name: i for i, (name, _w) in enumerate(entities(netlist))}
+    nets = []
+    for name in index:
+        pins = {name, *netlist.reader_names(name)}
         if len(pins) >= 2:
-            edges.append((name, tuple(sorted(pins))))
-    return edges
+            nets.append(tuple([index[p] for p in sorted(pins)]))
+    return nets
 
 
 # ----------------------------------------------------------------------
@@ -108,23 +111,27 @@ MAX_FM_PASSES = 16
 
 
 class _FmGraph:
-    def __init__(self, vertices: list[str], weights: dict[str, int],
-                 nets: list[tuple[str, ...]]):
-        self.vertices = vertices
-        self.index = {v: i for i, v in enumerate(vertices)}
-        self.weights = [weights[v] for v in vertices]
-        self.nets = [tuple(self.index[p] for p in pins) for pins in nets]
-        self.nets_of = [[] for _ in vertices]
-        for ni, pins in enumerate(self.nets):
+    """Vertex weights and nets (tuples of vertex indices, two pins or more)."""
+
+    def __init__(self, weights: list[int], nets: list[tuple[int, ...]]):
+        self.weights = weights
+        self.nets = nets
+        self.nets_of = [[] for _ in weights]
+        for ni, pins in enumerate(nets):
             for p in pins:
                 self.nets_of[p].append(ni)
 
 
-def _bfs_order(graph: _FmGraph, rng: random.Random) -> list[int]:
-    """Deterministic seeded BFS over shared-net adjacency, all components."""
-    n = len(graph.vertices)
+def _bfs_order(graph: _FmGraph, rng: random.Random) -> tuple[list[int], bool]:
+    """Deterministic seeded BFS over shared-net adjacency, all components.
+
+    Returns the visit order and whether the first start reached every
+    vertex, i.e. whether the nets join a non-empty graph into one component.
+    """
+    n = len(graph.weights)
     seen = [False] * n
     order = []
+    first = None        # vertices reached from the first start
     queue = deque()
     remaining = list(range(n))
     rng.shuffle(remaining)
@@ -141,44 +148,26 @@ def _bfs_order(graph: _FmGraph, rng: random.Random) -> list[int]:
                     if not seen[p]:
                         seen[p] = True
                         queue.append(p)
-    return order
-
-
-def _connected(graph: _FmGraph) -> bool:
-    """True when the nets join every vertex of a graph with at least one
-    vertex into one component."""
-    n = len(graph.vertices)
-    seen = [False] * n
-    expanded = [False] * len(graph.nets)
-    seen[0] = True
-    stack = [0]
-    reached = 1
-    while stack:
-        for ni in graph.nets_of[stack.pop()]:
-            if expanded[ni]:
-                continue
-            expanded[ni] = True
-            for p in graph.nets[ni]:
-                if not seen[p]:
-                    seen[p] = True
-                    reached += 1
-                    stack.append(p)
-    return reached == n
+        if first is None:
+            first = len(order)
+    return order, first == n
 
 
 def _fm_seed(graph: _FmGraph, caps: tuple[int, int], rng: random.Random,
-             target0: float) -> tuple[list[int], list[int]]:
-    """(side per vertex index, weight per side) of FM's starting bisection.
+             target0: float) -> tuple[list[int], list[int], bool]:
+    """(side per vertex index, weight per side, connected) of FM's starting
+    bisection; `connected` is what `_bfs_order` reports.
 
     A seeded BFS fills side 0 up to weight `target0`, then vertices move
     to side 0 until side 1 fits its cap.
     """
-    n = len(graph.vertices)
+    n = len(graph.weights)
     total = sum(graph.weights)
     # BFS fill keeps connected logic together in the seed; FM refines it.
     side = [1] * n
     side_w = [0, total]
-    for v in _bfs_order(graph, rng):
+    order, connected = _bfs_order(graph, rng)
+    for v in order:
         if side_w[0] >= target0:
             break
         w = graph.weights[v]
@@ -199,7 +188,7 @@ def _fm_seed(graph: _FmGraph, caps: tuple[int, int], rng: random.Random,
                 side_w[1] -= w
     if side_w[0] > caps[0] or side_w[1] > caps[1]:
         raise PartitionError("infeasible balance bound: cannot seed partition")
-    return side, side_w
+    return side, side_w, connected
 
 
 def _fm_bipartition(graph: _FmGraph, caps: tuple[int, int], rng: random.Random,
@@ -208,10 +197,10 @@ def _fm_bipartition(graph: _FmGraph, caps: tuple[int, int], rng: random.Random,
 
     Each pass moves the unlocked vertex of highest gain (lowest index on
     ties) that fits the target side's cap, taken from a lazy heap of
-    (-gain, index, gain) entries, locks it, and keeps the best prefix of
-    its moves. A net with locked pins on both sides stays cut for the
-    rest of the pass, so once the count of such nets reaches the best cut
-    so far no later prefix can beat it, and the pass ends there.
+    (-gain, index) entries, locks it, and keeps the best prefix of its
+    moves. A net with locked pins on both sides stays cut for the rest
+    of the pass, so once the count of such nets reaches the best cut so
+    far no later prefix can beat it, and the pass ends there.
 
     The cut also has a floor. The seed and every move keep both sides
     within their caps, so when both caps are below the total weight, both
@@ -220,36 +209,29 @@ def _fm_bipartition(graph: _FmGraph, caps: tuple[int, int], rng: random.Random,
     (Fiduccia and Mattheyses, DAC 1982: the best prefix is the same).
     `trace`, when given, collects (pass start cut, accepted cut) pairs.
     """
-    n = len(graph.vertices)
-    side, side_w = _fm_seed(graph, caps, rng, target0)
+    n = len(graph.weights)
+    side, side_w, connected = _fm_seed(graph, caps, rng, target0)
     total = side_w[0] + side_w[1]
-    floor = 1 if max(caps) < total and _connected(graph) else 0
-
-    def net_counts():
-        counts = [[0, 0] for _ in graph.nets]
-        for ni, pins in enumerate(graph.nets):
-            for p in pins:
-                counts[ni][side[p]] += 1
-        return counts
-
-    def cut_of(counts):
-        return sum(1 for c in counts if c[0] and c[1])
+    floor = 1 if max(caps) < total and connected else 0
 
     for _pass in range(MAX_FM_PASSES):
-        counts = net_counts()
-        cut = cut_of(counts)
-        gains = [0] * n
-        for ni, pins in enumerate(graph.nets):
-            for p in pins:
-                f = side[p]
-                if counts[ni][f] == 1:
-                    gains[p] += 1
-                if counts[ni][1 - f] == 0:
-                    gains[p] -= 1
+        # A pin's gain is -1 per uncut net; a cut net gives back 1, or 2
+        # when the pin is alone on its side.
+        counts = []
+        cut = 0
+        gains = [-len(nets) for nets in graph.nets_of]
+        for pins in graph.nets:
+            c1 = sum(map(side.__getitem__, pins))
+            c = [len(pins) - c1, c1]
+            counts.append(c)
+            if c1 and c[0]:
+                cut += 1
+                for p in pins:
+                    gains[p] += 2 if c[side[p]] == 1 else 1
         locked = [False] * n
         locked_on = [[0, 0] for _ in graph.nets]   # per net, locked pins per side
         dead = 0            # nets with locked pins on both sides: cut until the pass ends
-        heap = [(-g, v, g) for v, g in enumerate(gains)]
+        heap = [(-g, v) for v, g in enumerate(gains)]
         heapq.heapify(heap)        # exact: the entries are distinct
         moves = []
         best_cut, best_len = cut, 0
@@ -258,13 +240,13 @@ def _fm_bipartition(graph: _FmGraph, caps: tuple[int, int], rng: random.Random,
             entry = None
             skipped = []
             while heap:
-                g, v, g_at_push = heapq.heappop(heap)
-                if locked[v] or g_at_push != gains[v]:
+                g, v = heapq.heappop(heap)
+                if locked[v] or -g != gains[v]:
                     continue
                 w = graph.weights[v]
                 t = 1 - side[v]
                 if side_w[t] + w > caps[t]:
-                    skipped.append((g, v, g_at_push))
+                    skipped.append((g, v))
                     continue
                 entry = v
                 break
@@ -288,24 +270,24 @@ def _fm_bipartition(graph: _FmGraph, caps: tuple[int, int], rng: random.Random,
                     for p in pins:
                         if not locked[p]:
                             gains[p] += 1
-                            heapq.heappush(heap, (-gains[p], p, gains[p]))
+                            heapq.heappush(heap, (-gains[p], p))
                 elif counts[ni][t] == 1:
                     for p in pins:
                         if not locked[p] and side[p] == t:
                             gains[p] -= 1
-                            heapq.heappush(heap, (-gains[p], p, gains[p]))
+                            heapq.heappush(heap, (-gains[p], p))
                 counts[ni][f] -= 1
                 counts[ni][t] += 1
                 if counts[ni][f] == 0:
                     for p in pins:
                         if not locked[p]:
                             gains[p] -= 1
-                            heapq.heappush(heap, (-gains[p], p, gains[p]))
+                            heapq.heappush(heap, (-gains[p], p))
                 elif counts[ni][f] == 1:
                     for p in pins:
                         if not locked[p] and side[p] == f:
                             gains[p] += 1
-                            heapq.heappush(heap, (-gains[p], p, gains[p]))
+                            heapq.heappush(heap, (-gains[p], p))
             cur_cut -= move_gain
             side[v] = t
             side_w[f] -= graph.weights[v]
@@ -330,47 +312,51 @@ def partition_fm(netlist: Netlist, config: PartitionConfig) -> DieAssignment:
     """Fiduccia-Mattheyses min-cut assignment; K > 2 via recursive bisection.
 
     The per-die capacity is max(UB * W/K, ceil(W/K)) logic weight, so the
-    imbalance bound holds whenever it is satisfiable at all.
+    imbalance bound holds whenever it is satisfiable at all. Each half of
+    a bisection keeps, in order, the parent's nets with two or more pins
+    in it, renumbered to positions in the half.
     """
     if config.num_dies < 2:
         raise PartitionError("partitioning needs at least 2 dies")
     ents = entities(netlist)
-    weights = dict(ents)
-    total = sum(w for _n, w in ents)
+    weights = [w for _n, w in ents]
+    total = sum(weights)
     # Integer per-die capacity; the ceiling term keeps tiny instances
     # feasible when UB*W/K rounds below a whole node.
     cap_per_die = max(int(math.floor(config.ub * total / config.num_dies + 1e-9)),
                       math.ceil(total / config.num_dies))
-    if cap_per_die < max(w for _n, w in ents):
+    if cap_per_die < max(weights):
         raise PartitionError("infeasible imbalance bound for the node weights")
-    all_nets = hyperedges(netlist)
     die_of: dict[str, int] = {}
 
-    def recurse(region: list[str], dies: range, seed_key: str):
+    def recurse(region: list[int], nets: list[tuple[int, ...]], dies: range):
+        # region: indices into `ents`; nets: pins as positions in `region`
         if len(dies) == 1:
             for v in region:
-                die_of[v] = dies[0]
+                die_of[ents[v][0]] = dies[0]
             return
         k1 = len(dies) // 2
         caps = (cap_per_die * k1, cap_per_die * (len(dies) - k1))
-        region_set = set(region)
-        sub_nets = []
-        for _net, pins in all_nets:
-            inside = tuple(p for p in pins if p in region_set)
-            if len(inside) >= 2:
-                sub_nets.append(inside)
-        graph = _FmGraph(region, weights, sub_nets)
-        rng = random.Random("%s/%d:%d" % (seed_key, dies[0], dies[-1]))
-        region_w = sum(weights[v] for v in region)
+        graph = _FmGraph([weights[v] for v in region], nets)
+        rng = random.Random("%s/%d:%d" % (config.seed, dies[0], dies[-1]))
         sides = _fm_bipartition(graph, caps, rng,
-                                target0=region_w * k1 / len(dies))
-        left = [v for v, s in zip(region, sides) if s == 0]
-        right = [v for v, s in zip(region, sides) if s == 1]
-        recurse(left, dies[:k1], seed_key)
-        recurse(right, dies[k1:], seed_key)
+                                target0=sum(graph.weights) * k1 / len(dies))
+        halves = ([], [])
+        pos = []            # each region vertex's position in its half
+        for v, s in zip(region, sides):
+            pos.append(len(halves[s]))
+            halves[s].append(v)
+        for s, half_dies in enumerate((dies[:k1], dies[k1:])):
+            half_nets = []
+            if len(half_dies) > 1:
+                for pins in nets:
+                    inside = tuple([pos[p] for p in pins if sides[p] == s])
+                    if len(inside) >= 2:
+                        half_nets.append(inside)
+            recurse(halves[s], half_nets, half_dies)
 
-    recurse([name for name, _w in ents], range(config.num_dies), str(config.seed))
-    return DieAssignment(config.num_dies, die_of, weights)
+    recurse(list(range(len(ents))), hyperedges(netlist), range(config.num_dies))
+    return DieAssignment(config.num_dies, die_of, dict(ents))
 
 
 # ----------------------------------------------------------------------
@@ -406,10 +392,11 @@ def partition_hash(netlist: Netlist, num_dies: int) -> DieAssignment:
 
 
 def save_assignment(assignment: DieAssignment, path):
+    die_of = assignment.die_of
+    text = "".join(["# dies %d\n" % assignment.num_dies]
+                   + ["%s %d\n" % (name, die_of[name]) for name in sorted(die_of)])
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("# dies %d\n" % assignment.num_dies)
-        for name in sorted(assignment.die_of):
-            fh.write("%s %d\n" % (name, assignment.die_of[name]))
+        fh.write(text)
 
 
 def load_assignment(netlist: Netlist, path, num_dies: int | None = None) -> DieAssignment:

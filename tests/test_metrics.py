@@ -1,9 +1,11 @@
 import json
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sllresub import metrics
 from sllresub.flow import split_per_die
 from sllresub.metrics import (MetricsError, PlacementData, bbox_cost_md,
                               bbox_cost_sd, count_sll, count_sll_fo, crossing_nets,
@@ -345,11 +347,15 @@ def test_report_identity_all_zero(demo_netlist, demo_assignment):
 
 def test_report_roundtrips_through_json(demo_netlist, demo_assignment):
     rep = report(demo_netlist, demo_netlist, demo_assignment, demo_assignment)
-    blob = json.loads(rep.to_json())
+    # the JSON and the text of one report share one read of the delay table
+    with mock.patch.object(metrics, "wire_delay_table",
+                           mock.Mock(wraps=wire_delay_table)) as reads:
+        blob = json.loads(rep.to_json())
+        text = rep.render_text()
+    assert reads.call_count == 1
     assert blob["before"] == blob["after"]
     assert blob["before"]["n_sll"] == 2
     assert blob["interconnect_delays"]["L36"]["delay_ps"] == 2223.7
-    text = rep.render_text()
     assert "n_sll" in text and "2223.7" in text
 
 

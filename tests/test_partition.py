@@ -1,5 +1,6 @@
 import heapq
 import itertools
+import math
 import random
 from unittest import mock
 
@@ -10,7 +11,7 @@ from sllresub import bench, partition
 from sllresub.metrics import count_sll
 from sllresub.netlist import parse_blif
 from sllresub.partition import (MAX_FM_PASSES, DieAssignment, PartitionConfig, PartitionError,
-                                _FmGraph, _fm_bipartition, _fm_seed, assignment_for,
+                                _bfs_order, _FmGraph, _fm_bipartition, _fm_seed, assignment_for,
                                 entities, fnv1a64, hyperedges,
                                 load_assignment, partition_fm, partition_hash,
                                 save_assignment)
@@ -29,6 +30,18 @@ def validate_assignment(netlist, assignment):
 def _cut(netlist, assignment):
     """The hyperedge cut: nets whose pins span two or more dies."""
     return count_sll(netlist, assignment, "raw-net")
+
+
+def _graph(names, weights, nets):
+    """`_FmGraph` over `names` from a name -> weight dict and name-tuple nets."""
+    index = {v: i for i, v in enumerate(names)}
+    return _FmGraph([weights[v] for v in names],
+                    [tuple(index[p] for p in pins) for pins in nets])
+
+
+def _entity_graph(netlist):
+    """`_FmGraph` over every entity of `netlist`, with its hyperedges."""
+    return _FmGraph([w for _e, w in entities(netlist)], hyperedges(netlist))
 
 
 def _uniform(names, dies):
@@ -73,7 +86,8 @@ def test_disjoint_groups_cut_zero():
 
 def test_demo_circuit_split_matches_enumeration(demo_netlist):
     n = demo_netlist
-    nets = hyperedges(n)
+    names = [e for e, _w in entities(n)]
+    nets = [[names[p] for p in pins] for pins in hyperedges(n)]
     logic = ["X", "Y", "F"]
     pis = ["a", "b", "c", "d"]
     best = None
@@ -82,7 +96,7 @@ def test_demo_circuit_split_matches_enumeration(demo_netlist):
             continue  # only 2/1 splits
         for pi_dies in itertools.product((0, 1), repeat=4):
             die_of = dict(zip(logic, logic_dies)) | dict(zip(pis, pi_dies))
-            cut = sum(1 for _d, pins in nets
+            cut = sum(1 for pins in nets
                       if len({die_of[p] for p in pins}) > 1)
             best = cut if best is None else min(best, cut)
     assert best <= 2  # a balanced 2/1 split with small cut exists
@@ -112,9 +126,7 @@ def test_fm_respects_imbalance_bound_randomized():
 
 def test_fm_pass_cuts_never_increase():
     n = random_netlist(7, num_pis=10, num_nodes=80, k=4, num_pos=6)
-    names = [e for e, _w in entities(n)]
-    weights = dict(entities(n))
-    graph = _FmGraph(names, weights, [pins for _d, pins in hyperedges(n)])
+    graph = _entity_graph(n)
     total = sum(graph.weights)
     trace = []
     _fm_bipartition(graph, (total, total), random.Random(3), total / 2, trace)
@@ -268,23 +280,79 @@ def _pin_sets(netlist):
 def test_hyperedges_match_pin_sets_and_cut_is_raw_net_sll(seed, dies, latches):
     n = random_netlist(seed, num_pis=6, num_nodes=30, k=4, num_pos=4,
                        num_latches=latches)
-    edges = hyperedges(n)
+    names = [e for e, _w in entities(n)]
+    edges = [tuple(names[p] for p in pins) for pins in hyperedges(n)]
     ref = _pin_sets(n)
-    assert edges == [(name, ref[name]) for name, _w in entities(n) if name in ref]
+    assert edges == [ref[name] for name in names if name in ref]
     rng = random.Random(seed)
     for a in (partition_hash(n, dies),
               partition_fm(n, PartitionConfig(num_dies=dies, seed=seed)),
               DieAssignment(dies, {name: rng.randrange(dies) for name, _w in entities(n)},
                             dict(entities(n)))):
-        cut = sum(1 for _net, pins in edges if len({a.die(p) for p in pins}) > 1)
+        cut = sum(1 for pins in edges if len({a.die(p) for p in pins}) > 1)
         assert _cut(n, a) == cut
+
+
+def _reference_partition_fm(netlist, config):
+    """`partition_fm` in name space: each bisection rescans every hyperedge
+    of `_pin_sets` by membership of its region's names."""
+    ents = entities(netlist)
+    weights = dict(ents)
+    total = sum(weights.values())
+    cap_per_die = max(int(math.floor(config.ub * total / config.num_dies + 1e-9)),
+                      math.ceil(total / config.num_dies))
+    all_nets = list(_pin_sets(netlist).values())
+    die_of = {}
+
+    def recurse(region, dies):
+        if len(dies) == 1:
+            for v in region:
+                die_of[v] = dies[0]
+            return
+        k1 = len(dies) // 2
+        caps = (cap_per_die * k1, cap_per_die * (len(dies) - k1))
+        region_set = set(region)
+        sub_nets = []
+        for pins in all_nets:
+            inside = tuple(p for p in pins if p in region_set)
+            if len(inside) >= 2:
+                sub_nets.append(inside)
+        rng = random.Random("%s/%d:%d" % (config.seed, dies[0], dies[-1]))
+        region_w = sum(weights[v] for v in region)
+        sides = _fm_bipartition(_graph(region, weights, sub_nets), caps, rng,
+                                target0=region_w * k1 / len(dies))
+        recurse([v for v, s in zip(region, sides) if s == 0], dies[:k1])
+        recurse([v for v, s in zip(region, sides) if s == 1], dies[k1:])
+
+    recurse([name for name, _w in ents], range(config.num_dies))
+    return die_of
+
+
+@pytest.mark.parametrize("k", [4, 6])
+@pytest.mark.parametrize("name", bench.BENCH_NAMES)
+def test_fm_matches_name_space_reference_on_builtins(name, k):
+    n = bench.build(name, k)
+    for dies in (2, 3, 4):
+        config = PartitionConfig(num_dies=dies)
+        ref = _reference_partition_fm(n, config)
+        assert list(partition_fm(n, config).die_of.items()) == list(ref.items())
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10**6), dies=st.integers(2, 4), latches=st.integers(1, 3))
+def test_fm_matches_name_space_reference_on_random_netlists(seed, dies, latches):
+    n = random_netlist(seed, num_pis=8, num_nodes=60, k=4, num_pos=4,
+                       num_latches=latches)
+    config = PartitionConfig(num_dies=dies, seed=seed)
+    ref = _reference_partition_fm(n, config)
+    assert list(partition_fm(n, config).die_of.items()) == list(ref.items())
 
 
 def _reference_fm_bipartition(graph, caps, rng, target0, trace):
     """FM as `_fm_bipartition` runs it, but every pass moves until no
     unlocked vertex fits its target side, with no cut-off."""
-    n = len(graph.vertices)
-    side, side_w = _fm_seed(graph, caps, rng, target0)
+    n = len(graph.weights)
+    side, side_w, _connected = _fm_seed(graph, caps, rng, target0)
     for _pass in range(MAX_FM_PASSES):
         counts = [[0, 0] for _ in graph.nets]
         for ni, pins in enumerate(graph.nets):
@@ -382,7 +450,7 @@ def _assert_fm_matches_reference(netlist, num_dies, seed=0):
         got = _fm_bipartition(graph, caps, rng, target0, got_trace)
         assert got == ref
         assert got_trace == ref_trace
-        checked.append(len(graph.vertices))
+        checked.append(len(graph.weights))
         return got
 
     with mock.patch.object(partition, "_fm_bipartition", both):
@@ -421,10 +489,9 @@ def test_fm_cutoff_ends_passes_early():
     # move; with caps that block no move, a pass without the cut-off moves
     # all n vertices
     n = bench.build("i2c", 6)
-    ents = entities(n)
-    graph = _FmGraph([e for e, _w in ents], dict(ents), [pins for _d, pins in hyperedges(n)])
+    graph = _entity_graph(n)
     total = sum(graph.weights)
-    size = len(graph.vertices)
+    size = len(graph.weights)
     graph.nets_of = _CountingList(graph.nets_of)
     trace = []
     _fm_bipartition(graph, (total, total), random.Random(0), total / 2, trace)
@@ -449,7 +516,39 @@ def _random_hypergraph(rng, size, connected):
         group = rng.choice(groups)
         if len(group) >= 2:
             nets.append(tuple(rng.sample(group, rng.randint(2, min(4, len(group))))))
-    return _FmGraph(names, weights, nets)
+    return _graph(names, weights, nets)
+
+
+def _connected(graph):
+    """True when the nets join every vertex of a graph with at least one
+    vertex into one component."""
+    n = len(graph.weights)
+    seen = [False] * n
+    expanded = [False] * len(graph.nets)
+    seen[0] = True
+    stack = [0]
+    reached = 1
+    while stack:
+        for ni in graph.nets_of[stack.pop()]:
+            if expanded[ni]:
+                continue
+            expanded[ni] = True
+            for p in graph.nets[ni]:
+                if not seen[p]:
+                    seen[p] = True
+                    reached += 1
+                    stack.append(p)
+    return reached == n
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 10**6), size=st.integers(2, 24), connected=st.booleans())
+def test_bfs_reports_connectivity_on_random_hypergraphs(seed, size, connected):
+    rng = random.Random(seed)
+    graph = _random_hypergraph(rng, size, connected)
+    order, reached_all = _bfs_order(graph, rng)
+    assert sorted(order) == list(range(size))
+    assert reached_all == _connected(graph) == connected
 
 
 @settings(max_examples=80, deadline=None)
@@ -478,19 +577,19 @@ def test_fm_floor_matches_full_passes_on_random_hypergraphs(seed, size, connecte
 def test_fm_floor_ends_a_pass_at_cut_one():
     # adder k=4 on 2 dies: both passes end at cut 1, after 5 moves in all
     # with the floor and 65 without it; nets_of is read once per vertex by
-    # the seed's BFS and by the connectivity check, and once per move
+    # the seed's BFS, which also reports connectivity, and once per move
     n = bench.build("adder", 4)
-    ents = entities(n)
-    graph = _FmGraph([e for e, _w in ents], dict(ents), [pins for _d, pins in hyperedges(n)])
+    graph = _entity_graph(n)
     total = sum(graph.weights)
     cap = max(int(1.25 * total / 2), -(-total // 2))
-    size = len(graph.vertices)
+    size = len(graph.weights)
     moves, sides = [], []
     for floor in (True, False):
         graph.nets_of = _CountingList(graph.nets_of)
-        with mock.patch.object(partition, "_connected",
-                               partition._connected if floor else lambda g: False):
+        with mock.patch.object(partition, "_bfs_order",
+                               _bfs_order if floor else
+                               lambda g, rng: (_bfs_order(g, rng)[0], False)):
             sides.append(_fm_bipartition(graph, (cap, cap), random.Random(0), total / 2))
-        moves.append(graph.nets_of.reads - (2 if floor else 1) * size)
+        moves.append(graph.nets_of.reads - size)
     assert sides[0] == sides[1]
     assert 0 < moves[0] < moves[1]
