@@ -1,9 +1,10 @@
 """Combinational equivalence checking by bit-parallel miter simulation.
 
 Latch boundaries are compared combinationally: latch outputs join the
-primary inputs and latch inputs join the primary outputs. Exhaustive
-mode misses nothing; random mode misses a mismatch of density p with
-probability (1 - p)^N after N vectors.
+primary inputs and latch inputs join the primary outputs, so both
+netlists must hold the same latches, each with the same input, output
+and init value. Exhaustive mode misses nothing; random mode misses a
+mismatch of density p with probability (1 - p)^N after N vectors.
 
 Only values that a comparison reads are computed. A node of the second
 netlist with a twin in `a` (same output net, fanins and function) whose
@@ -52,10 +53,12 @@ def _check_interfaces(a: Netlist, b: Netlist):
         raise EquivError("primary input name sets differ")
     if set(a.primary_outputs) != set(b.primary_outputs):
         raise EquivError("primary output name sets differ")
-    if {l.output_net for l in a.latches} != {l.output_net for l in b.latches}:
-        raise EquivError("latch output name sets differ")
-    if {l.input_net for l in a.latches} != {l.input_net for l in b.latches}:
-        raise EquivError("latch input name sets differ")
+    if _latch_set(a) != _latch_set(b):
+        raise EquivError("latch sets differ (input, output and init value)")
+
+
+def _latch_set(netlist: Netlist) -> set[tuple[str, str, str]]:
+    return {(l.input_net, l.output_net, l.init_value) for l in netlist.latches}
 
 
 def check_care(care: Netlist, netlist: Netlist):

@@ -101,8 +101,9 @@ def run_flow(config: FlowConfig) -> FlowResult:
 
     Deterministic for fixed inputs and flags. Exit code 1 flags an
     equivalence failure; stage errors raise FlowError. The verify options,
-    the care predicate and the die assignment are settled before `out_dir`
-    is created, so a bad one leaves no directory and no artifact.
+    the SLL count mode, the care predicate and the die assignment are
+    settled before `out_dir` is created, so a bad one leaves no directory
+    and no artifact.
     `partition.txt` holds the input assignment and `partition_post.txt`
     the assignment of `post.blif`, from which `metrics.json`'s `after`
     section and the `die*.blif` files are made.
@@ -111,6 +112,8 @@ def run_flow(config: FlowConfig) -> FlowResult:
         check_options(config.verify_mode, config.vector_budget)
     except EquivError as exc:
         raise FlowError("verify", str(exc)) from exc
+    if config.sll_mode not in metrics_mod.SLL_COUNT_MODES:
+        raise FlowError("metrics", "unknown SLL count mode %r" % config.sll_mode)
     artifacts: dict[str, str] = {}
 
     def path(name: str) -> str:

@@ -14,6 +14,13 @@ a net, and the PO, latch-reader and source indexes stay private behind
 `has_driver`, `is_sink` (a PO or a latch input reads the net) and
 `reader_names` (the LUT readers, then the latch readers). `level_order`
 is the one (level, id) order, the tie-break of every topological walk.
+
+A LUT's shape (arity, `k_max`, distinct fanins) and each net's single
+driver are checked once, where the LUT or driver enters (`add_node`,
+`replace_node`, `add_input`, `add_latch`); `copy` enters its already
+checked nodes unchecked. `validate` checks what construction cannot, as
+a net may be read before it is driven: a driver for every LUT fanin, PO
+and latch input, and no combinational cycle.
 """
 
 from __future__ import annotations
@@ -109,7 +116,11 @@ class Netlist:
     def add_node(self, output_net: str, fanins: list[str], function: TruthTable) -> LutNode:
         self._check_new_driver(output_net)
         self._check_lut(output_net, fanins, function)
-        node = LutNode(self._next_id, output_net, list(fanins), function)
+        return self._link(output_net, list(fanins), function)
+
+    def _link(self, output_net: str, fanins: list[str], function: TruthTable) -> LutNode:
+        """Enter a checked LUT under the next id; the counterpart of `_unlink`."""
+        node = LutNode(self._next_id, output_net, fanins, function)
         self._next_id += 1
         self.nodes[node.id] = node
         self._node_of_net[output_net] = node.id
@@ -166,9 +177,10 @@ class Netlist:
     # validation / ordering
 
     def validate(self):
-        """Check the structural invariants; raises NetlistError on violation."""
+        """Raise NetlistError unless every LUT fanin, PO and latch input
+        has a driver and the LUTs form no combinational cycle. LUT shape
+        and single drivers were checked as they entered."""
         for node in self.nodes.values():
-            self._check_lut(node.output_net, node.fanins, node.function)
             for f in node.fanins:
                 if not self.has_driver(f):
                     raise NetlistError("net %r used by %r has no driver" % (f, node.output_net))
@@ -317,7 +329,8 @@ class Netlist:
         """Swap in a fresh node driving the same net with new fanins/function.
 
         The old node id disappears; every reader keeps working because the
-        output net is preserved.
+        output net is preserved. The LUT and the drivers of its fanins are
+        checked first, so a NetlistError leaves the netlist untouched.
         """
         nid = self._node_id(node)
         old = self.nodes[nid]
@@ -326,7 +339,7 @@ class Netlist:
             if not self.has_driver(f):
                 raise NetlistError("replacement fanin %r has no driver" % f)
         self._unlink(old)
-        return self.add_node(old.output_net, fanins, function)
+        return self._link(old.output_net, list(fanins), function)
 
     def _unlink(self, node: LutNode):
         """Drop `node` and its fanin edges; its net is left undriven."""
@@ -363,7 +376,7 @@ class Netlist:
         for latch in self.latches:
             out.add_latch(latch.input_net, latch.output_net, latch.init_value)
         for node in self.nodes.values():
-            out.add_node(node.output_net, list(node.fanins), node.function)
+            out._link(node.output_net, list(node.fanins), node.function)
         if self._level is not None:
             # the copy numbers the nodes in this netlist's id order
             out._level = dict(zip(out.nodes, map(self._level.__getitem__, self.nodes)))

@@ -177,7 +177,10 @@ def apply_resubstitution(netlist: Netlist, assignment: DieAssignment,
     as a fresh node on the same net and die, then sweep the dead cone.
 
     Raises ResynthError (netlist untouched) when a support net lies in
-    the pivot's TFO, which would create a combinational cycle. The
+    the pivot's TFO, which would create a combinational cycle, and
+    `replace_node`'s NetlistError (netlist and assignment untouched) when
+    the new support and function do not form a valid LUT over driven
+    nets, such as a support net with no driver. The
     returned dict holds the nets of the swept nodes (`removed_nodes`) and
     the commit's change in crossing driver->sink edges (`n_sll_fo_delta`).
     """
@@ -185,8 +188,6 @@ def apply_resubstitution(netlist: Netlist, assignment: DieAssignment,
     if node is None:
         raise ResynthError("pivot %r is not in the netlist" % candidate.pivot_net)
     for s in candidate.new_support:
-        if not netlist.has_driver(s):
-            raise ResynthError("support net %r has no driver" % s)
         if _in_fanout_cone(netlist, node.id, s):
             raise ResynthError("support net %r is in the pivot's fanout cone" % s)
     old_fanins = list(node.fanins)

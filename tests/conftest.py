@@ -44,6 +44,20 @@ BAD_CARE = {
 # takes it, since every die weight would be zero.
 NO_LOGIC_BLIF = ".model t\n.inputs a\n.outputs a\n.end\n"
 
+# Two latches in a row: d1 = a, d2 = q1, o = q2, so o(t) = a(t-2).
+LATCH_PAIR_BLIF = (".model seq\n.inputs a\n.outputs o\n"
+                   ".latch d1 q1 0\n.latch d2 q2 0\n"
+                   ".names a d1\n1 1\n.names q1 d2\n1 1\n.names q2 o\n1 1\n.end\n")
+
+# Netlists with the same combinational logic and the same latch input and
+# output names as LATCH_PAIR_BLIF that are not equivalent to it: one pairs
+# the latches the other way round (o(t) = a(t-1)), one starts q1 at 1.
+LATCH_MISMATCH_BLIF = {
+    "swapped_pairs": LATCH_PAIR_BLIF.replace(".latch d1 q1 0\n.latch d2 q2 0\n",
+                                             ".latch d1 q2 0\n.latch d2 q1 0\n"),
+    "init_value": LATCH_PAIR_BLIF.replace(".latch d1 q1 0\n", ".latch d1 q1 1\n"),
+}
+
 # Pivot truth table rows in (a, b, c, d) order: X, Y, original F, rebuilt
 # F' = Y xor d, and the care flag (b == c). The reference grid every
 # demo-circuit test checks against.

@@ -9,7 +9,7 @@ import pytest
 from sllresub import cli, flow
 from sllresub.equiv import EquivVerdict
 
-from conftest import BAD_CARE, NO_LOGIC_BLIF
+from conftest import BAD_CARE, LATCH_MISMATCH_BLIF, LATCH_PAIR_BLIF, NO_LOGIC_BLIF
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DEMO = os.path.join(REPO, "demo", "twodie_xor.blif")
@@ -97,6 +97,17 @@ def test_equiv_exit_codes(tmp_path, mutated, capsys):
     assert run("equiv", DEMO, CARE) == 2           # interfaces differ
     assert run("equiv", DEMO, DEMO, "--exhaustive", "--random", 5) == 2
     assert "not allowed with argument --exhaustive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", sorted(LATCH_MISMATCH_BLIF))
+def test_equiv_refuses_other_latches(tmp_path, capsys, kind):
+    seq, other = tmp_path / "seq.blif", tmp_path / "other.blif"
+    seq.write_text(LATCH_PAIR_BLIF)
+    other.write_text(LATCH_MISMATCH_BLIF[kind])
+    assert run("equiv", seq, other) == 2
+    assert "latch sets differ" in capsys.readouterr().err
+    assert run("equiv", seq, seq) == 0
+    assert capsys.readouterr().out == "EQUIVALENT (exhaustive, 8 vectors)\n"
 
 
 def test_vector_budget_below_one_is_a_usage_error(tmp_path, capsys):

@@ -10,7 +10,8 @@ from sllresub.partition import DieAssignment
 from sllresub.resynth import ResynConfig, resynthesize
 from sllresub.truthtab import TruthTable, full_mask, minterm_masks
 
-from conftest import DEMO_BLIF, TABLE2, random_netlist
+from conftest import (DEMO_BLIF, LATCH_MISMATCH_BLIF, LATCH_PAIR_BLIF, TABLE2,
+                      random_netlist)
 
 
 def test_netlist_vs_itself_exhaustive(demo_netlist):
@@ -85,6 +86,18 @@ def test_latch_interface_compared(demo_netlist):
         check_equivalence(seq, parse_blif(
             ".model m\n.inputs a\n.outputs y\n.names a y\n1 1\n.end"))
     assert check_equivalence(seq, seq.copy()).equivalent
+
+
+@pytest.mark.parametrize("kind", sorted(LATCH_MISMATCH_BLIF))
+def test_latches_compared_as_input_output_init_triples(kind):
+    seq = parse_blif(LATCH_PAIR_BLIF)
+    other = parse_blif(LATCH_MISMATCH_BLIF[kind])
+    assert {l.input_net for l in seq.latches} == {l.input_net for l in other.latches}
+    assert {l.output_net for l in seq.latches} == {l.output_net for l in other.latches}
+    for a, b in ((seq, other), (other, seq)):
+        with pytest.raises(EquivError, match="latch sets differ"):
+            check_equivalence(a, b)
+    assert check_equivalence(seq, parse_blif(LATCH_PAIR_BLIF)).equivalent
 
 
 def test_exhaustive_bound_enforced(monkeypatch):

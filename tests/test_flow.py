@@ -103,6 +103,16 @@ def test_flow_bad_verify_options_fail_before_any_stage(tmp_path, mode, budget):
     assert not (tmp_path / "out").exists()
 
 
+def test_flow_bad_sll_mode_fails_before_any_stage(tmp_path):
+    cfg = _demo_flow_config(tmp_path / "out")
+    cfg.sll_mode = "bogus"
+    with pytest.raises(FlowError) as err:
+        run_flow(cfg)
+    assert err.value.stage == "metrics"
+    assert str(err.value) == "[metrics] unknown SLL count mode 'bogus'"
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("kind", sorted(BAD_CARE))
 def test_flow_bad_care_predicate_fails_before_any_stage(tmp_path, kind):
     care = tmp_path / "care.blif"

@@ -4,11 +4,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sllresub import bench
-from sllresub.netlist import (BlifParseError, NetlistError, has_generated_names, parse_blif,
-                              write_blif)
+from sllresub.flow import split_per_die
+from sllresub.netlist import (SLL_PREFIX, BlifParseError, Netlist, NetlistError,
+                              has_generated_names, parse_blif, write_blif)
+from sllresub.partition import partition_hash
 from sllresub.truthtab import TruthTable, minterm_masks, table_to_cover
 
-from conftest import TABLE2, cone_input_nets, random_netlist, tfi
+from conftest import DEMO_BLIF, TABLE2, cone_input_nets, random_netlist, tfi
 
 
 def test_parse_and_cover():
@@ -44,6 +46,9 @@ def test_parse_demo_circuit(demo_netlist):
     (".model m\n.inputs a\n.outputs y\n.names a y\n1 1\n.names a y\n0 1\n.end",
      "multiple drivers"),
     (".model m\n.inputs a\n.outputs y\n.names a q y\n11 1\n.end", "no driver"),
+    (".model m\n.inputs a\n.outputs y\n.end", "primary output 'y' has no driver"),
+    (".model m\n.inputs a\n.outputs q\n.latch d q 0\n.end",
+     "latch input 'd' has no driver"),
     (".model m\n.inputs a\n.outputs y\n.names a y\n1 0\n.end", "off-set"),
     (".model m\n.inputs a\n.outputs y\n.names a y\n1 -\n.end", "don't-care output"),
     (".model m\n.inputs a\n.outputs y\n.names a a y\n11 1\n.end", "duplicate fanins"),
@@ -286,6 +291,91 @@ def test_nodes_and_readers_stay_in_id_order_under_edits(seed, latches, edits):
             assert list(m.nodes) == sorted(m.nodes)
             assert all(ids == sorted(ids) for ids in m.reader_ids.values())
             _assert_indexes_match_scan(m, nets, rng)
+
+
+def _snapshot(n):
+    """What a refused edit must leave as it was."""
+    return (write_blif(n), {net: list(ids) for net, ids in n.reader_ids.items()},
+            dict(n.levels()), n.level_order(n.nodes))
+
+
+@pytest.mark.parametrize("fanins, width, message", [
+    (["a", "d"], 3, "2 fanins but 3-input function"),
+    (["a", "b", "d"], 3, "has 3 fanins, exceeds k_max=2"),
+    (["a", "a"], 2, "duplicate fanins"),
+    (["a", "nowhere"], 2, "replacement fanin 'nowhere' has no driver"),
+])
+def test_replace_node_refusal_leaves_netlist_untouched(fanins, width, message):
+    n = parse_blif(DEMO_BLIF, k_max=2)
+    before = _snapshot(n)
+    with pytest.raises(NetlistError, match=message):
+        n.replace_node(n.node_of_net("F").id, fanins, TruthTable(width, 1))
+    assert _snapshot(n) == before
+
+
+@pytest.fixture
+def lut_checks(monkeypatch):
+    """The output nets that `Netlist._check_lut` is called on, in call order."""
+    calls = []
+    check = Netlist._check_lut
+
+    def spy(self, output_net, fanins, function):
+        calls.append(output_net)
+        return check(self, output_net, fanins, function)
+
+    monkeypatch.setattr(Netlist, "_check_lut", spy)
+    return calls
+
+
+# each LUT is checked once, where it enters a netlist; a built-in with
+# latches and one without
+CHECKED = ["i2c", "diffeq_like"]
+
+
+def _lut_nets(n):
+    return sorted(x.output_net for x in n.nodes.values())
+
+
+@pytest.mark.parametrize("name", CHECKED)
+def test_pack_to_luts_checks_each_lut_once(lut_checks, name):
+    n = bench.build(name, 6)
+    assert sorted(lut_checks) == _lut_nets(n)
+
+
+@pytest.mark.parametrize("name", CHECKED)
+def test_parse_blif_checks_each_lut_once(lut_checks, name):
+    text = write_blif(bench.build(name, 6))
+    lut_checks.clear()
+    n = parse_blif(text)
+    assert sorted(lut_checks) == _lut_nets(n)
+    assert write_blif(n) == text
+
+
+@pytest.mark.parametrize("name", CHECKED)
+def test_copy_checks_no_lut(lut_checks, name):
+    n = bench.build(name, 6)
+    lut_checks.clear()
+    assert write_blif(n.copy()) == write_blif(n)
+    assert lut_checks == []
+
+
+@pytest.mark.parametrize("name", CHECKED)
+def test_replace_node_checks_one_lut(lut_checks, name):
+    n = bench.build(name, 6)
+    node = n.topological_order()[-1]
+    lut_checks.clear()
+    n.replace_node(node.id, node.fanins, node.function)
+    assert lut_checks == [node.output_net]
+
+
+@pytest.mark.parametrize("name", CHECKED)
+def test_split_per_die_checks_each_lut_and_buffer_once(lut_checks, name):
+    n = bench.build(name, 6)
+    lut_checks.clear()
+    subs = split_per_die(n, partition_hash(n, 3))
+    buffers = sum(po.startswith(SLL_PREFIX) for sub in subs for po in sub.primary_outputs)
+    assert buffers > 0
+    assert len(lut_checks) == n.lut_count() + buffers
 
 
 def test_simulate_demo_row(demo_netlist):

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from sllresub import bench, resynth
 from sllresub.equiv import check_equivalence
 from sllresub.metrics import count_sll, count_sll_fo
-from sllresub.netlist import parse_blif, write_blif
+from sllresub.netlist import NetlistError, parse_blif, write_blif
 from sllresub.partition import DieAssignment, partition_hash
 from sllresub.resynth import (ResubCandidate, ResynConfig, apply_resubstitution,
                               find_equiv_func, resynthesize, select_cross_die_fanin)
@@ -95,6 +95,20 @@ def test_apply_resubstitution_rejects_cycles(demo_netlist, demo_assignment):
     with pytest.raises(ResynthError):
         apply_resubstitution(n, demo_assignment, bad)
     assert write_blif(n) == text_before  # untouched
+
+
+def test_apply_resubstitution_refuses_undriven_support():
+    n = parse_blif(".model m\n.inputs a b c\n.outputs y\n"
+                   ".names a b p\n11 1\n"
+                   ".names p c y\n10 1\n01 1\n.end")
+    asg = DieAssignment(2, {"a": 0, "b": 0, "c": 1, "p": 0, "y": 1},
+                        {"p": 1, "y": 1})
+    before = (write_blif(n), dict(n.levels()), dict(asg.die_of), dict(asg.weights))
+    # committed, this would drop p's fanout and sweep p
+    bad = ResubCandidate("y", "p", ["c", "nowhere"], TruthTable(2, 0b0110))
+    with pytest.raises(NetlistError, match="replacement fanin 'nowhere' has no driver"):
+        apply_resubstitution(n, asg, bad)
+    assert (write_blif(n), n.levels(), asg.die_of, asg.weights) == before
 
 
 def test_apply_resubstitution_sweeps_dead_fanin():
