@@ -1,9 +1,14 @@
 """Command line front end.
 
-Subcommands: partition, resynth, equiv, metrics, split, flow. Every flag
-can be overridden by an environment variable named SLLRESUB_<FLAG>
-(dashes as underscores, upper case), e.g. SLLRESUB_SEED=7. A value the
-flag would not accept is a usage error.
+Subcommands: partition, resynth, equiv, metrics, split, flow, bench.
+Each takes only the flags it reads. The default of each of these flags
+can be set by an environment variable named SLLRESUB_<FLAG> (dashes as
+underscores, upper case), e.g. SLLRESUB_SEED=7: --k-max, --seed,
+--verbose, --dies, --ub, --partition-mode, --partition-file, --d1, --d2,
+--passes, --window-pi-cap, --divisor-cap, --max-augment, --freeze-die,
+--inject-care, --no-verify-commits, --die-width, --die-height, --lsll,
+--sll-count, --verify, --vectors and --lut-k. A value the flag would not
+accept is a usage error, and the command line wins over the environment.
 
 A partition file gives its die count in a `# dies <count>` header. With
 `--partition-mode file` (partition, flow) that header must equal
@@ -64,12 +69,15 @@ def _envd(flag: str, default, cast=str, choices=None):
     return value
 
 
-def _add_common(p: argparse.ArgumentParser):
+def _add_common(p: argparse.ArgumentParser, seed: bool = True, verbose: bool = True):
+    """--k-max, with --seed and --verbose for the subcommands that read them."""
     p.add_argument("--k-max", type=int, default=_envd("k-max", 6, int),
                    help="LUT size bound enforced at parse (default 6)")
-    p.add_argument("--seed", type=int, default=_envd("seed", 0, int))
-    p.add_argument("--verbose", action="store_true",
-                   default=_envd("verbose", False, bool))
+    if seed:
+        p.add_argument("--seed", type=int, default=_envd("seed", 0, int))
+    if verbose:
+        p.add_argument("--verbose", action="store_true",
+                       default=_envd("verbose", False, bool))
 
 
 def _add_partition_flags(p: argparse.ArgumentParser):
@@ -240,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", dest="output", required=True)
     p.add_argument("--report", default=None)
     _add_resyn_flags(p)
-    _add_common(p)
+    _add_common(p, seed=False)
     p.set_defaults(func=cmd_resynth)
 
     p = sub.add_parser("equiv", help="combinational equivalence check")
@@ -250,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     how.add_argument("--exhaustive", action="store_true")
     how.add_argument("--random", type=int, default=None, metavar="N")
     p.add_argument("--care", default=None)
-    _add_common(p)
+    _add_common(p, verbose=False)
     p.set_defaults(func=cmd_equiv)
 
     p = sub.add_parser("metrics", help="connectivity and wirelength report")
@@ -267,14 +275,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sll-count", choices=SLL_COUNT_MODES,
                    default=_envd("sll-count", "per-die", choices=SLL_COUNT_MODES))
     p.add_argument("--json", default=None)
-    _add_common(p)
+    _add_common(p, seed=False, verbose=False)
     p.set_defaults(func=cmd_metrics)
 
     p = sub.add_parser("split", help="emit per-die sub-netlists")
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--partition", required=True)
     p.add_argument("--outdir", required=True)
-    _add_common(p)
+    _add_common(p, seed=False)
     p.set_defaults(func=cmd_split)
 
     p = sub.add_parser("flow", help="partition + resynth + verify + split + report")
@@ -294,7 +302,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("name", choices=sorted(bench.BENCH_NAMES))
     p.add_argument("--lut-k", type=int, default=_envd("lut-k", 4, int))
     p.add_argument("-o", "--output", default=None)
-    _add_common(p)
     p.set_defaults(func=cmd_bench)
     return top
 

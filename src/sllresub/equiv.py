@@ -14,8 +14,10 @@ cone drives: every other sink is a source, or its driver is identical in
 both netlists with identical inputs, so it cannot differ. `a` is
 evaluated only on the fanin cone of the compared sinks and of the nets
 the changed cone reads from outside it. When the changed cone drives no
-sink, no node is evaluated. Every value computed is exactly that of a
-full simulation, so the verdict is too.
+sink, no node is evaluated. A counterexample is named, and in random
+mode minimized, by the same evaluation one vector wide, so this holds
+for counterexamples too. Every value computed is exactly that of a full
+simulation, so the verdict is too.
 """
 
 from __future__ import annotations
@@ -84,12 +86,23 @@ def care_mask(care: Netlist | None, source_masks: dict[str, int], width: int) ->
     return values[care.primary_outputs[0]]
 
 
-def check_options(mode: str, vector_budget: int):
-    """Raise EquivError for an unknown mode or a vector budget below 1."""
+def check_options(mode: str, vector_budget: int, num_sources: int) -> str:
+    """The mode a check over `num_sources` sources runs in.
+
+    'auto' is exhaustive up to `EXHAUSTIVE_PI_BOUND` sources and random
+    beyond. Raises EquivError for an unknown mode, a vector budget below 1
+    and exhaustive mode beyond the bound.
+    """
     if mode not in MODES:
         raise EquivError("unknown mode %r" % mode)
     if vector_budget < 1:
         raise EquivError("vector budget must be >= 1 (got %d)" % vector_budget)
+    if mode == "exhaustive" and num_sources > EXHAUSTIVE_PI_BOUND:
+        raise EquivError("exhaustive mode refused beyond %d inputs (have %d)"
+                         % (EXHAUSTIVE_PI_BOUND, num_sources))
+    if mode == "auto":
+        return "exhaustive" if num_sources <= EXHAUSTIVE_PI_BOUND else "random"
+    return mode
 
 
 def _changed_cone(a: Netlist, b: Netlist) -> list[LutNode]:
@@ -152,20 +165,15 @@ def check_equivalence(a: Netlist, b: Netlist, mode: str = "auto", seed: int = 0,
 
     mode 'exhaustive' enumerates all input minterms (inputs capped at
     `EXHAUSTIVE_PI_BOUND`), 'random' draws `vector_budget` seeded vectors,
-    'auto' picks exhaustive when it fits. An optional single-output `care`
-    netlist over the primary inputs restricts the compared input space.
-    A `vector_budget` below 1 is refused in every mode.
+    'auto' picks exhaustive when it fits (`check_options`). An optional
+    single-output `care` netlist over the primary inputs restricts the
+    compared input space.
     """
     _check_interfaces(a, b)
     sources = sorted(a.source_nets())
-    check_options(mode, vector_budget)
+    mode = check_options(mode, vector_budget, len(sources))
     if care is not None:
         check_care(care, a)
-    if mode == "exhaustive" and len(sources) > EXHAUSTIVE_PI_BOUND:
-        raise EquivError("exhaustive mode refused beyond %d inputs (have %d)"
-                         % (EXHAUSTIVE_PI_BOUND, len(sources)))
-    if mode == "auto":
-        mode = "exhaustive" if len(sources) <= EXHAUSTIVE_PI_BOUND else "random"
     # exhaustive mode is one chunk holding every minterm
     total = 1 << len(sources) if mode == "exhaustive" else vector_budget
     cone = _changed_cone(a, b)
@@ -176,6 +184,10 @@ def check_equivalence(a: Netlist, b: Netlist, mode: str = "auto", seed: int = 0,
     outside = {f for node in cone for f in node.fanins if f not in changed}
     a_cone = _read_cone(a, outside.union(sinks))
 
+    def mismatch(masks, width):
+        a_vals, b_vals = _eval_both(a_cone, cone, masks, width)
+        return _first_mismatch(a_vals, b_vals, sinks, care_mask(care, masks, width))
+
     rng = random.Random(seed)
     checked = 0
     while checked < total:
@@ -184,49 +196,27 @@ def check_equivalence(a: Netlist, b: Netlist, mode: str = "auto", seed: int = 0,
         else:
             width = min(_CHUNK, total - checked)
             masks = {net: rng.getrandbits(width) for net in sources}
-        a_vals, b_vals = _eval_both(a_cone, cone, masks, width)
-        care_bits = care_mask(care, masks, width)
-        sink, bit = _first_mismatch(a_vals, b_vals, sinks, care_bits)
+        sink, bit = mismatch(masks, width)
         checked += width
         if sink is not None:
-            # in exhaustive mode `_mismatch_output` names `sink`: an earlier
-            # sink that differed at this care minterm would have been found
             assignment = {net: (masks[net] >> bit) & 1 for net in sources}
             if mode == "random":
-                assignment = _minimize(a, b, assignment, care)
-            return EquivVerdict(False, mode, checked,
-                                assignment, _mismatch_output(a, b, assignment))
+                assignment = _minimize(assignment, lambda v: mismatch(v, 1)[0] is not None)
+            sink = mismatch(assignment, 1)[0]
+            if sink is None:
+                raise EquivError("counterexample does not re-simulate to a mismatch")
+            return EquivVerdict(False, mode, checked, assignment, sink)
     return EquivVerdict(True, mode, checked)
 
 
-def _mismatch_output(a: Netlist, b: Netlist, assignment: dict[str, int]) -> str:
-    """The first sink by name that `assignment` sets apart; raises if none."""
-    va = a.simulate(assignment)
-    vb = b.simulate(assignment)
-    for sink in sorted(va):
-        if va[sink] != vb[sink]:
-            return sink
-    raise EquivError("counterexample does not re-simulate to a mismatch")
-
-
-def _still_differs(a: Netlist, b: Netlist, assignment: dict[str, int],
-                   care: Netlist | None) -> bool:
-    if not care_mask(care, assignment, 1):
-        return False
-    va = a.simulate(assignment)
-    vb = b.simulate(assignment)
-    return any(va[s] != vb[s] for s in va)
-
-
-def _minimize(a: Netlist, b: Netlist, assignment: dict[str, int],
-              care: Netlist | None) -> dict[str, int]:
-    """Greedily clear input bits while the mismatch (within care) persists."""
+def _minimize(assignment: dict[str, int], differs) -> dict[str, int]:
+    """Greedily clear set bits, in name order, while `differs` holds."""
     current = dict(assignment)
     for net in sorted(current):
         if current[net] == 0:
             continue
         trial = dict(current)
         trial[net] = 0
-        if _still_differs(a, b, trial, care):
+        if differs(trial):
             current = trial
     return current

@@ -100,18 +100,15 @@ def run_flow(config: FlowConfig) -> FlowResult:
     """Run the full pipeline and write all artifacts into `out_dir`.
 
     Deterministic for fixed inputs and flags. Exit code 1 flags an
-    equivalence failure; stage errors raise FlowError. The verify options,
-    the SLL count mode, the care predicate and the die assignment are
-    settled before `out_dir` is created, so a bad one leaves no directory
-    and no artifact.
+    equivalence failure; stage errors raise FlowError. The SLL count mode,
+    the input netlist, the verify mode (with its bound on the number of
+    sources), the care predicate, the die assignment and the resynthesis
+    are settled before `out_dir` is created, so a bad one (a `freeze_die`
+    that names no die, say) leaves no directory and no artifact.
     `partition.txt` holds the input assignment and `partition_post.txt`
     the assignment of `post.blif`, from which `metrics.json`'s `after`
     section and the `die*.blif` files are made.
     """
-    try:
-        check_options(config.verify_mode, config.vector_budget)
-    except EquivError as exc:
-        raise FlowError("verify", str(exc)) from exc
     if config.sll_mode not in metrics_mod.SLL_COUNT_MODES:
         raise FlowError("metrics", "unknown SLL count mode %r" % config.sll_mode)
     artifacts: dict[str, str] = {}
@@ -125,6 +122,10 @@ def run_flow(config: FlowConfig) -> FlowResult:
             raise NetlistError("input uses the reserved %r prefix" % SLL_PREFIX)
     except (OSError, NetlistError) as exc:
         raise FlowError("parse", str(exc)) from exc
+    try:
+        check_options(config.verify_mode, config.vector_budget, len(netlist.source_nets()))
+    except EquivError as exc:
+        raise FlowError("verify", str(exc)) from exc
 
     care = None
     if config.inject_care_path:
@@ -139,14 +140,14 @@ def run_flow(config: FlowConfig) -> FlowResult:
 
     try:
         assignment = assignment_for(netlist, config.partition)
-        os.makedirs(config.out_dir, exist_ok=True)
-        save_assignment(assignment, path("partition.txt"))
-        artifacts["partition"] = path("partition.txt")
     except PartitionError as exc:
         raise FlowError("partition", str(exc)) from exc
 
     try:
         result = resynthesize(netlist, assignment, config.resyn, injected_care=care)
+        os.makedirs(config.out_dir, exist_ok=True)
+        save_assignment(assignment, path("partition.txt"))
+        artifacts["partition"] = path("partition.txt")
         write_blif_file(result.netlist, path("post.blif"))
         artifacts["post_blif"] = path("post.blif")
         save_assignment(result.assignment, path("partition_post.txt"))

@@ -396,11 +396,6 @@ class Netlist:
         eval_nodes(self.topological_order(), values, width)
         return values
 
-    def simulate(self, assignment: dict[str, int]) -> dict[str, int]:
-        """Single-vector simulation: PI/latch-output bits in, PO/latch-input bits out."""
-        values = self.eval_masks({net: 1 if v else 0 for net, v in assignment.items()}, 1)
-        return {net: values[net] & 1 for net in self.sink_nets()}
-
 
 def net_terminals(netlist: Netlist):
     """Yield (driver_name, [sink names]) for every driven net, stable order.

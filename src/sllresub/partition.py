@@ -68,8 +68,11 @@ class PartitionConfig:
     partition_file: str | None = None
 
     def __post_init__(self):
-        if self.ub < 1.0:
-            raise PartitionError("imbalance upper bound must be >= 1.0")
+        if self.num_dies < 1:
+            raise PartitionError("die count must be >= 1 (got %d)" % self.num_dies)
+        if not 1.0 <= self.ub < math.inf:     # refuses nan too
+            raise PartitionError("imbalance upper bound must be finite and >= 1.0 (got %s)"
+                                 % self.ub)
 
 
 def entities(netlist: Netlist) -> list[tuple[str, int]]:
@@ -406,10 +409,13 @@ def load_assignment(netlist: Netlist, path, num_dies: int | None = None) -> DieA
     reader, LUTs in id order before latches (die 0 when none is listed),
     so hand-written files may list logic only.
 
-    The die count is `num_dies` when given, else the `# dies <count>`
-    header, else one more than the highest die listed. A header that
-    disagrees with a given `num_dies` is an error naming the header line.
+    The die count is `num_dies` when given (at least 1), else the
+    `# dies <count>` header, else one more than the highest die listed.
+    A header that disagrees with a given `num_dies` is an error naming
+    the header line.
     """
+    if num_dies is not None and num_dies < 1:
+        raise PartitionError("die count must be >= 1 (got %d)" % num_dies)
     entries: dict[str, int] = {}
     header_dies = header = None
     with open(path, "r", encoding="utf-8") as fh:
@@ -446,8 +452,7 @@ def load_assignment(netlist: Netlist, path, num_dies: int | None = None) -> DieA
         raise PartitionError("%s disagrees with the %d dies asked for" % (header, num_dies))
     k = num_dies if num_dies is not None else header_dies
     if k is None:
-        k = max(entries.values(), default=0) + 1
-    k = max(k, 1)
+        k = max([0, *entries.values()]) + 1
     for name, die in entries.items():
         if not 0 <= die < k:
             raise PartitionError("die index %d for %r out of range [0, %d)" % (die, name, k))

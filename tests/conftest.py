@@ -101,8 +101,9 @@ def demo_care():
     return parse_blif(CARE_BLIF)
 
 
-# Cone helpers of the window references in test_incremental.py; the
-# program itself walks cones inside build_window.
+# Cone helpers of the window references in test_incremental.py, and the
+# single-vector simulator of the reference checks; the program itself
+# walks cones inside build_window and evaluates only what it compares.
 
 def tfi(netlist, nid, depth_limit=None):
     """Node ids in the transitive fanin of node `nid`, BFS-bounded by `depth_limit`.
@@ -130,6 +131,12 @@ def cone_input_nets(netlist, node_ids):
     """Nets feeding the node set from outside it, sorted by name."""
     inner = {netlist.nodes[n].output_net for n in node_ids}
     return sorted({f for n in node_ids for f in netlist.nodes[n].fanins if f not in inner})
+
+
+def simulate(netlist, assignment):
+    """Single-vector simulation: PI/latch-output bits in, PO/latch-input bits out."""
+    values = netlist.eval_masks({net: 1 if v else 0 for net, v in assignment.items()}, 1)
+    return {net: values[net] & 1 for net in netlist.sink_nets()}
 
 
 # Random netlists of the property tests; the program never builds one.

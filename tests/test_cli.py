@@ -268,3 +268,54 @@ def test_freeze_die_out_of_range_is_a_stage_error(tmp_path, capsys, die):
                "--freeze-die=%s" % die) == 2
     assert run("flow", "--in", DEMO, "--outdir", tmp_path / "ok", "--partition-mode", "file",
                "--partition-file", DIES, "--freeze-die", "1") == 0
+
+
+@pytest.mark.parametrize("command", ["flow", "partition"])
+@pytest.mark.parametrize("ub", ["inf", "nan"])
+def test_non_finite_ub_is_a_stage_error(tmp_path, capsys, command, ub):
+    out = tmp_path / "out"
+    if command == "flow":
+        args = ("flow", "--in", DEMO, "--outdir", out)
+    else:
+        args = ("partition", DEMO, "-o", out)
+    assert run(*args, "--ub", ub) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "imbalance upper bound must be finite and >= 1.0 (got %s)" % ub in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("dies", ["0", "-2"])
+def test_die_count_below_one_is_a_stage_error(tmp_path, capsys, dies):
+    """A headerless file with every entity on die 0 took any --dies."""
+    labels = tmp_path / "zero.dies"
+    with open(DIES, encoding="utf-8") as fh:
+        labels.write_text("".join(line[:-2] + "0\n" for line in fh.readlines()[1:]))
+    assert run("flow", "--in", DEMO, "--outdir", tmp_path / "out", "--partition-mode", "file",
+               "--partition-file", labels, "--dies", dies) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "die count must be >= 1 (got %s)" % dies in err
+    assert not (tmp_path / "out").exists()
+    assert run("flow", "--in", DEMO, "--outdir", tmp_path / "one", "--partition-mode", "file",
+               "--partition-file", labels, "--dies", "1") == 0
+    assert (tmp_path / "one" / "partition.txt").read_text().startswith("# dies 1\n")
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (("resynth", "--in", DEMO, "--partition", DIES, "--out", "post.blif"), ("--seed", "1")),
+    (("metrics", "--in", DEMO, "--partition", DIES), ("--seed", "1")),
+    (("split", "--in", DEMO, "--partition", DIES, "--outdir", "dies"), ("--seed", "1")),
+    (("bench", "voter"), ("--seed", "1")),
+    (("equiv", DEMO, DEMO), ("--verbose",)),
+    (("metrics", "--in", DEMO, "--partition", DIES), ("--verbose",)),
+    (("bench", "voter"), ("--verbose",)),
+    (("bench", "voter"), ("--k-max", "4")),
+])
+def test_flag_a_subcommand_does_not_read_is_a_usage_error(tmp_path, monkeypatch, capsys,
+                                                          argv, flag):
+    monkeypatch.chdir(tmp_path)
+    assert run(*argv, *flag) == 2
+    assert "unrecognized arguments: %s" % " ".join(flag) in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
+    assert run(*argv) == 0

@@ -4,14 +4,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sllresub import bench, equiv
-from sllresub.equiv import EquivError, EquivVerdict, check_equivalence
+from sllresub.equiv import MODES, EquivError, EquivVerdict, check_equivalence
 from sllresub.netlist import Netlist, parse_blif, write_blif
 from sllresub.partition import DieAssignment
 from sllresub.resynth import ResynConfig, resynthesize
 from sllresub.truthtab import TruthTable, full_mask, minterm_masks
 
 from conftest import (DEMO_BLIF, LATCH_MISMATCH_BLIF, LATCH_PAIR_BLIF, TABLE2,
-                      random_netlist)
+                      random_netlist, simulate)
 
 
 def test_netlist_vs_itself_exhaustive(demo_netlist):
@@ -34,8 +34,8 @@ def test_demo_care_restricted_and_full(demo_netlist, demo_assignment, demo_care)
             assert care == 0
     got = []
     for a, b, c, d, _X, _Y, _F, _fp, _care in TABLE2:
-        s1 = demo_netlist.simulate({"a": a, "b": b, "c": c, "d": d})
-        s2 = post.simulate({"a": a, "b": b, "c": c, "d": d})
+        s1 = simulate(demo_netlist, {"a": a, "b": b, "c": c, "d": d})
+        s2 = simulate(post, {"a": a, "b": b, "c": c, "d": d})
         if s1 != s2:
             got.append((a, b, c, d))
     assert set(got) == mismatch_rows
@@ -57,8 +57,8 @@ def test_mutation_is_caught_with_counterexample():
         v = check_equivalence(n, mutated)
         assert not v.equivalent
         # the counterexample re-simulates to a real mismatch
-        s1 = n.simulate(v.counterexample)
-        s2 = mutated.simulate(v.counterexample)
+        s1 = simulate(n, v.counterexample)
+        s2 = simulate(mutated, v.counterexample)
         assert s1 != s2
         assert s1[v.mismatched_output] != s2[v.mismatched_output]
 
@@ -129,7 +129,7 @@ def test_random_mode_deterministic_and_minimized():
     assert a.counterexample == b.counterexample
     assert a.vectors_checked == b.vectors_checked
     # greedy minimization still yields a real mismatch
-    s1, s2 = n.simulate(a.counterexample), mutated.simulate(a.counterexample)
+    s1, s2 = simulate(n, a.counterexample), simulate(mutated, a.counterexample)
     assert s1 != s2
 
 
@@ -144,14 +144,46 @@ def test_care_predicate_validation(demo_netlist, demo_care):
 
 
 # The final check compares only the sinks the changed cone drives, and
-# evaluates `a` only where those comparisons read it. The reference below
-# is the check without either restriction: it evaluates all of `a` and
-# all of `b` and compares every sink, drawing the same random vectors.
+# evaluates `a` only where those comparisons read it, counterexamples
+# included. The reference below is the check without either restriction:
+# it evaluates all of `a` and all of `b` and compares every sink, drawing
+# the same random vectors, and names and minimizes a counterexample by
+# simulating both whole netlists once per trial.
+
+def _reference_still_differs(a, b, assignment, care):
+    if care is not None and not care.eval_masks(
+            {p: assignment[p] for p in care.source_nets()}, 1)[care.primary_outputs[0]]:
+        return False
+    va, vb = simulate(a, assignment), simulate(b, assignment)
+    return any(va[s] != vb[s] for s in va)
+
+
+def _reference_minimize(a, b, assignment, care):
+    current = dict(assignment)
+    for net in sorted(current):
+        if current[net] == 0:
+            continue
+        trial = dict(current)
+        trial[net] = 0
+        if _reference_still_differs(a, b, trial, care):
+            current = trial
+    return current
+
+
+def _reference_mismatch_output(a, b, assignment):
+    va, vb = simulate(a, assignment), simulate(b, assignment)
+    for sink in sorted(va):
+        if va[sink] != vb[sink]:
+            return sink
+    raise AssertionError("counterexample does not re-simulate to a mismatch")
+
 
 def _reference_check(a, b, mode, seed=0, vector_budget=equiv.DEFAULT_VECTOR_BUDGET,
                      care=None):
     sources = sorted(a.source_nets())
     sinks = sorted(a.sink_nets())
+    if mode == "auto":
+        mode = "exhaustive" if len(sources) <= equiv.EXHAUSTIVE_PI_BOUND else "random"
 
     def first_mismatch(masks, width):
         va, vb = a.eval_masks(masks, width), b.eval_masks(masks, width)
@@ -180,10 +212,10 @@ def _reference_check(a, b, mode, seed=0, vector_budget=equiv.DEFAULT_VECTOR_BUDG
         sink, bit = first_mismatch(masks, width)
         checked += width
         if sink is not None:
-            assignment = equiv._minimize(
+            assignment = _reference_minimize(
                 a, b, {net: (masks[net] >> bit) & 1 for net in sources}, care)
             return EquivVerdict(False, mode, checked, assignment,
-                                equiv._mismatch_output(a, b, assignment))
+                                _reference_mismatch_output(a, b, assignment))
     return EquivVerdict(True, mode, checked)
 
 
@@ -271,6 +303,63 @@ def test_restricted_final_check_matches_full_reference(seed, latches, kind, pick
     kwargs = {"mode": mode, "seed": seed % 7, "vector_budget": 20_000, "care": care}
     got = check_equivalence(a, b, **kwargs)
     assert got == _reference_check(a, b, **kwargs)
+
+
+def _pi_pair_care(netlist):
+    """The care predicate pi0 == pi1 over `netlist`'s first two inputs."""
+    care = Netlist("care", 2)
+    for net in ("pi0", "pi1"):
+        care.add_input(net)
+    care.add_output("care")
+    care.add_node("care", ["pi0", "pi1"], TruthTable(2, 0b1001))
+    return care
+
+
+def test_counterexamples_match_whole_netlist_reference_sweep():
+    """One-row flips of every third node of 40 random netlists, in every
+    mode, with and without a care predicate: each verdict, counterexample
+    and mismatched output is the whole-netlist reference's. A reference
+    test: a check that simulates whole netlists passes it too."""
+    mismatches = checks = 0
+    for seed in range(40):
+        a = random_netlist(seed, num_pis=8, num_nodes=30, k=4, num_pos=5)
+        care = _pi_pair_care(a)
+        nets = sorted(node.output_net for node in a.nodes.values())
+        for i, net in enumerate(nets[::3]):
+            b = a.copy()
+            node = b.node_of_net(net)
+            _flip_row(b, node, (seed + i) % node.function.num_minterms)
+            for mode in MODES:
+                for pred in (None, care):
+                    kwargs = {"mode": mode, "seed": seed, "vector_budget": 20_000,
+                              "care": pred}
+                    got = check_equivalence(a, b, **kwargs)
+                    assert got == _reference_check(a, b, **kwargs), (seed, net, mode)
+                    checks += 1
+                    mismatches += not got.equivalent
+    assert checks == 40 * 10 * 6
+    assert 0 < mismatches < checks
+
+
+@pytest.mark.parametrize("mode", ["exhaustive", "random"])
+@pytest.mark.parametrize("with_care", [False, True])
+def test_failing_check_never_evaluates_a_whole_netlist(monkeypatch, mode, with_care):
+    a = random_netlist(5, num_pis=8, num_nodes=30, k=4, num_pos=5)
+    b = a.copy()
+    _flip_row(b, b.node_of_net(a.primary_outputs[0]), 0)
+    care = _pi_pair_care(a) if with_care else None
+    evaluated = []
+    real = Netlist.eval_masks
+
+    def spied(self, source_masks, width):
+        evaluated.append(self)
+        return real(self, source_masks, width)
+
+    monkeypatch.setattr(Netlist, "eval_masks", spied)
+    got = check_equivalence(a, b, mode=mode, vector_budget=20_000, care=care)
+    assert not got.equivalent and got.counterexample is not None
+    assert not any(n is a or n is b for n in evaluated)
+    assert with_care == any(n is care for n in evaluated)
 
 
 def _count_evaluations(monkeypatch):

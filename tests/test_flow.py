@@ -4,7 +4,7 @@ import re
 
 import pytest
 
-from sllresub import bench
+from sllresub import bench, equiv
 from sllresub.equiv import check_equivalence
 from sllresub.flow import FlowConfig, FlowError, run_flow, split_per_die
 from sllresub.netlist import (SLL_PREFIX, Netlist, NetlistError, parse_blif, parse_blif_file,
@@ -100,6 +100,30 @@ def test_flow_bad_verify_options_fail_before_any_stage(tmp_path, mode, budget):
     with pytest.raises(FlowError) as err:
         run_flow(cfg)
     assert err.value.stage == "verify"
+    assert not (tmp_path / "out").exists()
+
+
+def test_flow_exhaustive_beyond_bound_fails_before_any_stage(tmp_path, monkeypatch):
+    monkeypatch.setattr(equiv, "EXHAUSTIVE_PI_BOUND", 3)      # the demo has 4 inputs
+    cfg = _demo_flow_config(tmp_path / "out")
+    cfg.verify_mode = "exhaustive"
+    with pytest.raises(FlowError) as err:
+        run_flow(cfg)
+    assert err.value.stage == "verify"
+    assert str(err.value) == "[verify] exhaustive mode refused beyond 3 inputs (have 4)"
+    assert not (tmp_path / "out").exists()
+    # auto mode falls back to random vectors instead
+    cfg.verify_mode = "auto"
+    assert run_flow(cfg).verdict.mode == "random"
+
+
+def test_flow_freeze_die_naming_no_die_leaves_no_directory(tmp_path):
+    cfg = _demo_flow_config(tmp_path / "out")
+    cfg.resyn = ResynConfig(freeze_die=5)
+    with pytest.raises(FlowError) as err:
+        run_flow(cfg)
+    assert err.value.stage == "resynth"
+    assert "freeze_die 5 is not a die" in str(err.value)
     assert not (tmp_path / "out").exists()
 
 

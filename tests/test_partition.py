@@ -54,6 +54,23 @@ def test_config_rejects_bad_ub():
         PartitionConfig(num_dies=2, ub=0.9)
 
 
+@pytest.mark.parametrize("ub", [math.inf, math.nan])
+def test_config_rejects_non_finite_ub(ub):
+    with pytest.raises(PartitionError, match="imbalance upper bound must be finite"):
+        PartitionConfig(num_dies=2, ub=ub)
+
+
+@pytest.mark.parametrize("dies", [0, -2])
+def test_die_count_below_one_is_refused(tmp_path, demo_netlist, dies):
+    with pytest.raises(PartitionError, match="die count must be >= 1 \\(got %d\\)" % dies):
+        PartitionConfig(num_dies=dies, mode="external_file")
+    path = tmp_path / "p.txt"
+    path.write_text("X 0\nY 0\nF 0\n")
+    with pytest.raises(PartitionError, match="die count must be >= 1"):
+        load_assignment(demo_netlist, path, dies)
+    assert load_assignment(demo_netlist, path, 1).num_dies == 1
+
+
 def test_imbalance_hand_values():
     a = _uniform([f"n{i}" for i in range(10)],
                  {f"n{i}": 0 if i < 6 else 1 for i in range(10)})

@@ -14,7 +14,7 @@ from sllresub.resynth import (ResubCandidate, ResynConfig, apply_resubstitution,
 from sllresub.truthtab import TruthTable
 from sllresub.windows import ResynthError, WindowSim, build_window, extract_care_set
 
-from conftest import TABLE2, random_netlist
+from conftest import TABLE2, random_netlist, simulate
 
 WIDE = ResynConfig(d1=30, d2=30, window_pi_cap=14)
 
@@ -139,7 +139,7 @@ def test_resynthesize_demo_single_commit(demo_netlist, demo_assignment, demo_car
     assert res.report.after["lut_count"] == 3
     # rebuilt F column equals the reference grid everywhere
     for a, b, c, d, _X, _Y, _F, fp, _care in TABLE2:
-        out = res.netlist.simulate({"a": a, "b": b, "c": c, "d": d})
+        out = simulate(res.netlist, {"a": a, "b": b, "c": c, "d": d})
         assert out["F"] == fp
     v = check_equivalence(demo_netlist, res.netlist, care=demo_care)
     assert v.equivalent
