@@ -28,7 +28,7 @@ import sys
 
 from . import bench
 from .equiv import DEFAULT_VECTOR_BUDGET, MODES, EquivError, check_equivalence
-from .flow import FlowConfig, FlowError, run_flow, split_per_die
+from .flow import FlowConfig, FlowError, _stage, run_flow, split_per_die
 from .metrics import (SLL_COUNT_MODES, MetricsError, count_sll, load_placement,
                       load_q_table, report as metrics_report)
 from .netlist import (BlifParseError, NetlistError, parse_blif_file, write_blif,
@@ -41,7 +41,6 @@ from .windows import ResynthError
 _ENV_PREFIX = "SLLRESUB_"
 
 _MODE_NAMES = {"fm": "fm_mincut", "hash": "hash_label", "file": "external_file"}
-_PARTITION_MODES = tuple(_MODE_NAMES)
 
 
 class UsageError(Exception):
@@ -71,37 +70,43 @@ def _envd(flag: str, default, cast=str, choices=None):
 
 def _add_common(p: argparse.ArgumentParser, seed: bool = True, verbose: bool = True):
     """--k-max, with --seed and --verbose for the subcommands that read them."""
-    p.add_argument("--k-max", type=int, default=_envd("k-max", 6, int),
-                   help="LUT size bound enforced at parse (default 6)")
+    p.add_argument("--k-max", type=int, default=_envd("k-max", FlowConfig.k_max, int),
+                   help="LUT size bound enforced at parse (default %(default)s)")
     if seed:
-        p.add_argument("--seed", type=int, default=_envd("seed", 0, int))
+        p.add_argument("--seed", type=int, default=_envd("seed", PartitionConfig.seed, int))
     if verbose:
         p.add_argument("--verbose", action="store_true",
                        default=_envd("verbose", False, bool))
 
 
 def _add_partition_flags(p: argparse.ArgumentParser):
-    p.add_argument("--dies", type=int, default=_envd("dies", 2, int))
-    p.add_argument("--ub", type=float, default=_envd("ub", 1.25, float),
-                   help="imbalance upper bound (default 1.25)")
-    p.add_argument("--partition-mode", choices=_PARTITION_MODES,
-                   default=_envd("partition-mode", "fm", choices=_PARTITION_MODES))
-    p.add_argument("--partition-file", default=_envd("partition-file", None))
+    p.add_argument("--dies", type=int, default=_envd("dies", PartitionConfig.num_dies, int))
+    p.add_argument("--ub", type=float, default=_envd("ub", PartitionConfig.ub, float),
+                   help="imbalance upper bound (default %(default)s)")
+    mode = next(flag for flag, name in _MODE_NAMES.items() if name == PartitionConfig.mode)
+    p.add_argument("--partition-mode", choices=_MODE_NAMES,
+                   default=_envd("partition-mode", mode, choices=_MODE_NAMES))
+    p.add_argument("--partition-file",
+                   default=_envd("partition-file", PartitionConfig.partition_file))
 
 
 def _add_resyn_flags(p: argparse.ArgumentParser):
-    p.add_argument("--d1", type=int, default=_envd("d1", 2, int))
-    p.add_argument("--d2", type=int, default=_envd("d2", 8, int))
-    p.add_argument("--passes", type=int, default=_envd("passes", 1, int),
+    p.add_argument("--d1", type=int, default=_envd("d1", ResynConfig.d1, int))
+    p.add_argument("--d2", type=int, default=_envd("d2", ResynConfig.d2, int))
+    p.add_argument("--passes", type=int, default=_envd("passes", ResynConfig.passes, int),
                    help="sweep passes; -1 repeats until no commit")
-    p.add_argument("--window-pi-cap", type=int, default=_envd("window-pi-cap", 14, int))
-    p.add_argument("--divisor-cap", type=int, default=_envd("divisor-cap", 150, int))
-    p.add_argument("--max-augment", type=int, default=_envd("max-augment", 1, int))
-    p.add_argument("--freeze-die", type=int, default=_envd("freeze-die", None, int))
-    p.add_argument("--inject-care", default=_envd("inject-care", None),
+    p.add_argument("--window-pi-cap", type=int,
+                   default=_envd("window-pi-cap", ResynConfig.window_pi_cap, int))
+    p.add_argument("--divisor-cap", type=int,
+                   default=_envd("divisor-cap", ResynConfig.divisor_cap, int))
+    p.add_argument("--max-augment", type=int,
+                   default=_envd("max-augment", ResynConfig.max_augment, int))
+    p.add_argument("--freeze-die", type=int,
+                   default=_envd("freeze-die", ResynConfig.freeze_die, int))
+    p.add_argument("--inject-care", default=_envd("inject-care", FlowConfig.inject_care_path),
                    help="test hook: care predicate BLIF over primary inputs")
     p.add_argument("--no-verify-commits", action="store_true",
-                   default=_envd("no-verify-commits", False, bool))
+                   default=_envd("no-verify-commits", not ResynConfig.verify_each_commit, bool))
 
 
 def _partition_config(args) -> PartitionConfig:
@@ -201,17 +206,13 @@ def cmd_split(args) -> int:
 
 
 def cmd_flow(args) -> int:
-    config = FlowConfig(
-        input_path=args.input,
-        out_dir=args.outdir,
-        partition=_partition_config(args),
-        resyn=_resyn_config(args),
-        k_max=args.k_max,
-        verify_mode=args.verify,
-        vector_budget=args.vectors,
-        inject_care_path=args.inject_care,
-        sll_mode=args.sll_count,
-    )
+    with _stage("partition"):
+        partition = _partition_config(args)
+    with _stage("resynth"):
+        resyn = _resyn_config(args)
+    config = FlowConfig(args.input, args.outdir, partition=partition, resyn=resyn,
+                        k_max=args.k_max, verify_mode=args.verify, vector_budget=args.vectors,
+                        inject_care_path=args.inject_care, sll_mode=args.sll_count)
     result = run_flow(config)
     _say(args, "artifacts: %s" % ", ".join(sorted(result.artifacts)))
     if result.verdict is not None and not result.verdict.equivalent:
@@ -289,10 +290,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--outdir", required=True)
     p.add_argument("--verify", choices=MODES,
-                   default=_envd("verify", "auto", choices=MODES))
-    p.add_argument("--vectors", type=int, default=_envd("vectors", 100_000, int))
+                   default=_envd("verify", FlowConfig.verify_mode, choices=MODES))
+    p.add_argument("--vectors", type=int,
+                   default=_envd("vectors", FlowConfig.vector_budget, int))
     p.add_argument("--sll-count", choices=SLL_COUNT_MODES,
-                   default=_envd("sll-count", "per-die", choices=SLL_COUNT_MODES))
+                   default=_envd("sll-count", FlowConfig.sll_mode, choices=SLL_COUNT_MODES))
     _add_partition_flags(p)
     _add_resyn_flags(p)
     _add_common(p)

@@ -6,13 +6,14 @@ Also holds the per-die netlist splitter.
 from __future__ import annotations
 
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 from . import metrics as metrics_mod
-from .equiv import (EquivError, EquivVerdict, check_care, check_equivalence,
-                    check_options)
-from .netlist import (SLL_PREFIX, Netlist, NetlistError, has_generated_names,
-                      parse_blif_file, write_blif_file)
+from .equiv import (DEFAULT_VECTOR_BUDGET, EquivError, EquivVerdict, check_care,
+                    check_equivalence, check_options)
+from .netlist import (DEFAULT_K_MAX, SLL_PREFIX, Netlist, NetlistError,
+                      has_generated_names, parse_blif_file, write_blif_file)
 from .partition import (DieAssignment, PartitionConfig, PartitionError,
                         assignment_for, save_assignment)
 from .resynth import ResynConfig, ResynResult, resynthesize
@@ -24,6 +25,26 @@ class FlowError(Exception):
     def __init__(self, stage: str, message: str):
         super().__init__("[%s] %s" % (stage, message))
         self.stage = stage
+
+
+# the exceptions each stage reports as its own FlowError
+_STAGE_ERRORS = {
+    "parse": (OSError, NetlistError, EquivError),
+    "verify": (EquivError,),
+    "partition": (PartitionError,),
+    "resynth": (ResynthError, NetlistError),
+    "split": (NetlistError, PartitionError),
+    "metrics": (metrics_mod.MetricsError,),
+}
+
+
+@contextmanager
+def _stage(name: str, prefix: str = ""):
+    """Raise FlowError(name, prefix + text) for the exceptions of stage `name`."""
+    try:
+        yield
+    except _STAGE_ERRORS[name] as exc:
+        raise FlowError(name, prefix + str(exc)) from exc
 
 
 def _import_name(net: str) -> str:
@@ -81,9 +102,9 @@ class FlowConfig:
     out_dir: str
     partition: PartitionConfig = field(default_factory=PartitionConfig)
     resyn: ResynConfig = field(default_factory=ResynConfig)
-    k_max: int = 6
+    k_max: int = DEFAULT_K_MAX
     verify_mode: str = "auto"
-    vector_budget: int = 100_000
+    vector_budget: int = DEFAULT_VECTOR_BUDGET
     inject_care_path: str | None = None
     sll_mode: str = "per-die"
 
@@ -113,84 +134,60 @@ def run_flow(config: FlowConfig) -> FlowResult:
         raise FlowError("metrics", "unknown SLL count mode %r" % config.sll_mode)
     artifacts: dict[str, str] = {}
 
-    def path(name: str) -> str:
-        return os.path.join(config.out_dir, name)
+    def path(key: str, name: str) -> str:
+        """The path of artifact `name`, recorded in `artifacts` under `key`."""
+        artifacts[key] = os.path.join(config.out_dir, name)
+        return artifacts[key]
 
-    try:
+    with _stage("parse"):
         netlist = parse_blif_file(config.input_path, config.k_max)
         if has_generated_names(netlist):
             raise NetlistError("input uses the reserved %r prefix" % SLL_PREFIX)
-    except (OSError, NetlistError) as exc:
-        raise FlowError("parse", str(exc)) from exc
-    try:
+    with _stage("verify"):
         check_options(config.verify_mode, config.vector_budget, len(netlist.source_nets()))
-    except EquivError as exc:
-        raise FlowError("verify", str(exc)) from exc
 
     care = None
     if config.inject_care_path:
-        try:
+        with _stage("parse", "care predicate: "):
             care = parse_blif_file(config.inject_care_path, config.k_max)
-        except (OSError, NetlistError) as exc:
-            raise FlowError("parse", "care predicate: %s" % exc) from exc
-        try:
+        with _stage("parse"):
             check_care(care, netlist)
-        except EquivError as exc:
-            raise FlowError("parse", str(exc)) from exc
 
-    try:
+    with _stage("partition"):
         assignment = assignment_for(netlist, config.partition)
-    except PartitionError as exc:
-        raise FlowError("partition", str(exc)) from exc
 
-    try:
+    with _stage("resynth"):
         result = resynthesize(netlist, assignment, config.resyn, injected_care=care)
         os.makedirs(config.out_dir, exist_ok=True)
-        save_assignment(assignment, path("partition.txt"))
-        artifacts["partition"] = path("partition.txt")
-        write_blif_file(result.netlist, path("post.blif"))
-        artifacts["post_blif"] = path("post.blif")
-        save_assignment(result.assignment, path("partition_post.txt"))
-        artifacts["partition_post"] = path("partition_post.txt")
-        with open(path("report.json"), "w", encoding="utf-8") as fh:
+        save_assignment(assignment, path("partition", "partition.txt"))
+        write_blif_file(result.netlist, path("post_blif", "post.blif"))
+        save_assignment(result.assignment, path("partition_post", "partition_post.txt"))
+        with open(path("report", "report.json"), "w", encoding="utf-8") as fh:
             fh.write(result.report.to_json() + "\n")
-        artifacts["report"] = path("report.json")
-    except (ResynthError, NetlistError) as exc:
-        raise FlowError("resynth", str(exc)) from exc
 
-    try:
+    with _stage("verify"):
         verdict = check_equivalence(netlist, result.netlist, mode=config.verify_mode,
                                     seed=config.partition.seed,
                                     vector_budget=config.vector_budget, care=care)
-    except EquivError as exc:
-        raise FlowError("verify", str(exc)) from exc
-    with open(path("equiv.txt"), "w", encoding="utf-8") as fh:
+    with open(path("equiv", "equiv.txt"), "w", encoding="utf-8") as fh:
         fh.write("%s mode=%s vectors=%d\n"
                  % ("EQUIVALENT" if verdict.equivalent else "MISMATCH",
                     verdict.mode, verdict.vectors_checked))
         if not verdict.equivalent:
             fh.write("counterexample: %r output=%s\n"
                      % (verdict.counterexample, verdict.mismatched_output))
-    artifacts["equiv"] = path("equiv.txt")
 
-    try:
+    with _stage("split"):
         for die, sub in enumerate(split_per_die(result.netlist, result.assignment)):
-            write_blif_file(sub, path("die%d.blif" % die))
-            artifacts["die%d" % die] = path("die%d.blif" % die)
-    except (NetlistError, PartitionError) as exc:
-        raise FlowError("split", str(exc)) from exc
+            write_blif_file(sub, path("die%d" % die, "die%d.blif" % die))
 
-    try:
+    with _stage("metrics"):
         rep = metrics_mod.report(netlist, result.netlist, assignment, result.assignment,
                                  sll_mode=config.sll_mode,
                                  notes={"flow_commits": result.report.commits})
-        with open(path("metrics.json"), "w", encoding="utf-8") as fh:
+        with open(path("metrics_json", "metrics.json"), "w", encoding="utf-8") as fh:
             fh.write(rep.to_json() + "\n")
-        with open(path("metrics.txt"), "w", encoding="utf-8") as fh:
+        with open(path("metrics_txt", "metrics.txt"), "w", encoding="utf-8") as fh:
             fh.write(rep.render_text())
-        artifacts["metrics_json"] = path("metrics.json")
-        artifacts["metrics_txt"] = path("metrics.txt")
-    except metrics_mod.MetricsError as exc:
-        raise FlowError("metrics", str(exc)) from exc
 
     return FlowResult(0 if verdict.equivalent else 1, artifacts, verdict, result)

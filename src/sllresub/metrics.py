@@ -14,6 +14,7 @@ joined by fixed-length interposer links.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from importlib import resources
@@ -119,6 +120,8 @@ class PlacementData:
     def validate(self):
         if self.l_sll <= 0:
             raise MetricsError("interposer link length must be positive")
+        if not math.isfinite(self.l_sll):
+            raise MetricsError("interposer link length must be finite (got %s)" % self.l_sll)
         for name, (x, y, die) in self.coords.items():
             if not 0 <= die < len(self.die_geometry):
                 raise MetricsError("block %r placed on unknown die %d" % (name, die))
@@ -133,9 +136,12 @@ def load_q_table(path) -> dict[int, float]:
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
     try:
-        return {int(k): float(v) for k, v in raw.items()}
+        table = {int(k): float(v) for k, v in raw.items()}
     except (TypeError, ValueError, AttributeError) as exc:
         raise MetricsError("malformed q-table %r: %s" % (path, exc)) from exc
+    if not all(map(math.isfinite, table.values())):
+        raise MetricsError("malformed q-table %r: factors must be finite" % path)
+    return table
 
 
 def load_placement(path, die_geometry, l_sll: float = 1.0,

@@ -59,6 +59,10 @@ class ResubCandidate:
 
 @dataclass
 class PivotAudit:
+    """One pivot visit; `window_pis` is None only on a `no-window` row, and
+    the commit fields (removed_*, new_support, n_sll_fo_delta) are set only
+    on a `committed` one."""
+
     pass_no: int
     pivot: str
     die: int
@@ -75,10 +79,10 @@ class PivotAudit:
 class ResynReport:
     """What one `resynthesize` run did.
 
-    `audit` holds one row per pivot with a cross-die fanin, in sweep
-    order. A LUT the sweep visits without one is a skipped pivot; it gets
-    no row, and `skipped` counts them over all passes. A LUT off
-    `freeze_die` is not visited, and counts in neither.
+    `audit` holds one row per pivot visit with a cross-die fanin, in sweep
+    order; all but the `no-window` rows carry `window_pis`. A LUT visited
+    without one is a skipped pivot; it gets no row, and `skipped` counts
+    them over all passes. A LUT off `freeze_die` is not visited at all.
     """
 
     model: str
@@ -242,9 +246,9 @@ def resynthesize(netlist: Netlist, assignment: DieAssignment, config: ResynConfi
         commits_this_pass = 0
         order = [n.id for n in work.topological_order()]
         for nid in order:
-            if nid not in work.nodes:
+            node = work.nodes.get(nid)
+            if node is None:
                 continue  # removed by an earlier commit's dead-cone sweep
-            node = work.nodes[nid]
             die = asg.die(node.output_net)
             if config.freeze_die is not None and die != config.freeze_die:
                 continue
@@ -252,46 +256,37 @@ def resynthesize(netlist: Netlist, assignment: DieAssignment, config: ResynConfi
             if not cross:
                 report.skipped += 1
                 continue
+            row = PivotAudit(pass_no, node.output_net, die, "no-window", len(cross))
+            report.audit.append(row)
             window = build_window(work, node, config)
             if window is None:
-                report.audit.append(PivotAudit(
-                    pass_no, node.output_net, die, "no-window", len(cross)))
                 continue
+            row.window_pis = window.num_pis
             sim = WindowSim(work, window, cache, injected_care)
             care = extract_care_set(work, sim)
             candidate = find_equiv_func(work, sim, care, asg, config)
-            if candidate is None:
-                report.audit.append(PivotAudit(
-                    pass_no, node.output_net, die, "no-candidate", len(cross),
-                    window_pis=window.num_pis))
-                continue
             # Acceptance rule: strictly fewer cross-die fanins, no area growth.
             # v' is one LUT replacing one LUT, so only the fanin check can
             # reject; it is unreachable by construction but checked as stated.
-            new_cross = sum(1 for f in candidate.new_support if asg.die(f) != die)
-            if new_cross >= len(cross):
-                report.audit.append(PivotAudit(
-                    pass_no, node.output_net, die, "no-candidate", len(cross)))
+            if candidate is None or sum(
+                    1 for f in candidate.new_support if asg.die(f) != die) >= len(cross):
+                row.outcome = "no-candidate"
                 continue
             try:
                 change = apply_resubstitution(work, asg, candidate)
             except ResynthError:
-                report.audit.append(PivotAudit(
-                    pass_no, node.output_net, die, "cycle-rejected", len(cross)))
+                row.outcome = "cycle-rejected"
                 continue
             if config.verify_each_commit:
                 sim.check_commit(work)
             cache.invalidate(work, candidate.pivot_net)
             commits_this_pass += 1
             report.commits += 1
-            report.audit.append(PivotAudit(
-                pass_no, node.output_net, die, "committed", len(cross),
-                removed_fanin=candidate.removed_fanin,
-                new_support=candidate.new_support,
-                removed_nodes=change["removed_nodes"],
-                window_pis=window.num_pis,
-                n_sll_fo_delta=change["n_sll_fo_delta"],
-            ))
+            row.outcome = "committed"
+            row.removed_fanin = candidate.removed_fanin
+            row.new_support = candidate.new_support
+            row.removed_nodes = change["removed_nodes"]
+            row.n_sll_fo_delta = change["n_sll_fo_delta"]
         report.passes_run = pass_no
         if config.passes == -1:
             if commits_this_pass == 0:

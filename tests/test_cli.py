@@ -319,3 +319,59 @@ def test_flag_a_subcommand_does_not_read_is_a_usage_error(tmp_path, monkeypatch,
     assert "unrecognized arguments: %s" % " ".join(flag) in capsys.readouterr().err
     assert os.listdir(tmp_path) == []
     assert run(*argv) == 0
+
+
+CONFIG_REFUSALS = [
+    ("--ub=inf", "partition", "imbalance upper bound must be finite and >= 1.0 (got inf)"),
+    ("--ub=nan", "partition", "imbalance upper bound must be finite and >= 1.0 (got nan)"),
+    ("--ub=0.5", "partition", "imbalance upper bound must be finite and >= 1.0 (got 0.5)"),
+    ("--dies=0", "partition", "die count must be >= 1 (got 0)"),
+    ("--d1=-1", "resynth", "d1 must be >= 0"),
+    ("--passes=0", "resynth", "passes must be >= 1 (or -1 for run-to-fixpoint)"),
+    ("--max-augment=0", "resynth", "max_augment must be >= 1"),
+    ("--freeze-die=-1", "resynth", "freeze_die must be >= 0"),
+]
+
+
+@pytest.mark.parametrize("flag, stage, text", CONFIG_REFUSALS,
+                         ids=[flag for flag, _stage, _text in CONFIG_REFUSALS])
+def test_flow_config_refusal_names_its_stage(tmp_path, capsys, flag, stage, text):
+    out = tmp_path / "out"
+    assert run("flow", "--in", DEMO, "--outdir", out, flag) == 2
+    assert capsys.readouterr().err == "error: [%s] %s\n" % (stage, text)
+    assert not out.exists()
+
+
+def test_flow_flag_defaults_are_the_config_defaults(tmp_path, monkeypatch):
+    seen = []
+
+    def fake_run_flow(config):
+        seen.append(config)
+        return flow.FlowResult(0, {})
+
+    monkeypatch.setattr(cli, "run_flow", fake_run_flow)
+    out = str(tmp_path / "out")
+    assert run("flow", "--in", DEMO, "--outdir", out) == 0
+    assert seen == [flow.FlowConfig(DEMO, out)]
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--lsll", "nan"), ("--lsll", "inf"), ("--q-table", "nan.json"),
+])
+def test_non_finite_placement_value_is_refused(tmp_path, monkeypatch, capsys, flag, value):
+    monkeypatch.chdir(tmp_path)
+    with open(DIES, encoding="utf-8") as fh:
+        blocks = [line.split() for line in fh.readlines()[1:]]
+    (tmp_path / "demo.place").write_text(
+        "".join("%s %d 0 %s\n" % (name, x, die) for x, (name, die) in enumerate(blocks)))
+    (tmp_path / "nan.json").write_text('{"2": NaN, "3": NaN}')
+    (tmp_path / "one.json").write_text('{"2": 1.0, "3": 1.0}')
+    args = ("metrics", "--in", DEMO, "--partition", DIES, "--placement", "demo.place")
+    assert run(*args, "--q-table", "one.json", "--json", "ok.json") == 0
+    with open("ok.json", encoding="utf-8") as fh:
+        assert "bbox_md" in json.load(fh)["after"]
+    capsys.readouterr()
+    assert run(*args, flag, value, "--json", "bad.json") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "finite" in err
+    assert not (tmp_path / "bad.json").exists()

@@ -287,3 +287,44 @@ def test_skipped_count_and_audit_rows_cover_every_visited_lut(seed, dies, passes
     assert [a.pivot for a in report.audit] == [net for net, cross in visited if cross]
     assert all(a.outcome != "skipped" for a in report.audit)
     assert report.to_dict()["skipped"] == report.skipped
+
+
+def test_cycle_rejected_row_keeps_window_pis(demo_netlist, demo_assignment, demo_care,
+                                            monkeypatch):
+    def reject(netlist, assignment, candidate):
+        raise ResynthError("support net is in the pivot's fanout cone")
+
+    monkeypatch.setattr(resynth, "apply_resubstitution", reject)
+    res = resynthesize(demo_netlist, demo_assignment, ResynConfig(), injected_care=demo_care)
+    row = next(a for a in res.report.audit if a.pivot == "F")
+    assert row.outcome == "cycle-rejected"
+    assert row.window_pis is not None and row.window_pis > 0
+    assert row.removed_fanin is None and row.n_sll_fo_delta is None
+
+
+def test_acceptance_rejected_row_keeps_window_pis(demo_netlist, demo_assignment, demo_care,
+                                                 monkeypatch):
+    def keep_every_fanin(netlist, sim, care, assignment, config):
+        pivot = netlist.node_of_net(sim.pivot_net)
+        return ResubCandidate(pivot.output_net, pivot.fanins[0], list(pivot.fanins),
+                              pivot.function)
+
+    monkeypatch.setattr(resynth, "find_equiv_func", keep_every_fanin)
+    res = resynthesize(demo_netlist, demo_assignment, ResynConfig(), injected_care=demo_care)
+    assert res.report.commits == 0
+    assert res.report.audit
+    for row in res.report.audit:
+        assert row.outcome == "no-candidate"
+        assert row.window_pis is not None and row.window_pis > 0
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 10**6), dies=st.integers(2, 3), cap=st.integers(1, 8),
+       passes=st.sampled_from([1, -1]))
+def test_window_pis_is_unset_exactly_on_no_window_rows(seed, dies, cap, passes):
+    n = random_netlist(seed, num_pis=6, num_nodes=30, k=4, num_pos=4)
+    config = ResynConfig(window_pi_cap=cap, passes=passes, verify_each_commit=False)
+    report = resynthesize(n, partition_hash(n, dies), config).report
+    for row in report.audit:
+        assert (row.window_pis is None) == (row.outcome == "no-window")
+        assert (row.removed_fanin is None) == (row.outcome != "committed")
