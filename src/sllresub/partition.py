@@ -89,21 +89,26 @@ def entities(netlist: Netlist) -> list[tuple[str, int]]:
     return out
 
 
-def hyperedges(netlist: Netlist) -> list[tuple[int, ...]]:
+def hyperedges(netlist: Netlist, ents: list[tuple[str, int]]) -> list[tuple[int, ...]]:
     """Pins per net with at least two distinct entity pins, as indices into
-    `entities` order.
+    `ents`, which is `entities(netlist)`.
 
     Pins are the driver entity plus every reading LUT/latch entity; POs
     are not physical pins. Nets are in driver (`entities`) order, and the
     pins of a net in name order.
+
+    `ents` lists PIs, then latches, then LUTs in id order, so a LUT
+    reader's index comes from its id and a latch reader's from its
+    position in `netlist.latches`.
     """
-    index = {name: i for i, (name, _w) in enumerate(entities(netlist))}
-    nets = []
-    for name in index:
-        pins = {name, *netlist.reader_names(name)}
-        if len(pins) >= 2:
-            nets.append(tuple([index[p] for p in sorted(pins)]))
-    return nets
+    names = [name for name, _w in ents]
+    index_of = dict(zip(netlist.nodes, range(len(names) - len(netlist.nodes), len(names))))
+    latch_pins: dict[str, list[int]] = {}
+    for i, latch in enumerate(netlist.latches, len(netlist.primary_inputs)):
+        latch_pins.setdefault(latch.input_net, []).append(i)
+    pin_sets = ({i, *map(index_of.__getitem__, netlist.reader_ids.get(name, ())),
+                 *latch_pins.get(name, ())} for i, name in enumerate(names))
+    return [tuple(sorted(pins, key=names.__getitem__)) for pins in pin_sets if len(pins) >= 2]
 
 
 # ----------------------------------------------------------------------
@@ -199,11 +204,19 @@ def _fm_bipartition(graph: _FmGraph, caps: tuple[int, int], rng: random.Random,
     """Two-way FM from `_fm_seed`; returns side (0/1) per vertex index.
 
     Each pass moves the unlocked vertex of highest gain (lowest index on
-    ties) that fits the target side's cap, taken from a lazy heap of
-    (-gain, index) entries, locks it, and keeps the best prefix of its
-    moves. A net with locked pins on both sides stays cut for the rest
-    of the pass, so once the count of such nets reaches the best cut so
-    far no later prefix can beat it, and the pass ends there.
+    ties) that fits the target side's cap, taken from a lazy heap, locks
+    it, and keeps the best prefix of its moves. A net with locked pins on
+    both sides stays cut for the rest of the pass, so once the count of
+    such nets reaches the best cut so far no later prefix can beat it,
+    and the pass ends there.
+
+    A heap entry is the int `(top - gain) * n + index`, with n vertices
+    and `top` the highest vertex degree + 2. A gain lies within minus and
+    plus the vertex's degree, so `top - gain` is positive and the index
+    is the remainder below n: the ints order exactly as (-gain, index)
+    pairs. An int entry allocates no GC-tracked tuple per push, and the
+    heap compares it in C. Per-net pin and lock counts are flat lists,
+    one per side, for the same reason.
 
     The cut also has a floor. The seed and every move keep both sides
     within their caps, so when both caps are below the total weight, both
@@ -216,25 +229,24 @@ def _fm_bipartition(graph: _FmGraph, caps: tuple[int, int], rng: random.Random,
     side, side_w, connected = _fm_seed(graph, caps, rng, target0)
     total = side_w[0] + side_w[1]
     floor = 1 if max(caps) < total and connected else 0
+    top = max(map(len, graph.nets_of), default=0) + 2
 
     for _pass in range(MAX_FM_PASSES):
-        # A pin's gain is -1 per uncut net; a cut net gives back 1, or 2
-        # when the pin is alone on its side.
-        counts = []
+        # counts[s][ni]: net ni's pins on side s. A pin's gain is -1 per uncut
+        # net; a cut net gives back 1, or 2 when the pin is alone on its side.
+        ones = [sum(map(side.__getitem__, pins)) for pins in graph.nets]
+        counts = ([len(pins) - c1 for pins, c1 in zip(graph.nets, ones)], ones)
         cut = 0
         gains = [-len(nets) for nets in graph.nets_of]
-        for pins in graph.nets:
-            c1 = sum(map(side.__getitem__, pins))
-            c = [len(pins) - c1, c1]
-            counts.append(c)
-            if c1 and c[0]:
+        for pins, c0, c1 in zip(graph.nets, *counts):
+            if c1 and c0:
                 cut += 1
                 for p in pins:
-                    gains[p] += 2 if c[side[p]] == 1 else 1
+                    gains[p] += 2 if (c1 if side[p] else c0) == 1 else 1
         locked = [False] * n
-        locked_on = [[0, 0] for _ in graph.nets]   # per net, locked pins per side
+        locks = ([0] * len(ones), [0] * len(ones))     # locks[s][ni]: locked pins, likewise
         dead = 0            # nets with locked pins on both sides: cut until the pass ends
-        heap = [(-g, v) for v, g in enumerate(gains)]
+        heap = [(top - g) * n + v for v, g in enumerate(gains)]
         heapq.heapify(heap)        # exact: the entries are distinct
         moves = []
         best_cut, best_len = cut, 0
@@ -243,54 +255,54 @@ def _fm_bipartition(graph: _FmGraph, caps: tuple[int, int], rng: random.Random,
             entry = None
             skipped = []
             while heap:
-                g, v = heapq.heappop(heap)
-                if locked[v] or -g != gains[v]:
+                key = heapq.heappop(heap)
+                v = key % n
+                if locked[v] or key != (top - gains[v]) * n + v:
                     continue
-                w = graph.weights[v]
                 t = 1 - side[v]
-                if side_w[t] + w > caps[t]:
-                    skipped.append((g, v))
+                if side_w[t] + graph.weights[v] > caps[t]:
+                    skipped.append(key)
                     continue
                 entry = v
                 break
-            for s in skipped:
-                heapq.heappush(heap, s)
+            for key in skipped:
+                heapq.heappush(heap, key)
             if entry is None:
                 break
             v = entry
             f = side[v]
             t = 1 - f
+            count_f, count_t, lock_f, lock_t = counts[f], counts[t], locks[f], locks[t]
             move_gain = gains[v]
             locked[v] = True
             # FM incremental gain update around the move of v.
             for ni in graph.nets_of[v]:
                 pins = graph.nets[ni]
-                lk = locked_on[ni]
-                lk[t] += 1
-                if lk[t] == 1 and lk[f]:
+                lock_t[ni] += 1
+                if lock_t[ni] == 1 and lock_f[ni]:
                     dead += 1
-                if counts[ni][t] == 0:
+                if count_t[ni] == 0:
                     for p in pins:
                         if not locked[p]:
                             gains[p] += 1
-                            heapq.heappush(heap, (-gains[p], p))
-                elif counts[ni][t] == 1:
+                            heapq.heappush(heap, (top - gains[p]) * n + p)
+                elif count_t[ni] == 1:
                     for p in pins:
                         if not locked[p] and side[p] == t:
                             gains[p] -= 1
-                            heapq.heappush(heap, (-gains[p], p))
-                counts[ni][f] -= 1
-                counts[ni][t] += 1
-                if counts[ni][f] == 0:
+                            heapq.heappush(heap, (top - gains[p]) * n + p)
+                count_f[ni] -= 1
+                count_t[ni] += 1
+                if count_f[ni] == 0:
                     for p in pins:
                         if not locked[p]:
                             gains[p] -= 1
-                            heapq.heappush(heap, (-gains[p], p))
-                elif counts[ni][f] == 1:
+                            heapq.heappush(heap, (top - gains[p]) * n + p)
+                elif count_f[ni] == 1:
                     for p in pins:
                         if not locked[p] and side[p] == f:
                             gains[p] += 1
-                            heapq.heappush(heap, (-gains[p], p))
+                            heapq.heappush(heap, (top - gains[p]) * n + p)
             cur_cut -= move_gain
             side[v] = t
             side_w[f] -= graph.weights[v]
@@ -358,7 +370,7 @@ def partition_fm(netlist: Netlist, config: PartitionConfig) -> DieAssignment:
                         half_nets.append(inside)
             recurse(halves[s], half_nets, half_dies)
 
-    recurse(list(range(len(ents))), hyperedges(netlist), range(config.num_dies))
+    recurse(list(range(len(ents))), hyperedges(netlist, ents), range(config.num_dies))
     return DieAssignment(config.num_dies, die_of, dict(ents))
 
 

@@ -162,7 +162,7 @@ def build_window(netlist: Netlist, pivot: LutNode, config) -> Window | None:
     d1, d2 = config.d1, config.d2
     ins, drivers = _fanin_layers(netlist, pivot, d2 + 1)
     outs, tfo, top = _fanout_layers(netlist, pivot.id, d1, d2, level)
-    free = set(netlist.source_nets())
+    free = netlist._sources        # read directly: no copy of every source per pivot
 
     core_nodes = [drivers[net] for layer in ins[:d2 + 1] for net in layer if net in drivers]
     core_nodes += [n for layer in outs[1:] for n in layer]

@@ -6,6 +6,10 @@ which side logic is visited. A change to the resynthesis sweep, the
 metrics or the per-die split that is meant to keep outputs must leave
 every digest here unchanged; the functional tests elsewhere do not notice
 a window that gains or loses one PI.
+
+It also pins one SHA-256 over FM's die maps of the benchmark's `suite`
+netlists, so a change to the FM kernel that is meant to keep sides must
+leave that digest unchanged.
 """
 
 import hashlib
@@ -16,8 +20,8 @@ import pytest
 
 from sllresub import bench
 from sllresub.flow import FlowConfig, run_flow
-from sllresub.netlist import write_blif
-from sllresub.partition import PartitionConfig
+from sllresub.netlist import parse_blif, write_blif
+from sllresub.partition import PartitionConfig, partition_fm
 from sllresub.resynth import ResynConfig
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -88,3 +92,23 @@ def test_flow_outputs_are_byte_identical(tmp_path, name):
     pinned = {key: path for key, path in result.artifacts.items()
               if key in ("post_blif", "report", "metrics_json") or key.startswith("die")}
     assert {key: _sha(path) for key, path in pinned.items()} == digests
+
+
+# sha256 over `partition_fm`'s die maps, each in its own item order, of
+# every built-in at k=4 and k=6 after a BLIF round trip (the benchmark's
+# `suite` inputs), at 2, 3 and 4 dies with FM seeds 0 and 1
+FM_DIE_MAPS = "2679d957f66eaa4de1a3abe1ce9270466a14e636b4189f8205db133b15487361"
+
+
+def test_fm_die_maps_are_byte_identical():
+    digest = hashlib.sha256()
+    for name in bench.BENCH_NAMES:
+        for k in (4, 6):
+            netlist = parse_blif(write_blif(bench.build(name, k)))
+            for dies in (2, 3, 4):
+                for seed in (0, 1):
+                    config = PartitionConfig(num_dies=dies, seed=seed)
+                    die_of = partition_fm(netlist, config).die_of
+                    digest.update(("%s_k%d %d %d\n" % (name, k, dies, seed)).encode())
+                    digest.update("".join("%s %d\n" % item for item in die_of.items()).encode())
+    assert digest.hexdigest() == FM_DIE_MAPS

@@ -41,7 +41,8 @@ def _graph(names, weights, nets):
 
 def _entity_graph(netlist):
     """`_FmGraph` over every entity of `netlist`, with its hyperedges."""
-    return _FmGraph([w for _e, w in entities(netlist)], hyperedges(netlist))
+    ents = entities(netlist)
+    return _FmGraph([w for _e, w in ents], hyperedges(netlist, ents))
 
 
 def _uniform(names, dies):
@@ -104,7 +105,7 @@ def test_disjoint_groups_cut_zero():
 def test_demo_circuit_split_matches_enumeration(demo_netlist):
     n = demo_netlist
     names = [e for e, _w in entities(n)]
-    nets = [[names[p] for p in pins] for pins in hyperedges(n)]
+    nets = [[names[p] for p in pins] for pins in hyperedges(n, entities(n))]
     logic = ["X", "Y", "F"]
     pis = ["a", "b", "c", "d"]
     best = None
@@ -298,7 +299,7 @@ def test_hyperedges_match_pin_sets_and_cut_is_raw_net_sll(seed, dies, latches):
     n = random_netlist(seed, num_pis=6, num_nodes=30, k=4, num_pos=4,
                        num_latches=latches)
     names = [e for e, _w in entities(n)]
-    edges = [tuple(names[p] for p in pins) for pins in hyperedges(n)]
+    edges = [tuple(names[p] for p in pins) for pins in hyperedges(n, entities(n))]
     ref = _pin_sets(n)
     assert edges == [ref[name] for name in names if name in ref]
     rng = random.Random(seed)
@@ -588,6 +589,46 @@ def test_fm_floor_matches_full_passes_on_random_hypergraphs(seed, size, connecte
             _fm_bipartition(graph, caps, random.Random(seed), target0)
         return
     assert _fm_bipartition(graph, caps, random.Random(seed), target0, got_trace) == ref
+    assert got_trace == ref_trace
+
+
+def _hub_hypergraph(rng, size, hubs):
+    """`size` vertices of weight 0 to 3; each of the first `hubs` vertices
+    sits on 2 to 12 nets of 2 to 8 pins, and random nets of 2 to 8 pins
+    join the rest."""
+    names = ["v%d" % i for i in range(size)]
+    weights = {v: rng.choice((0, 1, 1, 2, 3)) for v in names}
+    nets = []
+    for hub in names[:hubs]:
+        others = [v for v in names if v != hub]
+        for _ in range(rng.randint(2, 12)):
+            nets.append((hub, *rng.sample(others, rng.randint(1, min(7, len(others))))))
+    for _ in range(rng.randint(0, size)):
+        nets.append(tuple(rng.sample(names, rng.randint(2, min(8, size)))))
+    rng.shuffle(nets)
+    return _graph(names, weights, nets)
+
+
+@settings(max_examples=120, deadline=None)
+@given(seed=st.integers(0, 10**6), size=st.integers(3, 30), hubs=st.integers(1, 3),
+       slack=st.integers(-1, 3), lopsided=st.booleans())
+def test_fm_matches_full_passes_on_hub_hypergraphs(seed, size, hubs, slack, lopsided):
+    # hubs with up to 12 nets of their own, of up to 8 pins, take gains
+    # from -degree to +degree, and tight caps over weights up to 3 make
+    # the heap skip entries that do not fit
+    rng = random.Random(seed)
+    graph = _hub_hypergraph(rng, size, hubs)
+    total = sum(graph.weights)
+    cap = max(-(-total // 2) + slack, max(graph.weights))
+    caps = (total, cap) if lopsided else (cap, cap)
+    ref_trace, got_trace = [], []
+    try:
+        ref = _reference_fm_bipartition(graph, caps, random.Random(seed), total / 2, ref_trace)
+    except PartitionError:
+        with pytest.raises(PartitionError):
+            _fm_bipartition(graph, caps, random.Random(seed), total / 2)
+        return
+    assert _fm_bipartition(graph, caps, random.Random(seed), total / 2, got_trace) == ref
     assert got_trace == ref_trace
 
 

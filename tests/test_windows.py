@@ -1,10 +1,12 @@
+import os
 import random
+import sys
 from unittest import mock
 
 import pytest
 
 from sllresub import bench, resynth
-from sllresub.netlist import parse_blif
+from sllresub.netlist import Netlist, parse_blif
 from sllresub.partition import DieAssignment, partition_hash
 from sllresub.resynth import ResynConfig, resynthesize, select_cross_die_fanin
 from sllresub.truthtab import TruthTable
@@ -12,6 +14,10 @@ from sllresub.windows import (ResynthError, WindowSim, build_window, collect_div
                               exist_check, extract_care_set, interpolate, observable)
 
 from conftest import TABLE2, random_netlist
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                                "perfbench"))
+from workloads import tiled  # noqa: E402  (the benchmark's tile generator)
 
 WIDE = ResynConfig(d1=30, d2=30, window_pi_cap=14)
 
@@ -354,3 +360,29 @@ def test_exist_check_memo_answers_every_care_mask_of_one_sim():
             assert set(sim.mixed_blocks) == {(tuple(prefix), care) for care in cares if care
                                              for prefix in [base[:-1]] + [base] * bool(usable)}
     assert answers.count(True) > 100 and answers.count(False) > 100
+
+
+def test_build_window_copies_no_source_list():
+    # a window tests fanins against the netlist's own source set; a copy of
+    # every PI and latch output per pivot made a sweep cost pivots x sources
+    n = parse_blif(tiled("i2c", 2, 6, 14, 1))
+    real_build, real_sources = resynth.build_window, Netlist.source_nets
+    builds, inside, calls = [], [], []
+
+    def build(work, pivot, cfg):
+        builds.append(pivot.id)
+        inside.append(pivot.id)
+        try:
+            return real_build(work, pivot, cfg)
+        finally:
+            inside.pop()
+
+    def source_nets(netlist):
+        calls.extend(inside)
+        return real_sources(netlist)
+
+    with mock.patch.object(resynth, "build_window", build), \
+            mock.patch.object(Netlist, "source_nets", source_nets):
+        resynthesize(n, partition_hash(n, 4), ResynConfig(verify_each_commit=False))
+    assert len(builds) > 100
+    assert calls == []
