@@ -156,7 +156,14 @@ def load_placement(path, die_geometry, l_sll: float = 1.0,
             parts = line.split()
             if len(parts) != 4:
                 raise MetricsError("line %d: expected '<block> <x> <y> <die>'" % line_no)
-            coords[parts[0]] = (int(parts[1]), int(parts[2]), int(parts[3]))
+            name = parts[0]
+            if name in coords:
+                raise MetricsError("line %d: duplicate entry for %r" % (line_no, name))
+            try:
+                coords[name] = (int(parts[1]), int(parts[2]), int(parts[3]))
+            except ValueError:
+                raise MetricsError("line %d: coordinates and die must be integers, got %s"
+                                   % (line_no, " ".join(parts[1:]))) from None
     placement = PlacementData(coords, list(die_geometry), l_sll, dict(q_table or {}))
     placement.validate()
     return placement

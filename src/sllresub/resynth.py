@@ -13,7 +13,7 @@ import itertools
 import json
 from dataclasses import dataclass, field, asdict
 
-from .equiv import EquivError, check_care
+from .equiv import EXHAUSTIVE_PI_BOUND, EquivError, check_care
 from .metrics import count_sll, count_sll_fo, node_cross_die_fanins
 from .netlist import LutNode, Netlist
 from .partition import DieAssignment
@@ -38,6 +38,10 @@ class ResynConfig:
         for name in ("d2", "window_pi_cap", "divisor_cap", "max_augment"):
             if getattr(self, name) < 1:
                 raise ResynthError("%s must be >= 1" % name)
+        if self.window_pi_cap > EXHAUSTIVE_PI_BOUND:
+            # a window is simulated exhaustively, over 2^cap-bit masks
+            raise ResynthError("window_pi_cap must be <= %d (windows are simulated exhaustively)"
+                               % EXHAUSTIVE_PI_BOUND)
         if self.d1 < 0:
             raise ResynthError("d1 must be >= 0")
         if self.freeze_die is not None and self.freeze_die < 0:

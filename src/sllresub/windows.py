@@ -17,7 +17,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 
 from . import equiv
-from .netlist import LutNode, Netlist, eval_nodes
+from .netlist import LutNode, Netlist
 from .partition import DieAssignment
 from .truthtab import TruthTable, full_mask, minterm_masks
 
@@ -338,8 +338,9 @@ class WindowSim:
     The window nodes are captured at construction, and each net is
     evaluated on its first read through `value_of` and then kept, so a
     pivot pays only for the nets its decision reads: the pivot's input
-    cone (`pivot_mask`), the side inputs of the nets the pivot feeds, and
-    the divisors it tries. The values are those of a full simulation.
+    cone (`pivot_mask`), the nets the pivot feeds and their side inputs,
+    and the divisors it tries. The values are those of a full simulation,
+    and `value_of` is the one writer of every mask after the window PIs.
 
     Given a `ValueCache`, the pivots of a run share their masks:
     `value_of` takes a window net's mask from the table of the window's PI
@@ -434,9 +435,10 @@ class WindowSim:
         and the minterm reported are those of a full re-simulation, at the
         cost of the nodes the commit changed. A pre-commit value not read
         before comes from the shared table, which is not yet invalidated, or
-        from the captured nodes, never from `netlist`; those of the nodes
-        the pivot feeds are mostly kept by `extract_care_set`. The check
-        reads no care set, and it visits no node outside the window.
+        from the captured nodes, never from `netlist`; `extract_care_set`
+        read those of the nodes the pivot feeds unless the pivot is
+        `observable`. The check reads no care set, and it visits no node
+        outside the window.
 
         Nothing outside the window changed, so when each observable net
         keeps its function of the window PIs the whole netlist keeps its
@@ -476,20 +478,6 @@ class WindowSim:
                     self.pivot_net, net,
                     {pi: (minterm >> i) & 1 for i, pi in enumerate(pis)}))
 
-    def resim_with_pivot(self, forced: int) -> dict[str, int]:
-        """Values of the window nets the pivot feeds, with the pivot forced.
-
-        The other inputs of those nets are read first, through
-        `value_of`. The returned dict holds the forced pivot, the nets it
-        feeds, and those inputs.
-        """
-        fed = {self.pivot_net}.union(node.output_net for node in self.pivot_fanout)
-        values = {f: self.value_of(f) for node in self.pivot_fanout
-                  for f in node.fanins if f not in fed}
-        values[self.pivot_net] = self.full if forced else 0
-        eval_nodes(self.pivot_fanout, values, self.width)
-        return values
-
 
 def observable(netlist: Netlist, net: str, members) -> bool:
     """True when `net` is a PO, a latch input, or read by a LUT whose
@@ -501,18 +489,19 @@ def observable(netlist: Netlist, net: str, members) -> bool:
 
 
 def extract_care_set(netlist: Netlist, sim: WindowSim) -> int:
-    """Observability care mask of `sim`'s window by dual simulation with
-    the pivot forced.
+    """Observability care mask of `sim`'s window by simulation with the
+    pivot complemented.
 
     Bit m of the returned int is set iff window minterm m is care:
     flipping the pivot there changes some `observable` window net, and
     the sim's `care_mask` allows it.
 
-    The two forced simulations also give the mask of each window node the
-    pivot feeds: on each minterm the pivot's own value picks the forcing.
-    Those masks go into `sim.values` for `check_commit`, so it need not
-    evaluate them again. Only that check reads them, and the commit it
-    certifies invalidates them, so they are not published.
+    One pass over the nodes the pivot feeds evaluates each with the
+    pivot's mask complemented on every minterm. Each minterm is evaluated
+    on its own, so bit m of a node's flipped mask is its value with the
+    pivot flipped at m alone, and its flips are that mask xor its own,
+    read through `value_of`. Those masks are kept and published like any
+    other, so `check_commit` and later pivots reuse them.
 
     So a check evaluates the new pivot and at most one node per node the
     pivot feeds when the pivot is not `observable` (the masks are kept) or
@@ -524,16 +513,17 @@ def extract_care_set(netlist: Netlist, sim: WindowSim) -> int:
     if observable(netlist, sim.pivot_net, sim.nodes):
         care = sim.full
     else:
-        # an output the pivot does not feed is equal under both forcings
-        v0 = sim.resim_with_pivot(0)
-        v1 = sim.resim_with_pivot(1)
+        # an output the pivot does not feed keeps its mask when flipped
+        flipped = {sim.pivot_net: sim.full ^ sim.pivot_mask}
+        value_of = sim.value_of
         care = 0
         for node in sim.pivot_fanout:
             net = node.output_net
-            flips = v0[net] ^ v1[net]
+            flipped[net] = node.function.eval_masks(
+                [flipped[f] if f in flipped else value_of(f) for f in node.fanins], sim.width)
+            flips = flipped[net] ^ value_of(net)
             if observable(netlist, net, sim.nodes):
                 care |= flips
-            sim.values[net] = v0[net] ^ (flips & sim.pivot_mask)
     return care & sim.care_mask
 
 

@@ -329,6 +329,8 @@ CONFIG_REFUSALS = [
     ("--d1=-1", "resynth", "d1 must be >= 0"),
     ("--passes=0", "resynth", "passes must be >= 1 (or -1 for run-to-fixpoint)"),
     ("--max-augment=0", "resynth", "max_augment must be >= 1"),
+    ("--window-pi-cap=19", "resynth",
+     "window_pi_cap must be <= 18 (windows are simulated exhaustively)"),
     ("--freeze-die=-1", "resynth", "freeze_die must be >= 0"),
 ]
 

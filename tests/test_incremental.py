@@ -1,8 +1,8 @@
 """Oracle and property tests for the state the sweep keeps up to date per pivot
 and per commit: window growth and its shrink steps, node levels, the audit
 deltas, the die assignment, the on-demand window values, the window masks
-shared across pivots, the care set and the forced-pivot resimulation. Each
-is checked against a from-scratch recomputation.
+shared across pivots and the care set. Each is checked against a
+from-scratch recomputation.
 """
 
 import functools
@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from sllresub import bench, resynth, windows
 from sllresub.metrics import count_sll_fo
-from sllresub.netlist import Netlist, NetlistError, write_blif
+from sllresub.netlist import Netlist, NetlistError, eval_nodes, parse_blif, write_blif
 from sllresub.partition import entities, partition_hash
 from sllresub.resynth import ResynConfig, resynthesize
 from sllresub.truthtab import TruthTable, full_mask, minterm_masks
@@ -255,7 +255,7 @@ def test_shrink_steps_need_not_be_nested():
     full_tfo = n.tfo(pivot, None)
     assert g36 not in _grow_window(n, pivot, 2, 1, full_tfo)
     assert g36 in _grow_window(n, pivot, 1, 1, full_tfo)
-    unshrunk = build_window(n, n.nodes[pivot], ResynConfig(d1=2, d2=1, window_pi_cap=100))
+    unshrunk = build_window(n, n.nodes[pivot], ResynConfig(d1=2, d2=1, window_pi_cap=18))
     assert g36 not in unshrunk.internal and unshrunk.num_pis > 15
     # a cap of 15 PIs rejects the (2, 1) window and takes the (1, 1) one
     config = ResynConfig(d1=2, d2=1, window_pi_cap=15)
@@ -518,19 +518,73 @@ def test_care_set_matches_all_output_reference(name):
 
 
 @pytest.mark.parametrize("name", ["sin", "square", "i2c", "router", "voter"])
-def test_forced_pivot_resim_matches_full_window_resim(name):
+def test_every_window_mask_is_written_by_value_of(name, monkeypatch):
+    """After `extract_care_set`, `sim.values` holds the window PIs and the
+    masks `value_of` wrote, and nothing planted beside it."""
+    written = set()
+    real = WindowSim.value_of
+
+    def spy(self, net):
+        before = set(self.values)
+        mask = real(self, net)
+        written.update(self.values.keys() - before)
+        return mask
+
+    monkeypatch.setattr(WindowSim, "value_of", spy)
+    hidden = 0
     for n, window in _windows_of(name):
+        written.clear()
         sim = WindowSim(n, window)
-        fed = {sim.pivot_net}
-        for nid in window.internal:
-            node = n.nodes[nid]
-            if not fed.isdisjoint(node.fanins):
-                fed.add(node.output_net)
-        for forced in (0, 1):
-            want = _eager_window_values(n, window, forced)
-            got = sim.resim_with_pivot(forced)
-            assert fed <= set(got)
-            assert got == {net: want[net] for net in got}
+        extract_care_set(n, sim)
+        assert sim.values.keys() <= set(window.window_pis) | written, (name, sim.pivot_net)
+        hidden += bool(sim.pivot_fanout) and not observable(n, sim.pivot_net, sim.nodes)
+    assert hidden     # some pivot's fanout was simulated
+
+
+def _two_forcing_care(netlist, sim):
+    """The care set by two simulations of the nodes the pivot feeds, with
+    the pivot forced to 0 and to 1: a minterm is care where an observable
+    one of them differs between the two."""
+    if observable(netlist, sim.pivot_net, sim.nodes):
+        return sim.full & sim.care_mask
+    fed = {sim.pivot_net}.union(node.output_net for node in sim.pivot_fanout)
+    forced = []
+    for const in (0, sim.full):
+        values = {f: sim.value_of(f) for node in sim.pivot_fanout
+                  for f in node.fanins if f not in fed}
+        values[sim.pivot_net] = const
+        eval_nodes(sim.pivot_fanout, values, sim.width)
+        forced.append(values)
+    care = 0
+    for node in sim.pivot_fanout:
+        net = node.output_net
+        if observable(netlist, net, sim.nodes):
+            care |= forced[0][net] ^ forced[1][net]
+    return care & sim.care_mask
+
+
+CARE_PI0_EQ_PI1 = ".model p\n.inputs pi0 pi1\n.outputs care\n.names pi0 pi1 care\n00 1\n11 1\n.end\n"
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10**6), dies=st.integers(2, 4), latches=st.integers(0, 2),
+       d1=st.integers(0, 2), with_care=st.booleans())
+def test_care_set_matches_two_forcings_through_a_sweep(seed, dies, latches, d1, with_care):
+    """Every care set of a sweep, shared masks and commits included, is
+    the one two forced simulations give."""
+    n = random_netlist(seed, num_pis=6, num_nodes=30, k=4, num_pos=4, num_latches=latches)
+    seen = []
+
+    def checked(netlist, sim):
+        care = extract_care_set(netlist, sim)
+        assert care == _two_forcing_care(netlist, sim), sim.pivot_net
+        seen.append(care)
+        return care
+
+    with mock.patch.object(resynth, "extract_care_set", checked):
+        resynthesize(n, partition_hash(n, dies), ResynConfig(d1=d1),
+                     parse_blif(CARE_PI0_EQ_PI1) if with_care else None)
+    assert seen
 
 
 def _captured_values(sim):

@@ -382,6 +382,19 @@ def test_load_placement_and_q_table(tmp_path):
         load_placement(bad, [(10, 10)])
 
 
+@pytest.mark.parametrize("text, error", [
+    ("# blocks\na 1 x 0\n", "line 2: coordinates and die must be integers, got 1 x 0"),
+    ("a 0 0 0\nb 1.5 2 0\n", "line 2: coordinates and die must be integers, got 1.5 2 0"),
+    ("a 0 0 0\nb 1 1 0\na 2 2 0\n", "line 3: duplicate entry for 'a'"),
+])
+def test_bad_placement_line_is_named(tmp_path, text, error):
+    bad = tmp_path / "bad.txt"
+    bad.write_text(text)
+    with pytest.raises(MetricsError) as exc:
+        load_placement(bad, [(10, 10)])
+    assert str(exc.value) == error
+
+
 def test_snapshot_contains_bbox_when_placed(demo_netlist, demo_assignment):
     coords = {k: (1, 1, demo_assignment.die(k)) for k in "abcdXYF"}
     p = _place(coords)

@@ -248,6 +248,12 @@ def test_config_validation():
         ResynConfig(passes=0)
     with pytest.raises(ResynthError):
         ResynConfig(d1=-1)
+    # a window is simulated over 2^cap minterms, up to the exhaustive bound
+    assert ResynConfig(window_pi_cap=18).window_pi_cap == 18
+    with pytest.raises(ResynthError, match="window_pi_cap must be >= 1"):
+        ResynConfig(window_pi_cap=0)
+    with pytest.raises(ResynthError, match="window_pi_cap must be <= 18"):
+        ResynConfig(window_pi_cap=19)
 
 
 def test_freeze_die_must_name_a_die(demo_netlist, demo_assignment):
