@@ -1,14 +1,10 @@
 """Command line front end.
 
 Subcommands: partition, resynth, equiv, metrics, split, flow, bench.
-Each takes only the flags it reads. The default of each of these flags
-can be set by an environment variable named SLLRESUB_<FLAG> (dashes as
-underscores, upper case), e.g. SLLRESUB_SEED=7: --k-max, --seed,
---verbose, --dies, --ub, --partition-mode, --partition-file, --d1, --d2,
---passes, --window-pi-cap, --divisor-cap, --max-augment, --freeze-die,
---inject-care, --no-verify-commits, --die-width, --die-height, --lsll,
---sll-count, --verify, --vectors and --lut-k. A value the flag would not
-accept is a usage error, and the command line wins over the environment.
+Each takes only the flags it reads, and every setting comes from the
+command line. A flag that sets a field of PartitionConfig, ResynConfig
+or FlowConfig (--seed, --dies, --d2, --verify, ...) defaults to that
+field's default in the config class.
 
 A partition file gives its die count in a `# dies <count>` header. With
 `--partition-mode file` (partition, flow) that header must equal
@@ -31,82 +27,49 @@ from .equiv import DEFAULT_VECTOR_BUDGET, MODES, EquivError, check_equivalence
 from .flow import FlowConfig, FlowError, _stage, run_flow, split_per_die
 from .metrics import (SLL_COUNT_MODES, MetricsError, count_sll, load_placement,
                       load_q_table, report as metrics_report)
-from .netlist import (BlifParseError, NetlistError, parse_blif_file, write_blif,
+from .netlist import (MAX_K, BlifParseError, NetlistError, parse_blif_file, write_blif,
                       write_blif_file)
 from .partition import (PartitionConfig, PartitionError, assignment_for,
                         load_assignment, save_assignment)
 from .resynth import ResynConfig, resynthesize
 from .windows import ResynthError
 
-_ENV_PREFIX = "SLLRESUB_"
-
 _MODE_NAMES = {"fm": "fm_mincut", "hash": "hash_label", "file": "external_file"}
-
-
-class UsageError(Exception):
-    pass
-
-
-def _envd(flag: str, default, cast=str, choices=None):
-    """The flag's default, overridden by its SLLRESUB_* variable when set."""
-    var = _ENV_PREFIX + flag.upper().replace("-", "_")
-    raw = os.environ.get(var)
-    if raw is None:
-        return default
-    if cast is bool:
-        if raw.lower() in ("1", "true", "yes", "on"):
-            return True
-        if raw.lower() in ("0", "false", "no", ""):
-            return False
-        raise UsageError("%s=%s is not a yes/no value" % (var, raw))
-    try:
-        value = cast(raw)
-    except ValueError:
-        raise UsageError("%s=%s is not a valid value for --%s" % (var, raw, flag)) from None
-    if choices is not None and value not in choices:
-        raise UsageError("%s=%s is not one of %s" % (var, raw, ", ".join(choices)))
-    return value
 
 
 def _add_common(p: argparse.ArgumentParser, seed: bool = True, verbose: bool = True):
     """--k-max, with --seed and --verbose for the subcommands that read them."""
-    p.add_argument("--k-max", type=int, default=_envd("k-max", FlowConfig.k_max, int),
-                   help="LUT size bound enforced at parse (default %(default)s)")
+    p.add_argument("--k-max", type=int, default=FlowConfig.k_max,
+                   help="LUT size bound enforced at parse, at most %d (default %d)"
+                   % (MAX_K, FlowConfig.k_max))
     if seed:
-        p.add_argument("--seed", type=int, default=_envd("seed", PartitionConfig.seed, int))
+        p.add_argument("--seed", type=int, default=PartitionConfig.seed)
     if verbose:
-        p.add_argument("--verbose", action="store_true",
-                       default=_envd("verbose", False, bool))
+        p.add_argument("--verbose", action="store_true")
 
 
 def _add_partition_flags(p: argparse.ArgumentParser):
-    p.add_argument("--dies", type=int, default=_envd("dies", PartitionConfig.num_dies, int))
-    p.add_argument("--ub", type=float, default=_envd("ub", PartitionConfig.ub, float),
+    p.add_argument("--dies", type=int, default=PartitionConfig.num_dies)
+    p.add_argument("--ub", type=float, default=PartitionConfig.ub,
                    help="imbalance upper bound (default %(default)s)")
     mode = next(flag for flag, name in _MODE_NAMES.items() if name == PartitionConfig.mode)
-    p.add_argument("--partition-mode", choices=_MODE_NAMES,
-                   default=_envd("partition-mode", mode, choices=_MODE_NAMES))
-    p.add_argument("--partition-file",
-                   default=_envd("partition-file", PartitionConfig.partition_file))
+    p.add_argument("--partition-mode", choices=_MODE_NAMES, default=mode)
+    p.add_argument("--partition-file", default=PartitionConfig.partition_file)
 
 
 def _add_resyn_flags(p: argparse.ArgumentParser):
-    p.add_argument("--d1", type=int, default=_envd("d1", ResynConfig.d1, int))
-    p.add_argument("--d2", type=int, default=_envd("d2", ResynConfig.d2, int))
-    p.add_argument("--passes", type=int, default=_envd("passes", ResynConfig.passes, int),
+    p.add_argument("--d1", type=int, default=ResynConfig.d1)
+    p.add_argument("--d2", type=int, default=ResynConfig.d2)
+    p.add_argument("--passes", type=int, default=ResynConfig.passes,
                    help="sweep passes; -1 repeats until no commit")
-    p.add_argument("--window-pi-cap", type=int,
-                   default=_envd("window-pi-cap", ResynConfig.window_pi_cap, int))
-    p.add_argument("--divisor-cap", type=int,
-                   default=_envd("divisor-cap", ResynConfig.divisor_cap, int))
-    p.add_argument("--max-augment", type=int,
-                   default=_envd("max-augment", ResynConfig.max_augment, int))
-    p.add_argument("--freeze-die", type=int,
-                   default=_envd("freeze-die", ResynConfig.freeze_die, int))
-    p.add_argument("--inject-care", default=_envd("inject-care", FlowConfig.inject_care_path),
+    p.add_argument("--window-pi-cap", type=int, default=ResynConfig.window_pi_cap)
+    p.add_argument("--divisor-cap", type=int, default=ResynConfig.divisor_cap)
+    p.add_argument("--max-augment", type=int, default=ResynConfig.max_augment)
+    p.add_argument("--freeze-die", type=int, default=ResynConfig.freeze_die)
+    p.add_argument("--inject-care", default=FlowConfig.inject_care_path,
                    help="test hook: care predicate BLIF over primary inputs")
     p.add_argument("--no-verify-commits", action="store_true",
-                   default=_envd("no-verify-commits", not ResynConfig.verify_each_commit, bool))
+                   default=not ResynConfig.verify_each_commit)
 
 
 def _partition_config(args) -> PartitionConfig:
@@ -172,6 +135,8 @@ def cmd_equiv(args) -> int:
 
 
 def cmd_metrics(args) -> int:
+    if args.baseline_partition is not None and not args.baseline:
+        raise MetricsError("--baseline-partition needs --baseline")
     netlist = parse_blif_file(args.input, args.k_max)
     assignment = load_assignment(netlist, args.partition)
     if args.baseline:
@@ -268,13 +233,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--baseline", default=None)
     p.add_argument("--baseline-partition", default=None)
     p.add_argument("--placement", default=None)
-    p.add_argument("--die-width", type=int, default=_envd("die-width", 325, int))
-    p.add_argument("--die-height", type=int, default=_envd("die-height", 218, int))
-    p.add_argument("--lsll", type=float, default=_envd("lsll", 1.0, float))
+    p.add_argument("--die-width", type=int, default=325)
+    p.add_argument("--die-height", type=int, default=218)
+    p.add_argument("--lsll", type=float, default=1.0)
     p.add_argument("--q-table", default=None,
                    help="JSON file mapping terminal count to HPWL weight")
-    p.add_argument("--sll-count", choices=SLL_COUNT_MODES,
-                   default=_envd("sll-count", "per-die", choices=SLL_COUNT_MODES))
+    p.add_argument("--sll-count", choices=SLL_COUNT_MODES, default="per-die")
     p.add_argument("--json", default=None)
     _add_common(p, seed=False, verbose=False)
     p.set_defaults(func=cmd_metrics)
@@ -289,12 +253,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("flow", help="partition + resynth + verify + split + report")
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--outdir", required=True)
-    p.add_argument("--verify", choices=MODES,
-                   default=_envd("verify", FlowConfig.verify_mode, choices=MODES))
-    p.add_argument("--vectors", type=int,
-                   default=_envd("vectors", FlowConfig.vector_budget, int))
-    p.add_argument("--sll-count", choices=SLL_COUNT_MODES,
-                   default=_envd("sll-count", FlowConfig.sll_mode, choices=SLL_COUNT_MODES))
+    p.add_argument("--verify", choices=MODES, default=FlowConfig.verify_mode)
+    p.add_argument("--vectors", type=int, default=FlowConfig.vector_budget)
+    p.add_argument("--sll-count", choices=SLL_COUNT_MODES, default=FlowConfig.sll_mode)
     _add_partition_flags(p)
     _add_resyn_flags(p)
     _add_common(p)
@@ -302,19 +263,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="generate a built-in benchmark netlist")
     p.add_argument("name", choices=sorted(bench.BENCH_NAMES))
-    p.add_argument("--lut-k", type=int, default=_envd("lut-k", 4, int))
+    p.add_argument("--lut-k", type=int, default=4)
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=cmd_bench)
     return top
 
 
 def main(argv=None) -> int:
-    try:
-        parser = build_parser()
-    except UsageError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (BlifParseError, NetlistError, PartitionError, ResynthError,

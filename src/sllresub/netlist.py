@@ -33,6 +33,9 @@ from dataclasses import dataclass
 from .truthtab import TruthTable, cover_to_table, full_mask, table_to_cover
 
 DEFAULT_K_MAX = 6
+# the largest k_max: resynthesis tabulates each rewritten LUT's function
+# over its support of at most k_max nets, and no support wider than this
+MAX_K = 16
 
 
 class NetlistError(Exception):
@@ -66,6 +69,9 @@ class LatchElement:
 
 class Netlist:
     def __init__(self, model_name: str = "top", k_max: int = DEFAULT_K_MAX):
+        if k_max > MAX_K:
+            raise NetlistError("k_max must be <= %d (got %d): wider supports are "
+                               "not tabulated" % (MAX_K, k_max))
         self.model_name = model_name
         self.k_max = k_max
         self.primary_inputs: list[str] = []

@@ -17,7 +17,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 
 from . import equiv
-from .netlist import LutNode, Netlist
+from .netlist import MAX_K, LutNode, Netlist
 from .partition import DieAssignment
 from .truthtab import TruthTable, full_mask, minterm_masks
 
@@ -594,10 +594,9 @@ def collect_divisors(netlist: Netlist, window: Window, assignment: DieAssignment
 
 def _support_masks(sim: WindowSim, support: list[str]) -> list[int]:
     """The window masks of `support`, which must be narrow enough to tabulate."""
-    masks = [sim.value_of(net) for net in support]
-    if len(support) > 16:
+    if len(support) > MAX_K:
         raise ResynthError("support of %d nets is too wide to tabulate" % len(support))
-    return masks
+    return [sim.value_of(net) for net in support]
 
 
 def _cofactors(care: int, masks: list[int]) -> list[tuple[int, int]]:

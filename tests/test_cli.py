@@ -25,12 +25,6 @@ def run(*argv) -> int:
         return exc.code
 
 
-@pytest.fixture(autouse=True)
-def no_env_overrides(monkeypatch):
-    for var in [v for v in os.environ if v.startswith("SLLRESUB_")]:
-        monkeypatch.delenv(var)
-
-
 @pytest.fixture
 def mutated(tmp_path):
     """The demo circuit with F's function complemented."""
@@ -133,6 +127,14 @@ def test_metrics_exit_codes(tmp_path, bad_dies):
     assert run("metrics", "--in", DEMO, "--partition", DIES, "--sll-count", "x") == 2
 
 
+def test_baseline_partition_without_baseline_is_a_usage_error(tmp_path, capsys):
+    args = ("metrics", "--in", DEMO, "--partition", DIES, "--json", tmp_path / "m.json")
+    assert run(*args, "--baseline-partition", tmp_path / "missing.dies") == 2
+    assert capsys.readouterr().err == "error: --baseline-partition needs --baseline\n"
+    assert not (tmp_path / "m.json").exists()
+    assert run(*args, "--baseline", DEMO, "--baseline-partition", DIES) == 0
+
+
 def test_split_exit_codes(tmp_path, bad_dies):
     assert run("split", "--in", DEMO, "--partition", DIES, "--outdir", tmp_path / "d") == 0
     assert sorted(os.listdir(tmp_path / "d")) == ["die0.blif", "die1.blif"]
@@ -206,29 +208,59 @@ def test_bench_exit_codes(tmp_path):
     assert run("bench", "no_such_circuit") == 2
 
 
-def test_env_override_sets_the_flag_default(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("SLLRESUB_VERBOSE", "yes")
-    monkeypatch.setenv("SLLRESUB_DIES", "3")
-    assert run("partition", DEMO, "-o", tmp_path / "p.txt", "--partition-mode", "hash") == 0
-    assert (tmp_path / "p.txt").read_text().startswith("# dies 3\n")
-    assert "cut=" in capsys.readouterr().err
-    # the command line still wins over the environment
-    assert run("partition", DEMO, "-o", tmp_path / "q.txt", "--dies", "2") == 0
-    assert (tmp_path / "q.txt").read_text().startswith("# dies 2\n")
+def wide_and_flow(tmp_path, width: int) -> tuple:
+    """`flow` on `width` LUTs over 4 PIs on die 0 and their AND `F` on
+    die 1, a LUT with `width` cross-die fanins."""
+    pairs = ["a b", "a c", "a d", "b c", "b d", "c d"]
+    covers = ["11 1\n", "1- 1\n-1 1\n", "10 1\n01 1\n"]
+    gates = ["g%d" % i for i in range(width)]
+    blif = ".model wide_and\n.inputs a b c d\n.outputs F\n"
+    for i, g in enumerate(gates):
+        blif += ".names %s %s\n%s" % (pairs[i % 6], g, covers[i // 6 % 3])
+    blif += ".names %s F\n%s 1\n.end\n" % (" ".join(gates), "1" * width)
+    (tmp_path / "w.blif").write_text(blif)
+    (tmp_path / "w.dies").write_text(
+        "# dies 2\n" + "".join("%s 0\n" % n for n in ["a", "b", "c", "d"] + gates) + "F 1\n")
+    return ("flow", "--in", tmp_path / "w.blif", "--partition-mode", "file",
+            "--partition-file", tmp_path / "w.dies")
 
 
-@pytest.mark.parametrize("var, value", [
-    ("SLLRESUB_SEED", "abc"),
-    ("SLLRESUB_UB", "high"),
-    ("SLLRESUB_FREEZE_DIE", "x"),
-    ("SLLRESUB_PARTITION_MODE", "bogus"),
-    ("SLLRESUB_VERBOSE", "flase"),
-])
-def test_bad_env_value_is_a_usage_error(tmp_path, monkeypatch, capsys, var, value):
-    monkeypatch.setenv(var, value)
-    assert run("partition", DEMO, "-o", tmp_path / "p.txt") == 2
-    assert "%s=%s" % (var, value) in capsys.readouterr().err
-    assert not (tmp_path / "p.txt").exists()
+@pytest.mark.parametrize("k_max", [17, 18])
+def test_k_max_above_the_tabulation_width_is_a_parse_error(tmp_path, capsys, k_max):
+    """A LUT as wide as k_max allows is never left for resynthesis to refuse."""
+    out = tmp_path / "out"
+    assert run(*wide_and_flow(tmp_path, 18), "--outdir", out, "--k-max", k_max) == 2
+    assert capsys.readouterr().err == (
+        "error: [parse] k_max must be <= 16 (got %d): wider supports are not tabulated\n"
+        % k_max)
+    assert not out.exists()
+    assert run("bench", "i2c", "--lut-k", k_max, "-o", tmp_path / "i2c.blif") == 2
+    assert "k_max must be <= 16" in capsys.readouterr().err
+    assert not (tmp_path / "i2c.blif").exists()
+
+
+def test_widest_k_max_runs_the_flow(tmp_path):
+    assert run(*wide_and_flow(tmp_path, 16), "--outdir", tmp_path / "out", "--k-max", 16) == 0
+
+
+def test_environment_does_not_change_the_flow(tmp_path, monkeypatch, capsys):
+    """Settings come from the command line only: variables named after
+    flags change no artifact and print nothing."""
+    src = tmp_path / "i2c.blif"
+    assert run("bench", "i2c", "--lut-k", 6, "-o", src) == 0
+    assert run("flow", "--in", src, "--outdir", tmp_path / "plain") == 0
+    for var, value in [("SLLRESUB_D2", "2"), ("SLLRESUB_SEED", "3"), ("SLLRESUB_DIES", "3"),
+                       ("SLLRESUB_VERBOSE", "yes")]:
+        monkeypatch.setenv(var, value)
+    assert run("flow", "--in", src, "--outdir", tmp_path / "env") == 0
+    err = capsys.readouterr().err
+    names = sorted(os.listdir(tmp_path / "plain"))
+    assert names == sorted(os.listdir(tmp_path / "env"))
+    assert "die2.blif" not in names
+    _same, mismatch, errors = filecmp.cmpfiles(tmp_path / "plain", tmp_path / "env", names,
+                                                shallow=False)
+    assert (mismatch, errors) == ([], [])
+    assert err == ""
 
 
 @pytest.mark.parametrize("header", ["# dies \n", "# dies x\n"])

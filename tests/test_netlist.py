@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from sllresub import bench
 from sllresub.flow import split_per_die
-from sllresub.netlist import (SLL_PREFIX, BlifParseError, Netlist, NetlistError,
+from sllresub.netlist import (MAX_K, SLL_PREFIX, BlifParseError, Netlist, NetlistError,
                               has_generated_names, parse_blif, write_blif)
 from sllresub.partition import partition_hash
 from sllresub.truthtab import TruthTable, minterm_masks, table_to_cover
@@ -86,6 +86,14 @@ def test_k_max_enforced():
         parse_blif(text, k_max=6)
     assert "k_max" in str(err.value)
     parse_blif(text, k_max=7)  # configurable
+
+
+def test_k_max_is_bounded_by_the_tabulation_width():
+    assert Netlist(k_max=MAX_K).k_max == MAX_K
+    with pytest.raises(NetlistError, match="k_max must be <= 16 \\(got 17\\)"):
+        Netlist(k_max=MAX_K + 1)
+    with pytest.raises(NetlistError, match="k_max must be <= 16"):
+        parse_blif(DEMO_BLIF, k_max=MAX_K + 1)
 
 
 def test_latch_forms_and_roundtrip():
