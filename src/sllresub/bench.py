@@ -307,7 +307,7 @@ def _multiplier_rows(b: GateNetwork, xs, ys):
     """Array multiply via ripple-added partial product rows."""
     acc = [b.and_(x, ys[0]) for x in xs]
     result = [acc[0]]
-    for j, y in enumerate(ys[1:], start=1):
+    for y in ys[1:]:
         row = [b.and_(x, y) for x in xs]
         high = acc[1:] + [b.const(0)]
         summed, cout = _adder(b, high, row)

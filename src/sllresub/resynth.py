@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, asdict
 
 from .equiv import EXHAUSTIVE_PI_BOUND, EquivError, check_care
 from .metrics import count_sll, count_sll_fo, node_cross_die_fanins
-from .netlist import LutNode, Netlist
+from .netlist import Netlist
 from .partition import DieAssignment
 from .truthtab import TruthTable
 from .windows import (ResynthError, ValueCache, WindowSim,
@@ -114,30 +114,26 @@ class ResynReport:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
-def select_cross_die_fanin(netlist: Netlist, assignment: DieAssignment,
-                           node: LutNode) -> str | None:
-    """Deepest cross-die fanin (highest driver level), ties by fanin position."""
+def select_cross_die_fanin(netlist: Netlist, cross: list[str]) -> str | None:
+    """The deepest (highest driver level) of a pivot's cross-die fanins
+    `cross`, the sweep's list in fanin order; ties go to the first."""
     level = netlist.levels()
-
-    def depth(net: str) -> int:
-        drv = netlist.node_of_net(net)
-        return level[drv.id] if drv is not None else 0
-
+    node_of_net = netlist.node_of_net
     # max keeps the first of equally deep fanins
-    return max(node_cross_die_fanins(netlist, assignment, node), key=depth, default=None)
+    return max(cross, key=lambda f: level[drv.id] if (drv := node_of_net(f)) else 0, default=None)
 
 
-def find_equiv_func(netlist: Netlist, sim: WindowSim, care: int,
+def find_equiv_func(netlist: Netlist, sim: WindowSim, care: int, cross: list[str],
                     assignment: DieAssignment, config: ResynConfig) -> ResubCandidate | None:
-    """One removal attempt per pivot of `sim`'s window: drop a cross-die
-    fanin, then try the remaining fanins alone and augmented with same-die
-    divisors.
+    """One removal attempt per pivot of `sim`'s window: drop one of its
+    cross-die fanins `cross`, as the sweep found them, then try the
+    remaining fanins alone and augmented with same-die divisors.
 
     The divisors are collected only when the remaining fanins alone fail.
     """
     window = sim.window
     pivot = netlist.nodes[window.pivot]
-    u = select_cross_die_fanin(netlist, assignment, pivot)
+    u = select_cross_die_fanin(netlist, cross)
     if u is None:
         return None
     base = [f for f in pivot.fanins if f != u]
@@ -268,7 +264,7 @@ def resynthesize(netlist: Netlist, assignment: DieAssignment, config: ResynConfi
             row.window_pis = window.num_pis
             sim = WindowSim(work, window, cache, injected_care)
             care = extract_care_set(work, sim)
-            candidate = find_equiv_func(work, sim, care, asg, config)
+            candidate = find_equiv_func(work, sim, care, cross, asg, config)
             # Acceptance rule: strictly fewer cross-die fanins, no area growth.
             # v' is one LUT replacing one LUT, so only the fanin check can
             # reject; it is unreachable by construction but checked as stated.

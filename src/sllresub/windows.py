@@ -28,9 +28,12 @@ class ResynthError(Exception):
 
 @dataclass
 class Window:
+    """A pivot's window. `nodes` is the one record of its members, the LUTs
+    as they were at build time; `WindowSim` and `collect_divisors` read it."""
+
     pivot: int                      # node id
     window_pis: list[str]           # sorted; index i = input i of the minterm space
-    internal: list[int]             # node ids in topological order
+    nodes: dict[str, LutNode]       # the window's LUTs by output net, in (level, id) order
     tfo: set[int]                   # the pivot's TFO up to the level bound of build_window
 
     @property
@@ -151,12 +154,15 @@ def build_window(netlist: Netlist, pivot: LutNode, config) -> Window | None:
     A step's window PIs are the leaves, the fanins of the TFO up to d1 and
     the free sources side nodes read, less the window nets. The side
     nodes that read a free source outside the base are kept by net, so a
-    step unions only their fanins, not those of all side logic.
+    step unions only their fanins, not those of all side logic. A PI whose
+    driver has no fanins is a constant: it costs no PI and adds none, so
+    the window absorbs its driver. Side logic is kept only as its depths
+    by net; its node ids come from the netlist's net-to-id index.
     """
     if pivot.id not in netlist.nodes:
         raise ResynthError("pivot is not a LUT node in this netlist")
     nodes = netlist.nodes
-    node_of_net = netlist.node_of_net
+    node_of_net = netlist._node_of_net      # read directly: side nodes are kept by net
     readers = netlist.reader_ids.get
     level = netlist.levels()
     d1, d2 = config.d1, config.d2
@@ -171,11 +177,6 @@ def build_window(netlist: Netlist, pivot: LutNode, config) -> Window | None:
     leaves = set(ins[d2 + 1])
     leaves.update(net for layer in ins[1:d2 + 1] for net in layer if net not in drivers)
     base = core_nets | leaves
-    # constants cost no PIs and have no fanins, so absorbing one adds none
-    consts = {net for net, drv in drivers.items() if not drv.fanins}
-    consts.update(f for layer in outs[1:] for n in layer for f in n.fanins
-                  if (drv := node_of_net(f)) is not None and not drv.fanins)
-    side: dict[str, LutNode] = {}   # side logic by net
     depth: dict[str, int] = {}      # side net -> depth
     # side nodes that read a free source outside the base, by net
     free_readers: dict[str, LutNode] = {}
@@ -219,10 +220,10 @@ def build_window(netlist: Netlist, pivot: LutNode, config) -> Window | None:
                 if new == depth.get(out):
                     continue
                 if new is None:
-                    del depth[out], side[out]
+                    del depth[out]
                     free_readers.pop(out, None)
                 else:
-                    depth[out], side[out] = new, cur
+                    depth[out] = new
                 for r in readers(out, ()):
                     if r not in queued:
                         queued.add(r)
@@ -238,8 +239,9 @@ def build_window(netlist: Netlist, pivot: LutNode, config) -> Window | None:
         pis = leaves.union(*[n.fanins for layer in outs[1:d1 + 1] for n in layer],
                            *[n.fanins for n in free_readers.values()])
         pis -= core_nets
-        pis.difference_update(side)
-        absorbed = pis & consts
+        pis.difference_update(depth)
+        absorbed = [net for net in pis
+                    if (nid := node_of_net.get(net)) is not None and not nodes[nid].fanins]
         if len(pis) - len(absorbed) <= config.window_pi_cap:
             break
         if d2 > 1:
@@ -262,16 +264,14 @@ def build_window(netlist: Netlist, pivot: LutNode, config) -> Window | None:
             return None
         base.difference_update(dropped)
         seeds += [r for net in dropped for r in readers(net, ())]
-        seeds += [side[net].id for net, d in depth.items() if d > d1 + d2]
+        seeds += [node_of_net[net] for net, d in depth.items() if d > d1 + d2]
         if d1 == 0:
-            side.clear()
             depth.clear()
             free_readers.clear()
 
-    pis -= absorbed
-    internal_set = core | {n.id for n in side.values()}
-    internal_set.update(node_of_net(net).id for net in absorbed)
-    return Window(pivot.id, sorted(pis), netlist.level_order(internal_set), tfo)
+    pis.difference_update(absorbed)
+    ids = netlist.level_order(core.union(map(node_of_net.__getitem__, [*depth, *absorbed])))
+    return Window(pivot.id, sorted(pis), {nodes[i].output_net: nodes[i] for i in ids}, tfo)
 
 
 # Window-PI tuples whose masks one run keeps. On `chain` seed 1 a run
@@ -335,12 +335,13 @@ class ValueCache:
 class WindowSim:
     """Exhaustive bit-parallel simulation of a window over its PI space.
 
-    The window nodes are captured at construction, and each net is
-    evaluated on its first read through `value_of` and then kept, so a
-    pivot pays only for the nets its decision reads: the pivot's input
-    cone (`pivot_mask`), the nets the pivot feeds and their side inputs,
-    and the divisors it tries. The values are those of a full simulation,
-    and `value_of` is the one writer of every mask after the window PIs.
+    The window's nodes are those of `window.nodes`, as they were at build
+    time. Each net is evaluated on its first read through `value_of` and
+    then kept, so a pivot pays only for the nets its decision reads: the
+    pivot's input cone (`pivot_mask`), the nets the pivot feeds and their
+    side inputs, and the divisors it tries. The values are those of a full
+    simulation, and `value_of` is the one writer of every mask after the
+    window PIs.
 
     Given a `ValueCache`, the pivots of a run share their masks:
     `value_of` takes a window net's mask from the table of the window's PI
@@ -373,16 +374,9 @@ class WindowSim:
             self.care_mask = self.full
         self.shared = cache.table(tuple(window.window_pis)) if cache is not None else {}
         self.pivot_net = netlist.nodes[window.pivot].output_net
-        self.nodes: dict[str, LutNode] = {}     # window nodes by output net
         # window nodes the pivot feeds, in topological order: the core TFO
         # nodes, since side logic lies outside the pivot's TFO
-        self.pivot_fanout: list[LutNode] = []
-        tfo = window.tfo
-        for nid in window.internal:
-            node = netlist.nodes[nid]
-            self.nodes[node.output_net] = node
-            if nid in tfo:
-                self.pivot_fanout.append(node)
+        self.pivot_fanout = [node for node in window.nodes.values() if node.id in window.tfo]
         self.pivot_mask = self.value_of(self.pivot_net)
         # support prefix and care mask -> mixed care cofactors (exist_check)
         self.mixed_blocks: dict[tuple[tuple[str, ...], int], list[int]] = {}
@@ -394,13 +388,14 @@ class WindowSim:
         if net in values:
             return values[net]
         shared = self.shared
+        members = self.window.nodes
         stack = [net]
         while stack:
             cur = stack[-1]
             if cur in values:       # pushed twice, by two readers
                 stack.pop()
                 continue
-            node = self.nodes.get(cur)
+            node = members.get(cur)
             if node is None:
                 raise ResynthError("net %r is not evaluable in the window" % cur)
             mask = shared.get(cur)
@@ -421,11 +416,13 @@ class WindowSim:
         `self` holds the window nodes as they were before the commit;
         `netlist` is the netlist after it. Every surviving window node still
         `observable` must keep its value on every window-PI minterm that
-        `care_mask` allows. The live window nodes are visited twice in
-        (level, id) order: first each fanin must be a window PI or an
-        earlier live net, then values are propagated from the change.
+        `care_mask` allows. The live window nodes are visited once, in
+        (level, id) order: each fanin of a node must be a window PI or an
+        earlier live net before the node's value is propagated from the
+        change, so the first node that either reads from outside the window
+        or changes an observable net is the one reported.
 
-        The value pass applies the twin rule of `equiv._changed_cone`: a
+        The walk applies the twin rule of `equiv._changed_cone`: a
         node with the same fanins and an equal function as its captured
         node, none of whose fanins changed, keeps its pre-commit mask and is
         not evaluated. Any other node is evaluated from the changed masks
@@ -446,22 +443,21 @@ class WindowSim:
         too: the pivot reaches it only through observable nets.
         """
         pis = self.window.window_pis
+        members = self.window.nodes
         nodes = netlist.nodes
-        live = [netlist.node_of_net(net) for net in self.nodes]
-        live = [nodes[nid] for nid in netlist.level_order(
-            node.id for node in live if node is not None)]
+        node_of_net = netlist._node_of_net      # read directly: one lookup per window net
         known = set(pis)
-        for node in live:
+        value_of = self.value_of
+        changed: dict[str, int] = {}    # live net -> its new mask, where it differs
+        for nid in netlist.level_order(node_of_net[net] for net in members if net in node_of_net):
+            node = nodes[nid]
+            net = node.output_net
             for f in node.fanins:
                 if f not in known:
                     raise ResynthError("window node %r reads %r from outside the window"
-                                       % (node.output_net, f))
-            known.add(node.output_net)
-        value_of = self.value_of
-        changed: dict[str, int] = {}    # live net -> its new mask, where it differs
-        for node in live:
-            net = node.output_net
-            twin = self.nodes[net]
+                                       % (net, f))
+            known.add(net)
+            twin = members[net]
             if ((twin is node or twin.fanins == node.fanins and twin.function == node.function)
                     and (not changed or changed.keys().isdisjoint(node.fanins))):
                 continue
@@ -472,7 +468,7 @@ class WindowSim:
                 continue
             changed[net] = mask
             diff &= self.care_mask
-            if diff and observable(netlist, net, self.nodes):
+            if diff and observable(netlist, net, members):
                 minterm = (diff & -diff).bit_length() - 1
                 raise ResynthError("commit on %r changed window output %r at %s" % (
                     self.pivot_net, net,
@@ -510,7 +506,7 @@ def extract_care_set(netlist: Netlist, sim: WindowSim) -> int:
     then evaluates the pre-commit masks of the nodes the pivot feeds and
     of their side inputs, which nothing kept.
     """
-    if observable(netlist, sim.pivot_net, sim.nodes):
+    if observable(netlist, sim.pivot_net, sim.window.nodes):
         care = sim.full
     else:
         # an output the pivot does not feed keeps its mask when flipped
@@ -522,7 +518,7 @@ def extract_care_set(netlist: Netlist, sim: WindowSim) -> int:
             flipped[net] = node.function.eval_masks(
                 [flipped[f] if f in flipped else value_of(f) for f in node.fanins], sim.width)
             flips = flipped[net] ^ value_of(net)
-            if observable(netlist, net, sim.nodes):
+            if observable(netlist, net, sim.window.nodes):
                 care |= flips
     return care & sim.care_mask
 
@@ -541,12 +537,12 @@ def collect_divisors(netlist: Netlist, window: Window, assignment: DieAssignment
                      config) -> DivisorSet:
     """Divisor candidates: window signals reusable to re-express the pivot.
 
-    Every window PI and internal node qualifies except the pivot itself,
+    Every window PI and window node qualifies except the pivot itself,
     its MFFC, and window nodes in the pivot's TFO (those would create
     cycles). Candidates are ordered by (window level, name), truncated at
     the divisor cap; `in_die` keeps the ones sharing the pivot's die.
 
-    Window levels are computed in one pass over `window.internal`, and each
+    Window levels are computed in one pass over `window.nodes`, and each
     qualifying net at level at most `d2` goes into the list of its level.
     Names are sorted only within a level, and collection stops at the cap,
     so only the levels the cap reaches are sorted.
@@ -555,21 +551,19 @@ def collect_divisors(netlist: Netlist, window: Window, assignment: DieAssignment
     pivot_node = nodes[window.pivot]
     excluded = {nodes[n].output_net for n in netlist.mffc(window.pivot)}
     tfo = window.tfo
-    excluded.update(nodes[n].output_net for n in window.internal if n in tfo)
+    excluded.update(net for net, node in window.nodes.items() if node.id in tfo)
     excluded.add(pivot_node.output_net)
 
     top = config.d2
     by_level = [[net for net in window.window_pis if net not in excluded]]
     by_level += [[] for _ in range(top)]
     levels = dict.fromkeys(window.window_pis, 0)
-    for nid in window.internal:
-        node = nodes[nid]
+    for net, node in window.nodes.items():
         lvl = 0
         for f in node.fanins:
             if levels[f] > lvl:
                 lvl = levels[f]
         lvl += 1
-        net = node.output_net
         levels[net] = lvl
         if lvl <= top and net not in excluded:
             by_level[lvl].append(net)

@@ -29,24 +29,24 @@ from conftest import random_netlist
 
 def _reference_check_commit(sim, post):
     """The check by full re-simulation: every surviving window node is
-    evaluated again from the window PIs in (level, id) order, and every
-    observable one is compared with its pre-commit mask."""
+    evaluated again from the window PIs in (level, id) order, and each
+    observable one is compared with its pre-commit mask as soon as it is
+    evaluated. The first node that reads a net no earlier live node or
+    window PI gives, or that changes an observable net, is reported."""
     pis = sim.window.window_pis
     level = post.levels()
-    live = [post.node_of_net(net) for net in sim.nodes]
+    live = [post.node_of_net(net) for net in sim.window.nodes]
     live = sorted((node for node in live if node is not None),
                   key=lambda node: (level[node.id], node.id))
     values = {net: sim.values[net] for net in pis}
-    try:
-        eval_nodes(live, values, sim.width)
-    except KeyError as exc:
-        # no live node drives the missing net, so its first reader raised
-        reader = next(node for node in live if exc.args[0] in node.fanins)
-        raise ResynthError("window node %r reads %r from outside the window"
-                           % (reader.output_net, exc.args[0])) from None
     for node in live:
         net = node.output_net
-        if not observable(post, net, sim.nodes):
+        try:
+            eval_nodes([node], values, sim.width)
+        except KeyError as exc:
+            raise ResynthError("window node %r reads %r from outside the window"
+                               % (net, exc.args[0])) from None
+        if not observable(post, net, sim.window.nodes):
             continue
         diff = (values[net] ^ sim.value_of(net)) & sim.care_mask
         if diff:
@@ -161,8 +161,8 @@ def _corrupt_first_candidate(monkeypatch):
     real = resynth.find_equiv_func
     done = []
 
-    def corrupted(netlist, sim, care, asg, config):
-        cand = real(netlist, sim, care, asg, config)
+    def corrupted(netlist, sim, care, cross, asg, config):
+        cand = real(netlist, sim, care, cross, asg, config)
         if cand is None or done or not care:
             return cand
         minterm = (care & -care).bit_length() - 1
@@ -222,6 +222,22 @@ def test_window_node_reading_outside_the_window_is_an_error():
     assert _verdict(WindowSim.check_commit, sim, n) == _verdict(_reference_check_commit, sim, n)
 
 
+def test_an_observable_change_before_an_outside_read_is_reported_first():
+    """p changes and is a PO; y, after it in (level, id) order, now reads
+    z from outside the window. The one walk reports p, the earlier node."""
+    pre = parse_blif(".model m\n.inputs a b c\n.outputs y p z\n.names a b p\n11 1\n"
+                     ".names p c y\n11 1\n.names b c z\n10 1\n.end")
+    post = parse_blif(".model m\n.inputs a b c\n.outputs y p z\n.names a b p\n1- 1\n-1 1\n"
+                      ".names p z y\n11 1\n.names b c z\n10 1\n.end")
+    # d1 = 0: the window is y's input cone, so z stays outside it
+    sim = WindowSim(pre, build_window(pre, pre.node_of_net("y"), ResynConfig(d1=0)))
+    assert list(sim.window.nodes) == ["p", "y"]
+    with pytest.raises(ResynthError, match="changed window output 'p' at"):
+        sim.check_commit(post)
+    assert _verdict(WindowSim.check_commit, sim, post) \
+        == _verdict(_reference_check_commit, sim, post)
+
+
 def _count_check_evals(monkeypatch):
     """Count the `eval_masks` calls inside each `check_commit`. Returns the
     list that gets one row per check: the calls, `len(pivot_fanout)`,
@@ -246,7 +262,7 @@ def _count_check_evals(monkeypatch):
         new = post.node_of_net(sim.pivot_net)
         mask = real_eval(new.function, [sim.value_of(f) for f in new.fanins], sim.width)
         rows.append((calls, len(sim.pivot_fanout), mask == sim.pivot_mask,
-                     observable(post, sim.pivot_net, sim.nodes), sim.care_mask != sim.full))
+                     observable(post, sim.pivot_net, sim.window.nodes), sim.care_mask != sim.full))
 
     monkeypatch.setattr(TruthTable, "eval_masks", eval_masks)
     monkeypatch.setattr(WindowSim, "check_commit", check)

@@ -9,20 +9,23 @@ a window that gains or loses one PI.
 
 It also pins one SHA-256 over FM's die maps of the benchmark's `suite`
 netlists, so a change to the FM kernel that is meant to keep sides must
-leave that digest unchanged.
+leave that digest unchanged, and one over every window the resynthesis
+sweep builds on the benchmark's inputs: the flow digests miss a window
+that gains or loses a node but keeps its PI count and still commits.
 """
 
 import hashlib
 import os
 import sys
+from unittest import mock
 
 import pytest
 
-from sllresub import bench
+from sllresub import bench, resynth
 from sllresub.flow import FlowConfig, run_flow
 from sllresub.netlist import parse_blif, write_blif
-from sllresub.partition import PartitionConfig, partition_fm
-from sllresub.resynth import ResynConfig
+from sllresub.partition import PartitionConfig, assignment_for, partition_fm
+from sllresub.resynth import ResynConfig, resynthesize
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(REPO, "perfbench"))
@@ -112,3 +115,46 @@ def test_fm_die_maps_are_byte_identical():
                     digest.update(("%s_k%d %d %d\n" % (name, k, dies, seed)).encode())
                     digest.update("".join("%s %d\n" % item for item in die_of.items()).encode())
     assert digest.hexdigest() == FM_DIE_MAPS
+
+
+# sha256 over every window `resynthesize` builds, by nets: the pivot, the
+# window PIs, the member nets in order and the sorted TFO nets, or "none"
+# for a pivot without a window. Inputs: the benchmark's `suite` netlists
+# (BLIF round trip, FM seed 0 on 2 dies, per-commit check on) and `chain`
+# seeds 1 and 3 (hash labels on 4 dies, check off)
+WINDOWS = "272b8387681d42326190610b2d7ccd7fd9ca7b9c67c37488fda9fafcd828379f"
+
+
+def _hash_windows(digest, text, partition, config):
+    """Resynthesize `text`, adding one line per window built to `digest`."""
+    real_build = resynth.build_window
+
+    def build(work, pivot, cfg):
+        window = real_build(work, pivot, cfg)
+        if window is None:
+            line = "%s none" % pivot.output_net
+        else:
+            line = "%s | %s | %s | %s" % (
+                pivot.output_net, " ".join(window.window_pis), " ".join(window.nodes),
+                " ".join(sorted(work.nodes[i].output_net for i in window.tfo)))
+        digest.update((line + "\n").encode())
+        return window
+
+    netlist = parse_blif(text)
+    with mock.patch.object(resynth, "build_window", build):
+        resynthesize(netlist, assignment_for(netlist, partition), config)
+
+
+def test_windows_are_byte_identical():
+    digest = hashlib.sha256()
+    for name in bench.BENCH_NAMES:
+        for k in (4, 6):
+            digest.update(("%s_k%d\n" % (name, k)).encode())
+            _hash_windows(digest, write_blif(bench.build(name, k)),
+                          PartitionConfig(num_dies=2, mode="fm_mincut"), ResynConfig())
+    for seed in (1, 3):
+        digest.update(("chain %d\n" % seed).encode())
+        _hash_windows(digest, tiled("i2c", 8, 6, 14, seed),
+                      PartitionConfig(num_dies=4, mode="hash_label"),
+                      ResynConfig(verify_each_commit=False))
+    assert digest.hexdigest() == WINDOWS

@@ -1,10 +1,11 @@
 """Source hygiene: every name a module of the package imports is read in
-it, and every module-level function and class is used by the package.
+it, every local a function binds is read, and every module-level
+function and class is used by the package.
 
-An edit that deletes the last use of an import leaves the import behind;
-this check names each such leftover. `__init__.py` is skipped, since it
-imports names to re-export them. A function or class that only tests
-call is an API the package does not need; one that `__init__.py`
+An edit that deletes the last use of an import or a local leaves it
+behind; these checks name each such leftover. `__init__.py` is skipped,
+since it imports names to re-export them. A function or class that only
+tests call is an API the package does not need; one that `__init__.py`
 re-exports is public and passes.
 """
 
@@ -57,6 +58,55 @@ def test_every_imported_name_is_read(path):
     unused = ["%s (line %d)" % (name, line) for name, line in _imported_names(tree)
               if name not in read]
     assert not unused, "%s imports names it never reads: %s" % (path.name, ", ".join(unused))
+
+
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
+
+
+def _own_nodes(function):
+    """The nodes of `function`'s body outside the functions and classes
+    nested in it."""
+    stack = list(ast.iter_child_nodes(function))
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, _SCOPES):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def _unread_locals(function):
+    """(line, name) for each local `function` binds but never reads.
+
+    Parameters and names declared `global` or `nonlocal` are not checked,
+    and neither are names that start with an underscore. A read in a
+    nested function counts.
+    """
+    own = list(_own_nodes(function))
+    declared = {name for node in own if isinstance(node, (ast.Global, ast.Nonlocal))
+                for name in node.names}
+    bound = {}
+    for node in own:
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            bound.setdefault(node.id, node.lineno)
+    read = {node.id for node in ast.walk(function)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return sorted((line, name) for name, line in bound.items()
+                  if name not in read and name not in declared and not name.startswith("_"))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_local_is_read(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    unread = ["%s in %s (line %d)" % (name, node.name, line) for node in ast.walk(tree)
+              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+              for line, name in _unread_locals(node)]
+    assert not unread, "%s binds locals it never reads: %s" % (path.name, ", ".join(unread))
+
+
+def test_unread_local_check_finds_a_leftover():
+    tree = ast.parse("def f(a):\n    x, _y = a\n    z = 1\n"
+                     "    def g():\n        return z\n    return g\n")
+    assert _unread_locals(tree.body[0]) == [(2, "x")]
 
 
 def _uses(tree):

@@ -153,17 +153,17 @@ def _reference_build_window(netlist, pivot, config, full_tfo):
         return None
     level = netlist.levels()
     internal = sorted(internal_set, key=lambda n: (level[n], n))
-    return Window(pivot, sorted(pis), internal, full_tfo)
+    return Window(pivot, sorted(pis),
+                  {netlist.nodes[n].output_net: netlist.nodes[n] for n in internal}, full_tfo)
 
 
 def _reference_outputs(netlist, window):
     """Window nets that are POs, latch inputs or read by a node outside
     the window, by node id, sorted."""
-    inside = set(window.internal)
+    inside = {node.id for node in window.nodes.values()}
     sinks = set(netlist.sink_nets())
     outputs = []
-    for nid in window.internal:
-        net = netlist.nodes[nid].output_net
+    for net in window.nodes:
         if net in sinks or any(r not in inside for r in netlist.reader_ids.get(net, ())):
             outputs.append(net)
     return sorted(outputs)
@@ -171,8 +171,7 @@ def _reference_outputs(netlist, window):
 
 def _assert_observable_matches_reference(netlist, window):
     """`observable` over every window net names the reference outputs."""
-    nets = {netlist.nodes[nid].output_net for nid in window.internal}
-    got = sorted(net for net in nets if observable(netlist, net, nets))
+    got = sorted(net for net in window.nodes if observable(netlist, net, window.nodes))
     assert got == _reference_outputs(netlist, window), window.pivot
 
 
@@ -207,7 +206,8 @@ def _assert_window_matches_regrowth(netlist, got, pivot, config, full_tfo):
     assert (got is None) == (want is None), pivot
     if got is None:
         return
-    assert (got.window_pis, got.internal) == (want.window_pis, want.internal), pivot
+    assert (got.window_pis, list(got.nodes.items())) \
+        == (want.window_pis, list(want.nodes.items())), pivot
     _assert_observable_matches_reference(netlist, got)
     # Window.tfo: the pivot's TFO up to L0 + d1 + d2, L0 the highest level
     # among the pivot and its TFO up to d1
@@ -256,10 +256,10 @@ def test_shrink_steps_need_not_be_nested():
     assert g36 not in _grow_window(n, pivot, 2, 1, full_tfo)
     assert g36 in _grow_window(n, pivot, 1, 1, full_tfo)
     unshrunk = build_window(n, n.nodes[pivot], ResynConfig(d1=2, d2=1, window_pi_cap=18))
-    assert g36 not in unshrunk.internal and unshrunk.num_pis > 15
+    assert "g36" not in unshrunk.nodes and unshrunk.num_pis > 15
     # a cap of 15 PIs rejects the (2, 1) window and takes the (1, 1) one
     config = ResynConfig(d1=2, d2=1, window_pi_cap=15)
-    assert g36 in build_window(n, n.nodes[pivot], config).internal
+    assert "g36" in build_window(n, n.nodes[pivot], config).nodes
     _assert_matches_regrowth(n, pivot, config, full_tfo)
 
 
@@ -466,8 +466,7 @@ def _eager_window_values(netlist, window, forced=None):
     to the constant `forced` unless it is None."""
     values = minterm_masks(window.window_pis)
     pivot = netlist.nodes[window.pivot]
-    for nid in window.internal:
-        node = netlist.nodes[nid]
+    for node in window.nodes.values():
         if node is pivot and forced is not None:
             values[node.output_net] = full_mask(window.width) if forced else 0
         else:
@@ -494,8 +493,7 @@ def test_on_demand_window_values_match_eager_simulation(name):
         assert set(sim.values) <= set(want)
         assert sim.pivot_mask == want[sim.pivot_net]
         # the highest nets first, so each read evaluates a whole cone
-        for net in reversed(window.window_pis
-                            + [n.nodes[nid].output_net for nid in window.internal]):
+        for net in reversed(window.window_pis + list(window.nodes)):
             assert sim.value_of(net) == want[net], (name, sim.pivot_net, net)
         assert sim.values == want
 
@@ -537,7 +535,7 @@ def test_every_window_mask_is_written_by_value_of(name, monkeypatch):
         sim = WindowSim(n, window)
         extract_care_set(n, sim)
         assert sim.values.keys() <= set(window.window_pis) | written, (name, sim.pivot_net)
-        hidden += bool(sim.pivot_fanout) and not observable(n, sim.pivot_net, sim.nodes)
+        hidden += bool(sim.pivot_fanout) and not observable(n, sim.pivot_net, sim.window.nodes)
     assert hidden     # some pivot's fanout was simulated
 
 
@@ -545,7 +543,7 @@ def _two_forcing_care(netlist, sim):
     """The care set by two simulations of the nodes the pivot feeds, with
     the pivot forced to 0 and to 1: a minterm is care where an observable
     one of them differs between the two."""
-    if observable(netlist, sim.pivot_net, sim.nodes):
+    if observable(netlist, sim.pivot_net, sim.window.nodes):
         return sim.full & sim.care_mask
     fed = {sim.pivot_net}.union(node.output_net for node in sim.pivot_fanout)
     forced = []
@@ -558,7 +556,7 @@ def _two_forcing_care(netlist, sim):
     care = 0
     for node in sim.pivot_fanout:
         net = node.output_net
-        if observable(netlist, net, sim.nodes):
+        if observable(netlist, net, sim.window.nodes):
             care |= forced[0][net] ^ forced[1][net]
     return care & sim.care_mask
 
@@ -591,7 +589,7 @@ def _captured_values(sim):
     """Every net of `sim`'s window simulated from the nodes it captured."""
     window = sim.window
     values = minterm_masks(window.window_pis)
-    for node in sim.nodes.values():     # captured in topological order
+    for node in window.nodes.values():     # captured in topological order
         values[node.output_net] = node.function.eval_masks(
             [values[f] for f in node.fanins], window.width)
     return values
@@ -659,13 +657,14 @@ def test_shared_table_serves_window_nets_only(demo_netlist):
     cache = ValueCache()
     window = build_window(demo_netlist, demo_netlist.node_of_net("X"),
                           ResynConfig(d1=30, d2=30, window_pi_cap=14))
-    top = demo_netlist.nodes[window.internal[-1]]
+    *lower, top = window.nodes.values()
     assert top.id != window.pivot
     sim = WindowSim(demo_netlist, window, cache)
     sim.value_of(top.output_net)
     assert top.output_net in cache.table(tuple(window.window_pis))
     # the same PIs without the top node: its cached mask must not be served
-    smaller = Window(window.pivot, window.window_pis, window.internal[:-1], window.tfo)
+    smaller = Window(window.pivot, window.window_pis, {n.output_net: n for n in lower},
+                     window.tfo)
     with pytest.raises(ResynthError, match="not evaluable"):
         WindowSim(demo_netlist, smaller, cache).value_of(top.output_net)
 
@@ -677,10 +676,10 @@ def test_invalidation_drops_the_pivot_and_its_cached_readers_only():
                  if len(n.reader_ids.get(node.output_net, ())) > 1)
     window = build_window(n, pivot, ResynConfig())
     sim = WindowSim(n, window, cache)
-    for net in sim.nodes:
+    for net in sim.window.nodes:
         sim.value_of(net)
     table = cache.table(tuple(window.window_pis))
-    assert table.keys() == sim.nodes.keys()
+    assert table.keys() == sim.window.nodes.keys()
     fed = {pivot.output_net} | {node.output_net for node in sim.pivot_fanout}
     cache.invalidate(n, pivot.output_net)
-    assert table.keys() == sim.nodes.keys() - fed
+    assert table.keys() == sim.window.nodes.keys() - fed

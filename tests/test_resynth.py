@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from sllresub import bench, resynth
 from sllresub.equiv import check_equivalence
-from sllresub.metrics import count_sll, count_sll_fo
+from sllresub.metrics import count_sll, count_sll_fo, node_cross_die_fanins
 from sllresub.netlist import NetlistError, parse_blif, write_blif
 from sllresub.partition import DieAssignment, partition_hash
 from sllresub.resynth import (ResubCandidate, ResynConfig, apply_resubstitution,
@@ -24,7 +24,8 @@ def _find(netlist, assignment, pivot_name, config=WIDE, care_net=None):
     window = build_window(netlist, pivot, config)
     sim = WindowSim(netlist, window, injected_care=care_net)
     care = extract_care_set(netlist, sim)
-    return find_equiv_func(netlist, sim, care, assignment, config)
+    cross = node_cross_die_fanins(netlist, assignment, pivot)
+    return find_equiv_func(netlist, sim, care, cross, assignment, config)
 
 
 def test_cross_die_fanin_selection_prefers_deepest():
@@ -35,10 +36,11 @@ def test_cross_die_fanin_selection_prefers_deepest():
     asg = DieAssignment(2, {"a": 0, "b": 0, "c": 0, "p": 0, "y": 1},
                         {"p": 1, "y": 1})
     # both fanins of y cross; p (level 1) is deeper than c (a PI)
-    assert select_cross_die_fanin(n, asg, n.node_of_net("y")) == "p"
+    y = n.node_of_net("y")
+    assert select_cross_die_fanin(n, node_cross_die_fanins(n, asg, y)) == "p"
     asg2 = DieAssignment(2, {"a": 0, "b": 0, "c": 0, "p": 1, "y": 1},
                          {"p": 1, "y": 1})
-    assert select_cross_die_fanin(n, asg2, n.node_of_net("y")) == "c"
+    assert select_cross_die_fanin(n, node_cross_die_fanins(n, asg2, y)) == "c"
 
 
 def test_find_equiv_func_demo(demo_netlist, demo_assignment, demo_care):
@@ -310,7 +312,7 @@ def test_cycle_rejected_row_keeps_window_pis(demo_netlist, demo_assignment, demo
 
 def test_acceptance_rejected_row_keeps_window_pis(demo_netlist, demo_assignment, demo_care,
                                                  monkeypatch):
-    def keep_every_fanin(netlist, sim, care, assignment, config):
+    def keep_every_fanin(netlist, sim, care, cross, assignment, config):
         pivot = netlist.node_of_net(sim.pivot_net)
         return ResubCandidate(pivot.output_net, pivot.fanins[0], list(pivot.fanins),
                               pivot.function)

@@ -8,6 +8,7 @@ import pytest
 from sllresub import bench, resynth
 from sllresub.netlist import Netlist, parse_blif
 from sllresub.partition import DieAssignment, partition_hash
+from sllresub.metrics import node_cross_die_fanins
 from sllresub.resynth import ResynConfig, resynthesize, select_cross_die_fanin
 from sllresub.truthtab import TruthTable
 from sllresub.windows import (ResynthError, WindowSim, build_window, collect_divisors,
@@ -22,19 +23,14 @@ from workloads import tiled  # noqa: E402  (the benchmark's tile generator)
 WIDE = ResynConfig(d1=30, d2=30, window_pi_cap=14)
 
 
-def _names(netlist, ids):
-    return sorted(netlist.nodes[i].output_net for i in ids)
-
-
 def _observable_nets(netlist, window):
     """The window nets `observable` keeps, sorted."""
-    nets = _names(netlist, window.internal)
-    return [net for net in nets if observable(netlist, net, set(nets))]
+    return [net for net in sorted(window.nodes) if observable(netlist, net, window.nodes)]
 
 
 def test_window_covers_whole_demo_circuit(demo_netlist):
     w = build_window(demo_netlist, demo_netlist.node_of_net("F"), WIDE)
-    assert _names(demo_netlist, w.internal) == ["F", "X", "Y"]
+    assert sorted(w.nodes) == ["F", "X", "Y"]
     assert w.window_pis == ["a", "b", "c", "d"]
     assert _observable_nets(demo_netlist, w) == ["F", "Y"]
 
@@ -43,7 +39,7 @@ def test_window_pi_only_pivot_d1_zero(demo_netlist):
     cfg = ResynConfig(d1=0, d2=1, window_pi_cap=14)
     f = demo_netlist.node_of_net("F")
     w = build_window(demo_netlist, f, cfg)
-    assert w.internal == [f.id]
+    assert w.nodes == {"F": f}
     assert _observable_nets(demo_netlist, w) == ["F"]
     assert w.window_pis == ["a", "d"]
 
@@ -89,10 +85,9 @@ def test_window_caps_hold_across_random_pivots():
             if w is None:
                 continue
             assert w.num_pis <= 8
-            inner = {n.nodes[i].output_net for i in w.internal}
-            for nid in w.internal:
-                for f in n.nodes[nid].fanins:
-                    assert f in inner or f in w.window_pis
+            for node in w.nodes.values():
+                for f in node.fanins:
+                    assert f in w.nodes or f in w.window_pis
 
 
 def test_divisors_demo(demo_netlist, demo_assignment):
@@ -132,11 +127,10 @@ def _reference_collect_divisors(netlist, window, assignment, config):
     """Divisors by sorting every window net by (window level, name)."""
     pivot_node = netlist.nodes[window.pivot]
     excluded = {netlist.nodes[n].output_net for n in netlist.mffc(window.pivot)}
-    excluded.update(netlist.nodes[n].output_net for n in window.internal if n in window.tfo)
+    excluded.update(net for net, node in window.nodes.items() if node.id in window.tfo)
     excluded.add(pivot_node.output_net)
     levels = {net: 0 for net in window.window_pis}
-    for nid in window.internal:
-        node = netlist.nodes[nid]
+    for node in window.nodes.values():
         levels[node.output_net] = 1 + max((levels[f] for f in node.fanins), default=0)
     candidates = []
     for net, lvl in sorted(levels.items(), key=lambda kv: (kv[1], kv[0])):
@@ -343,7 +337,7 @@ def test_exist_check_memo_answers_every_care_mask_of_one_sim():
         n = bench.build(name, 4)
         asg = partition_hash(n, 2)
         for node in n.topological_order():
-            u = select_cross_die_fanin(n, asg, node)
+            u = select_cross_die_fanin(n, node_cross_die_fanins(n, asg, node))
             w = build_window(n, node, cfg) if u is not None else None
             if w is None:
                 continue
