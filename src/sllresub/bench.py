@@ -153,17 +153,17 @@ def pack_to_luts(net: GateNetwork, k: int) -> Netlist:
         return support
 
     # A gate left on some cluster's support must emit its own LUT: promote
-    # such gates to roots and re-grow until the root set closes.
-    while True:
-        supports = {root: grow(root) for root in sorted(roots)}
-        missing = set()
-        for support in supports.values():
-            for s in support:
-                if s in net.gates and s not in roots:
-                    missing.add(s)
-        if not missing:
-            break
-        roots |= missing
+    # such gates to roots and grow them, until the root set closes. Only
+    # the new roots are grown: a promoted gate has one reader and no
+    # cluster absorbed it, so no grown cluster changes when it is excluded.
+    supports: dict[str, list[str]] = {}
+    grown = roots
+    while grown:
+        for root in grown:
+            supports[root] = grow(root)
+        grown = {s for root in grown for s in supports[root]
+                 if s in net.gates and s not in roots}
+        roots |= grown
 
     out = Netlist(net.name, max(k, 3))
     for name in net.inputs:

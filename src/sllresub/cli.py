@@ -162,8 +162,9 @@ def cmd_metrics(args) -> int:
 def cmd_split(args) -> int:
     netlist = parse_blif_file(args.input, args.k_max)
     assignment = load_assignment(netlist, args.partition)
+    subs = split_per_die(netlist, assignment)     # a refusal leaves no --outdir
     os.makedirs(args.outdir, exist_ok=True)
-    for die, sub in enumerate(split_per_die(netlist, assignment)):
+    for die, sub in enumerate(subs):
         path = os.path.join(args.outdir, "die%d.blif" % die)
         write_blif_file(sub, path)
         _say(args, "wrote %s (%d LUTs)" % (path, sub.lut_count()))

@@ -80,9 +80,11 @@ def check_care(care: Netlist, netlist: Netlist):
 
 def care_mask(care: Netlist | None, source_masks: dict[str, int], width: int) -> int:
     """The care predicate's output over `width` patterns; all ones without one."""
+    full = full_mask(width)
     if care is None:
-        return full_mask(width)
-    values = care.eval_masks({p: source_masks[p] for p in care.source_nets()}, width)
+        return full
+    values = {p: source_masks[p] & full for p in care.source_nets()}
+    eval_nodes(care.topological_order(), values, width)
     return values[care.primary_outputs[0]]
 
 

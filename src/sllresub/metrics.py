@@ -8,7 +8,9 @@ a net crosses when a reading LUT or latch sits on another die than its
 driver (a PO is no sink). The 'raw-net' SLL count, one per crossing net,
 is the hyperedge cut the partitioner minimizes. Bounding box costs follow
 the weighted-HPWL model; inter-die nets decompose into die-local boxes
-joined by fixed-length interposer links.
+joined by fixed-length interposer links. `snapshot`, given a placement,
+and `report`, which takes one snapshot per state, are the box-cost API:
+`bbox_sd` per die and `bbox_md` for the whole netlist.
 """
 
 from __future__ import annotations
@@ -222,22 +224,6 @@ def _bbox_costs(netlist: Netlist, placement: PlacementData) -> tuple[list[float]
     return sd, md
 
 
-def bbox_cost_sd(netlist: Netlist, placement: PlacementData, die: int) -> float:
-    """Weighted HPWL over nets placed entirely on `die`."""
-    per_die = _bbox_costs(netlist, placement)[0]
-    if not 0 <= die < len(per_die):
-        raise MetricsError("die %d is not in the placement geometry" % die)
-    return per_die[die]
-
-
-def bbox_cost_md(netlist: Netlist, placement: PlacementData,
-                 assignment: DieAssignment, sll_mode: str = "per-die") -> float:
-    """Multi-die cost: per-die boxes (see `_bbox_costs`) plus one
-    interposer link per SLL, count_sll * l_sll."""
-    return (_bbox_costs(netlist, placement)[1]
-            + count_sll(netlist, assignment, sll_mode) * placement.l_sll)
-
-
 # ----------------------------------------------------------------------
 # reporting
 
@@ -254,7 +240,9 @@ _CORE_METRICS = ("n_sll", "n_sll_fo", "lut_count", "rho")
 def snapshot(netlist: Netlist, assignment: DieAssignment,
              placement: PlacementData | None = None,
              sll_mode: str = "per-die") -> dict:
-    """All scalar metrics for one (netlist, assignment) state."""
+    """All scalar metrics for one (netlist, assignment) state. A placement
+    adds the box costs of one `_bbox_costs` walk: `bbox_sd` per die, and
+    `bbox_md`, which adds one interposer link per SLL, `n_sll * l_sll`."""
     n_sll, n_sll_fo = sll_counts(netlist, assignment, sll_mode)
     out = {
         "n_sll": n_sll,

@@ -30,7 +30,7 @@ import io
 from collections import deque
 from dataclasses import dataclass
 
-from .truthtab import TruthTable, cover_to_table, full_mask, table_to_cover
+from .truthtab import TruthTable, cover_to_table, table_to_cover
 
 DEFAULT_K_MAX = 6
 # the largest k_max: resynthesis tabulates each rewritten LUT's function
@@ -276,18 +276,18 @@ class Netlist:
     # ------------------------------------------------------------------
     # traversal
 
-    def _node_id(self, node) -> int:
-        nid = node.id if isinstance(node, LutNode) else node
+    def _node_id(self, nid: int) -> int:
         if nid not in self.nodes:
-            raise NetlistError("unknown node %r" % node)
+            raise NetlistError("unknown node %r" % nid)
         return nid
 
-    def tfo(self, node, depth_limit: int | None = None) -> set[int]:
-        """Node ids in the transitive fanout, BFS-bounded by `depth_limit`.
+    def tfo(self, nid: int, depth_limit: int | None = None) -> set[int]:
+        """Ids of the transitive fanout of node `nid`, BFS-bounded by
+        `depth_limit`.
 
         POs and latch inputs terminate the walk; the node itself is excluded.
         """
-        nid = self._node_id(node)
+        nid = self._node_id(nid)
         if depth_limit is not None and depth_limit <= 0:
             return set()
         out: set[int] = set()
@@ -304,13 +304,13 @@ class Netlist:
             frontier = nxt
         return out
 
-    def mffc(self, node) -> set[int]:
-        """Maximum fanout-free cone of `node` (ids, including the node).
+    def mffc(self, nid: int) -> set[int]:
+        """Maximum fanout-free cone of node `nid` (ids, including `nid`).
 
         Every member other than the root has all of its fanouts inside
         the set, so deleting the set dangles nothing else.
         """
-        root = self._node_id(node)
+        root = self._node_id(nid)
         member = {root}
         # Reference counting: each member takes one reference from every LUT
         # driving it; a driver joins when its last reader joined, unless it
@@ -331,15 +331,15 @@ class Netlist:
     # ------------------------------------------------------------------
     # mutation (resubstitution support)
 
-    def replace_node(self, node, fanins: list[str], function: TruthTable) -> LutNode:
-        """Swap in a fresh node driving the same net with new fanins/function.
+    def replace_node(self, nid: int, fanins: list[str], function: TruthTable) -> LutNode:
+        """Swap in a fresh node for node `nid`, driving the same net with
+        new fanins/function.
 
         The old node id disappears; every reader keeps working because the
         output net is preserved. The LUT and the drivers of its fanins are
         checked first, so a NetlistError leaves the netlist untouched.
         """
-        nid = self._node_id(node)
-        old = self.nodes[nid]
+        old = self.nodes[self._node_id(nid)]
         self._check_lut(old.output_net, fanins, function)
         for f in fanins:
             if not self.has_driver(f):
@@ -387,20 +387,6 @@ class Netlist:
             # the copy numbers the nodes in this netlist's id order
             out._level = dict(zip(out.nodes, map(self._level.__getitem__, self.nodes)))
         return out
-
-    # ------------------------------------------------------------------
-    # simulation
-
-    def eval_masks(self, source_masks: dict[str, int], width: int) -> dict[str, int]:
-        """Bit-parallel evaluation of every net from PI/latch-output masks."""
-        full = full_mask(width)
-        values: dict[str, int] = {}
-        for net in self.source_nets():
-            if net not in source_masks:
-                raise NetlistError("missing assignment for input %r" % net)
-            values[net] = source_masks[net] & full
-        eval_nodes(self.topological_order(), values, width)
-        return values
 
 
 def net_terminals(netlist: Netlist):

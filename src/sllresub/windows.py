@@ -343,15 +343,14 @@ class WindowSim:
     simulation, and `value_of` is the one writer of every mask after the
     window PIs.
 
-    Given a `ValueCache`, the pivots of a run share their masks:
+    The pivots of a run share their masks through a `ValueCache`:
     `value_of` takes a window net's mask from the table of the window's PI
     tuple before evaluating it, and publishes each mask it evaluates
     there. It looks a net up only once the net is known to be a window
     node, so a net outside the window is refused as before. The masks in
     the table are those of the netlist as it is, so after a commit, and
     after `check_commit` (whose pre-commit reads publish too), the caller
-    calls `cache.invalidate(netlist, pivot_net)`. Without a cache the
-    window keeps its masks to itself.
+    calls `cache.invalidate(netlist, pivot_net)`.
 
     `care_mask` is an injected care predicate (a single-output netlist
     over primary input names) over the window minterms, evaluated once
@@ -360,7 +359,7 @@ class WindowSim:
     conservative.
     """
 
-    def __init__(self, netlist: Netlist, window: Window, cache: ValueCache | None = None,
+    def __init__(self, netlist: Netlist, window: Window, cache: ValueCache,
                  injected_care: Netlist | None = None):
         self.window = window
         self.width = window.width
@@ -372,7 +371,7 @@ class WindowSim:
             self.care_mask = equiv.care_mask(injected_care, self.values, self.width)
         else:
             self.care_mask = self.full
-        self.shared = cache.table(tuple(window.window_pis)) if cache is not None else {}
+        self.shared = cache.table(tuple(window.window_pis))
         self.pivot_net = netlist.nodes[window.pivot].output_net
         # window nodes the pivot feeds, in topological order: the core TFO
         # nodes, since side logic lies outside the pivot's TFO

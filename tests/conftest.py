@@ -2,9 +2,9 @@ import random
 
 import pytest
 
-from sllresub.netlist import Netlist, parse_blif
+from sllresub.netlist import Netlist, NetlistError, eval_nodes, parse_blif
 from sllresub.partition import DieAssignment
-from sllresub.truthtab import TruthTable
+from sllresub.truthtab import TruthTable, full_mask
 
 DEMO_BLIF = """\
 .model twodie_xor
@@ -102,7 +102,7 @@ def demo_care():
 
 
 # Cone helpers of the window references in test_incremental.py, and the
-# single-vector simulator of the reference checks; the program itself
+# whole-netlist evaluators of the reference checks; the program itself
 # walks cones inside build_window and evaluates only what it compares.
 
 def tfi(netlist, nid, depth_limit=None):
@@ -133,9 +133,21 @@ def cone_input_nets(netlist, node_ids):
     return sorted({f for n in node_ids for f in netlist.nodes[n].fanins if f not in inner})
 
 
+def eval_netlist(netlist, source_masks, width):
+    """Bit-parallel evaluation of every net from PI/latch-output masks."""
+    full = full_mask(width)
+    values = {}
+    for net in netlist.source_nets():
+        if net not in source_masks:
+            raise NetlistError("missing assignment for input %r" % net)
+        values[net] = source_masks[net] & full
+    eval_nodes(netlist.topological_order(), values, width)
+    return values
+
+
 def simulate(netlist, assignment):
     """Single-vector simulation: PI/latch-output bits in, PO/latch-input bits out."""
-    values = netlist.eval_masks({net: 1 if v else 0 for net, v in assignment.items()}, 1)
+    values = eval_netlist(netlist, {net: 1 if v else 0 for net, v in assignment.items()}, 1)
     return {net: values[net] & 1 for net in netlist.sink_nets()}
 
 

@@ -1,5 +1,7 @@
+import collections
 import json
 import os
+import random
 import subprocess
 import sys
 
@@ -191,6 +193,91 @@ def test_packer_matches_per_minterm_reference_on_random_networks(net, k):
         env = {s: (m >> i) & 1 for i, s in enumerate(sources)}
         out = simulate(packed, env)
         assert {s: out[s] for s in sinks} == {s: _ref_value(net, env, s) for s in sinks}
+
+
+# The former root closure of the packer, kept as the reference: each
+# promotion round grows every root again, not only the promoted ones.
+
+def _reference_supports(net, k):
+    """(support by LUT root, rounds) of the grow-everything root closure."""
+    fanout = collections.Counter(i for _op, ins in net.gates.values() for i in ins)
+    fanout.update(po for po, _net in net.outputs)
+    fanout.update(d for d, _q in net.latches)
+    sources = set(net.inputs) | {q for _d, q in net.latches}
+    observable = {po for po, _ in net.outputs} | {d for d, _ in net.latches}
+    roots = {g for g in net.gates if g in observable or fanout[g] != 1}
+
+    def grow(root):
+        cluster = {root}
+        support = list(dict.fromkeys(net.gates[root][1]))
+        while True:
+            best = None
+            best_support = None
+            for cand in support:
+                if cand in roots or cand in sources or cand in cluster or cand not in net.gates:
+                    continue
+                new_support = [s for s in support if s != cand]
+                for s in net.gates[cand][1]:
+                    if s not in new_support:
+                        new_support.append(s)
+                if len(new_support) <= k and (
+                        best_support is None or len(new_support) < len(best_support)
+                        or (len(new_support) == len(best_support) and cand < best)):
+                    best, best_support = cand, new_support
+            if best is None:
+                break
+            cluster.add(best)
+            support = best_support
+        return support
+
+    rounds = 1
+    while True:
+        supports = {root: grow(root) for root in sorted(roots)}
+        missing = {s for support in supports.values() for s in support
+                   if s in net.gates and s not in roots}
+        if not missing:
+            return supports, rounds
+        roots |= missing
+        rounds += 1
+
+
+def _packed_supports(net, k):
+    return {node.output_net: node.fanins for node in bench.pack_to_luts(net, k).nodes.values()}
+
+
+@pytest.mark.parametrize("name", bench.BENCH_NAMES)
+def test_packer_roots_match_the_grow_everything_reference(name):
+    net = bench.gate_network(name)
+    for k in (3, 4, 5, 6):
+        assert _packed_supports(net, k) == _reference_supports(net, k)[0], k
+
+
+def _chained_gates(seed, num_inputs=6, num_gates=40):
+    """A seeded gate network whose gates mostly read recent gates, so most
+    gates have one reader and long single-reader cones form."""
+    rng = random.Random(seed)
+    g = bench.GateNetwork("chained%d" % seed)
+    pool = g.pis("x", num_inputs)
+    for _ in range(num_gates):
+        op = rng.choice(["AND", "OR", "XOR", "NAND", "ANDN", "MUX", "MAJ", "NOT"])
+        ins = [pool[-1 - min(int(rng.expovariate(0.3)), len(pool) - 1)]
+               for _ in range(_REF_OPS[op][0])]
+        pool.append(g.gate(op, *ins))
+    for net in pool[-3:]:
+        g.po(net)
+    return g
+
+
+def test_packer_roots_match_the_grow_everything_reference_over_promotion_rounds():
+    rounds = {}
+    for seed in range(100):
+        net = _chained_gates(seed)
+        for k in (3, 4, 6):
+            want, rounds[seed, k] = _reference_supports(net, k)
+            assert _packed_supports(net, k) == want, (seed, k)
+    # most networks promote gates, some over three rounds or more
+    assert sum(r >= 2 for r in rounds.values()) > 100
+    assert sum(r >= 3 for r in rounds.values()) > 10
 
 
 def _not_chain(length, every_gate_a_po):

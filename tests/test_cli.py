@@ -141,6 +141,19 @@ def test_split_exit_codes(tmp_path, bad_dies):
     assert run("split", "--in", DEMO, "--partition", bad_dies, "--outdir", tmp_path / "e") == 2
 
 
+def test_split_refusal_leaves_no_outdir(tmp_path, capsys):
+    src = tmp_path / "reserved.blif"
+    with open(DEMO, encoding="utf-8") as fh:
+        src.write_text(fh.read().replace("X", "__sll_X"))
+    dies = tmp_path / "reserved.dies"
+    with open(DIES, encoding="utf-8") as fh:
+        dies.write_text(fh.read().replace("X", "__sll_X"))
+    assert run("split", "--in", src, "--partition", dies, "--outdir", tmp_path / "out") == 2
+    assert capsys.readouterr().err \
+        == "error: input netlist already uses the reserved '__sll_' prefix\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_flow_exit_codes(tmp_path, monkeypatch):
     args = ("flow", "--in", DEMO, "--partition-mode", "file", "--partition-file", DIES,
             "--inject-care", CARE)

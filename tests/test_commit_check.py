@@ -21,8 +21,8 @@ from sllresub.partition import DieAssignment, partition_hash
 from sllresub.resynth import (ResubCandidate, ResynConfig, apply_resubstitution,
                               resynthesize)
 from sllresub.truthtab import TruthTable
-from sllresub.windows import (ResynthError, WindowSim, build_window, extract_care_set,
-                              observable)
+from sllresub.windows import (ResynthError, ValueCache, WindowSim, build_window,
+                              extract_care_set, observable)
 
 from conftest import random_netlist
 
@@ -215,7 +215,7 @@ def test_window_node_reading_outside_the_window_is_an_error():
                         {"p": 1, "y": 1, "z": 1})
     # d1 = 0: the window is y's input cone, so z stays outside it
     window = build_window(n, n.node_of_net("y"), ResynConfig(d1=0))
-    sim = WindowSim(n, window)
+    sim = WindowSim(n, window, ValueCache())
     apply_resubstitution(n, asg, ResubCandidate("y", "p", ["z"], TruthTable(1, 0b10)))
     with pytest.raises(ResynthError, match="reads 'z' from outside the window"):
         sim.check_commit(n)
@@ -230,7 +230,8 @@ def test_an_observable_change_before_an_outside_read_is_reported_first():
     post = parse_blif(".model m\n.inputs a b c\n.outputs y p z\n.names a b p\n1- 1\n-1 1\n"
                       ".names p z y\n11 1\n.names b c z\n10 1\n.end")
     # d1 = 0: the window is y's input cone, so z stays outside it
-    sim = WindowSim(pre, build_window(pre, pre.node_of_net("y"), ResynConfig(d1=0)))
+    sim = WindowSim(pre, build_window(pre, pre.node_of_net("y"), ResynConfig(d1=0)),
+                    ValueCache())
     assert list(sim.window.nodes) == ["p", "y"]
     with pytest.raises(ResynthError, match="changed window output 'p' at"):
         sim.check_commit(post)

@@ -11,7 +11,7 @@ from sllresub.resynth import ResynConfig, resynthesize
 from sllresub.truthtab import TruthTable, full_mask, minterm_masks
 
 from conftest import (DEMO_BLIF, LATCH_MISMATCH_BLIF, LATCH_PAIR_BLIF, TABLE2,
-                      random_netlist, simulate)
+                      eval_netlist, random_netlist, simulate)
 
 
 def test_netlist_vs_itself_exhaustive(demo_netlist):
@@ -49,7 +49,7 @@ def test_mutation_is_caught_with_counterexample():
         # flip the PO driver's table at the minterm its fanins reach under
         # the all-zero input: reachable by construction, observable at a PO
         po_driver = mutated.node_of_net(mutated.primary_outputs[0])
-        values = n.eval_masks({net: 0 for net in n.source_nets()}, 1)
+        values = eval_netlist(n, {net: 0 for net in n.source_nets()}, 1)
         minterm = sum((values[f] & 1) << i for i, f in enumerate(po_driver.fanins))
         flipped = po_driver.function.bits ^ (1 << minterm)
         mutated.replace_node(po_driver.id, list(po_driver.fanins),
@@ -151,8 +151,8 @@ def test_care_predicate_validation(demo_netlist, demo_care):
 # simulating both whole netlists once per trial.
 
 def _reference_still_differs(a, b, assignment, care):
-    if care is not None and not care.eval_masks(
-            {p: assignment[p] for p in care.source_nets()}, 1)[care.primary_outputs[0]]:
+    if care is not None and not eval_netlist(
+            care, {p: assignment[p] for p in care.source_nets()}, 1)[care.primary_outputs[0]]:
         return False
     va, vb = simulate(a, assignment), simulate(b, assignment)
     return any(va[s] != vb[s] for s in va)
@@ -186,11 +186,11 @@ def _reference_check(a, b, mode, seed=0, vector_budget=equiv.DEFAULT_VECTOR_BUDG
         mode = "exhaustive" if len(sources) <= equiv.EXHAUSTIVE_PI_BOUND else "random"
 
     def first_mismatch(masks, width):
-        va, vb = a.eval_masks(masks, width), b.eval_masks(masks, width)
+        va, vb = eval_netlist(a, masks, width), eval_netlist(b, masks, width)
         care_bits = full_mask(width)
         if care is not None:
-            care_bits = care.eval_masks({p: masks[p] for p in care.source_nets()},
-                                        width)[care.primary_outputs[0]]
+            care_bits = eval_netlist(care, {p: masks[p] for p in care.source_nets()},
+                                     width)[care.primary_outputs[0]]
         for sink in sinks:
             diff = (va[sink] ^ vb[sink]) & care_bits
             if diff:
@@ -270,7 +270,7 @@ def _edit(netlist, kind, pick):
     nodes = sorted(post.nodes.values(), key=lambda n: n.output_net)
     node = nodes[pick % len(nodes)]
     if kind == "rewire":
-        banned = post.tfo(node) | {node.id}
+        banned = post.tfo(node.id) | {node.id}
         pool = sorted(net for net in post.source_nets() + [n.output_net for n in nodes]
                       if net not in node.fanins
                       and (post.node_of_net(net) is None or post.node_of_net(net).id not in banned))
@@ -349,17 +349,20 @@ def test_failing_check_never_evaluates_a_whole_netlist(monkeypatch, mode, with_c
     _flip_row(b, b.node_of_net(a.primary_outputs[0]), 0)
     care = _pi_pair_care(a) if with_care else None
     evaluated = []
-    real = Netlist.eval_masks
+    real = equiv.eval_nodes
 
-    def spied(self, source_masks, width):
-        evaluated.append(self)
-        return real(self, source_masks, width)
+    def spied(nodes, values, width):
+        evaluated.append({id(node) for node in nodes})
+        return real(nodes, values, width)
 
-    monkeypatch.setattr(Netlist, "eval_masks", spied)
+    def whole(netlist):
+        return {id(node) for node in netlist.nodes.values()}
+
+    monkeypatch.setattr(equiv, "eval_nodes", spied)
     got = check_equivalence(a, b, mode=mode, vector_budget=20_000, care=care)
     assert not got.equivalent and got.counterexample is not None
-    assert not any(n is a or n is b for n in evaluated)
-    assert with_care == any(n is care for n in evaluated)
+    assert whole(a) not in evaluated and whole(b) not in evaluated
+    assert with_care == (care is not None and whole(care) in evaluated)
 
 
 def _count_evaluations(monkeypatch):

@@ -488,7 +488,7 @@ def _windows_of(name):
 @pytest.mark.parametrize("name", bench.BENCH_NAMES)
 def test_on_demand_window_values_match_eager_simulation(name):
     for n, window in _windows_of(name):
-        sim = WindowSim(n, window)
+        sim = WindowSim(n, window, ValueCache())
         want = _eager_window_values(n, window)
         assert set(sim.values) <= set(want)
         assert sim.pivot_mask == want[sim.pivot_net]
@@ -512,7 +512,7 @@ def test_care_set_matches_all_output_reference(name):
             want = 0
             for out in outputs:
                 want |= v0[out] ^ v1[out]
-        assert extract_care_set(n, WindowSim(n, window)) == want, (name, pivot_net)
+        assert extract_care_set(n, WindowSim(n, window, ValueCache())) == want, (name, pivot_net)
 
 
 @pytest.mark.parametrize("name", ["sin", "square", "i2c", "router", "voter"])
@@ -532,7 +532,7 @@ def test_every_window_mask_is_written_by_value_of(name, monkeypatch):
     hidden = 0
     for n, window in _windows_of(name):
         written.clear()
-        sim = WindowSim(n, window)
+        sim = WindowSim(n, window, ValueCache())
         extract_care_set(n, sim)
         assert sim.values.keys() <= set(window.window_pis) | written, (name, sim.pivot_net)
         hidden += bool(sim.pivot_fanout) and not observable(n, sim.pivot_net, sim.window.nodes)

@@ -7,10 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 from sllresub import metrics
 from sllresub.flow import split_per_die
-from sllresub.metrics import (MetricsError, PlacementData, bbox_cost_md,
-                              bbox_cost_sd, count_sll, count_sll_fo, crossing_nets,
-                              load_placement, load_q_table, report, snapshot,
-                              wire_delay_table)
+from sllresub.metrics import (MetricsError, PlacementData, count_sll, count_sll_fo,
+                              crossing_nets, load_placement, load_q_table, report,
+                              snapshot, wire_delay_table)
 from sllresub.metrics import _hpwl
 from sllresub.netlist import SLL_PREFIX, net_terminals, parse_blif
 from sllresub.partition import DieAssignment, PartitionError, entities, partition_hash
@@ -177,35 +176,46 @@ def _place(coords, dies=2, w=10, h=10, l_sll=1.0, q=None):
     return PlacementData(coords, [(w, h)] * dies, l_sll, q or {})
 
 
+def _boxes(netlist, p, assignment=None, sll_mode="per-die"):
+    """`snapshot`'s (bbox_sd, bbox_md); without an assignment each placed
+    block sits on the die of its placement."""
+    if assignment is None:
+        assignment = DieAssignment(len(p.die_geometry),
+                                   {name: d for name, (_x, _y, d) in p.coords.items()},
+                                   dict.fromkeys(p.coords, 1))
+    snap = snapshot(netlist, assignment, p, sll_mode)
+    return snap["bbox_sd"], snap["bbox_md"]
+
+
 def test_hpwl_two_pin():
     n = parse_blif(".model m\n.inputs a\n.outputs y\n.names a y\n1 1\n.end")
     p = _place({"a": (0, 0, 0), "y": (3, 4, 0)})
-    assert bbox_cost_sd(n, p, 0) == 7.0
+    assert _boxes(n, p)[0][0] == 7.0
 
 
 def test_hpwl_three_pin():
     n = parse_blif(".model m\n.inputs a\n.outputs y z\n"
                    ".names a y\n1 1\n.names a z\n0 1\n.end")
     p = _place({"a": (0, 0, 0), "y": (2, 1, 0), "z": (1, 5, 0)})
-    assert bbox_cost_sd(n, p, 0) == 7.0  # x span 2 + y span 5
+    assert _boxes(n, p)[0][0] == 7.0  # x span 2 + y span 5
 
 
 def test_empty_die_costs_zero(demo_netlist):
     coords = {k: (1, 1, 0) for k in "abcdXYF"}
     p = _place(coords)
-    assert bbox_cost_sd(demo_netlist, p, 1) == 0.0
+    assert _boxes(demo_netlist, p)[0][1] == 0.0
 
 
 def test_q_table_weighting():
     n = parse_blif(".model m\n.inputs a\n.outputs y\n.names a y\n1 1\n.end")
     p = _place({"a": (0, 0, 0), "y": (3, 4, 0)}, q={2: 2.5})
-    assert bbox_cost_sd(n, p, 0) == 17.5
+    assert _boxes(n, p)[0][0] == 17.5
 
 
-def test_unplaced_terminal_errors(demo_netlist):
+def test_unplaced_terminal_errors(demo_netlist, demo_assignment):
     p = _place({"a": (0, 0, 0)})
-    with pytest.raises(MetricsError):
-        bbox_cost_sd(demo_netlist, p, 0)
+    with pytest.raises(MetricsError, match="not placed"):
+        _boxes(demo_netlist, p, demo_assignment)
 
 
 def test_placement_validation():
@@ -223,17 +233,18 @@ def test_bbox_md_hand_example():
     asg = DieAssignment(2, {"a": 0, "y": 1}, {"y": 1})
     p = _place({"a": (2, 9, 0), "y": (2, 0, 1)}, l_sll=10.0)
     # die-local boxes: a at (2,9) + virtual (2,9) -> 0; y at (2,0) + virtual (2,0) -> 0
-    assert bbox_cost_md(n, p, asg) == pytest.approx(10.0)
+    assert _boxes(n, p, asg)[1] == pytest.approx(10.0)
     # shifting the sink adds local wirelength on die 1 only
     p2 = _place({"a": (2, 9, 0), "y": (5, 3, 1)}, l_sll=10.0)
-    assert bbox_cost_md(n, p2, asg) == pytest.approx(10.0 + (5 - 2) + 3)
+    assert _boxes(n, p2, asg)[1] == pytest.approx(10.0 + (5 - 2) + 3)
 
 
 def test_bbox_md_without_crossings_collapses(demo_netlist):
     coords = {k: ((i + 1) % 7, (2 * i) % 9, 0) for i, k in enumerate("abcdXYF")}
     p = _place(coords)
     asg = DieAssignment(2, {k: 0 for k in "abcdXYF"}, {k: 1 for k in "XYF"})
-    assert bbox_cost_md(demo_netlist, p, asg) == bbox_cost_sd(demo_netlist, p, 0)
+    sd, md = _boxes(demo_netlist, p, asg)
+    assert md == sd[0]
 
 
 def test_bbox_md_linear_in_link_length():
@@ -248,8 +259,7 @@ def test_bbox_md_linear_in_link_length():
     p2 = _place(coords, l_sll=10.0)
     n_sll = count_sll(n, asg)
     assert n_sll > 0
-    assert bbox_cost_md(n, p2, asg) - bbox_cost_md(n, p1, asg) == \
-        pytest.approx(5.0 * n_sll)
+    assert _boxes(n, p2, asg)[1] - _boxes(n, p1, asg)[1] == pytest.approx(5.0 * n_sll)
 
 
 def test_bbox_md_degenerates_to_sd_with_one_die():
@@ -263,8 +273,7 @@ def test_bbox_md_degenerates_to_sd_with_one_die():
         coords = {name: (rng.randrange(12), rng.randrange(9), 0)
                   for name in asg.die_of}
         p = PlacementData(coords, [(12, 9)], l_sll=7.0)
-        md = bbox_cost_md(n, p, asg)
-        sd = bbox_cost_sd(n, p, 0)
+        [sd], md = _boxes(n, p, asg)
         assert abs(md - sd) <= 1e-9 * max(1.0, abs(sd))
 
 
@@ -307,11 +316,7 @@ def test_snapshot_boxes_equal_the_public_costs_exactly(sll_mode):
                       q_table={2: 1.0, 3: 1.0828, 4: 1.1536, 5: 1.2206, 6: 1.2823})
     sd, md = _reference_box_costs(n, p, asg, sll_mode)
     assert count_sll(n, asg, "raw-net") > 0 and all(sd)   # crossing and one-die nets
-    snap = snapshot(n, asg, p, sll_mode)
-    assert snap["bbox_sd"] == [bbox_cost_sd(n, p, d) for d in range(3)] == sd
-    assert snap["bbox_md"] == bbox_cost_md(n, p, asg, sll_mode) == md
-    with pytest.raises(MetricsError, match="die 3"):
-        bbox_cost_sd(n, p, 3)
+    assert _boxes(n, p, asg, sll_mode) == (sd, md)
 
 
 def test_hpwl_translation_invariance_and_monotonicity():
@@ -321,14 +326,14 @@ def test_hpwl_translation_invariance_and_monotonicity():
         pts = {name: (rng.randrange(20), rng.randrange(20), 0)
                for name in ("a", "b", "c", "y")}
         p = _place(pts, w=64, h=64)
-        base = bbox_cost_sd(n, p, 0)
+        base = _boxes(n, p)[0][0]
         shifted = {k: (x + 3, y + 5, d) for k, (x, y, d) in pts.items()}
         p2 = _place(shifted, w=64, h=64)
-        assert bbox_cost_sd(n, p2, 0) == pytest.approx(base)
+        assert _boxes(n, p2)[0][0] == pytest.approx(base)
         # dropping a terminal never increases the box: compare via subnet
         sub = parse_blif(".model m\n.inputs a b\n.outputs y\n.names a b y\n11 1\n.end")
         p3 = _place({k: pts[k] for k in ("a", "b", "y")}, w=64, h=64)
-        assert bbox_cost_sd(sub, p3, 0) <= base + 1e-12
+        assert _boxes(sub, p3)[0][0] <= base + 1e-12
 
 
 def test_report_demo_delta(demo_netlist, demo_assignment, demo_care):

@@ -10,8 +10,8 @@ from sllresub.netlist import (MAX_K, SLL_PREFIX, BlifParseError, Netlist, Netlis
 from sllresub.partition import partition_hash
 from sllresub.truthtab import TruthTable, minterm_masks, table_to_cover
 
-from conftest import (DEMO_BLIF, TABLE2, cone_input_nets, random_netlist, simulate,
-                      tfi)
+from conftest import (DEMO_BLIF, TABLE2, cone_input_nets, eval_netlist, random_netlist,
+                      simulate, tfi)
 
 
 def test_parse_and_cover():
@@ -176,10 +176,10 @@ def test_tfi_tfo_demo(demo_netlist):
     Y, X, F = (n.node_of_net(s) for s in "YXF")
     assert {n.nodes[i].output_net for i in tfi(n, Y.id)} == {"X"}
     assert cone_input_nets(n, tfi(n, Y.id) | {Y.id}) == ["a", "b", "c"]
-    assert {n.nodes[i].output_net for i in n.tfo(X, 1)} == {"Y"}
+    assert {n.nodes[i].output_net for i in n.tfo(X.id, 1)} == {"Y"}
     assert tfi(n, F.id) == set()      # PI-only fanins
     assert tfi(n, Y.id, 0) == set()
-    assert n.tfo(Y) == set()          # PO terminates
+    assert n.tfo(Y.id) == set()          # PO terminates
 
 
 def test_tfi_tfo_depth_limits():
@@ -193,28 +193,28 @@ def test_tfi_tfo_depth_limits():
     assert {n.nodes[i].output_net for i in tfi(n, c2.id, 1)} == {"c1"}
     assert {n.nodes[i].output_net for i in tfi(n, c2.id, 2)} == {"c0", "c1"}
     c0 = n.node_of_net("c0")
-    assert {n.nodes[i].output_net for i in n.tfo(c0, 1)} == {"c1"}
+    assert {n.nodes[i].output_net for i in n.tfo(c0.id, 1)} == {"c1"}
     with pytest.raises(NetlistError):
         n.tfo(9999)
 
 
 def test_mffc_demo(demo_netlist):
     n = demo_netlist
-    assert {n.nodes[i].output_net for i in n.mffc(n.node_of_net("F"))} == {"F"}
-    assert {n.nodes[i].output_net for i in n.mffc(n.node_of_net("Y"))} == {"X", "Y"}
+    assert {n.nodes[i].output_net for i in n.mffc(n.node_of_net("F").id)} == {"F"}
+    assert {n.nodes[i].output_net for i in n.mffc(n.node_of_net("Y").id)} == {"X", "Y"}
 
 
 def test_mffc_singleton():
     n = parse_blif(".model m\n.inputs a b\n.outputs y\n.names a b y\n11 1\n.end")
     y = n.node_of_net("y")
-    assert n.mffc(y) == {y.id}
+    assert n.mffc(y.id) == {y.id}
 
 
 def test_mffc_chain():
     n = parse_blif(".model m\n.inputs i\n.outputs c\n"
                    ".names i a\n1 1\n.names a b\n1 1\n.names b c\n1 1\n.end")
     c = n.node_of_net("c")
-    assert {n.nodes[i].output_net for i in n.mffc(c)} == {"a", "b", "c"}
+    assert {n.nodes[i].output_net for i in n.mffc(c.id)} == {"a", "b", "c"}
 
 
 def _mffc_by_deletion(netlist, root_id):
@@ -239,7 +239,7 @@ def test_mffc_matches_deletion_fixpoint_on_random_netlists():
         n = random_netlist(seed, num_pis=5, num_nodes=30, k=4, num_pos=4,
                            num_latches=seed % 2)
         for node in n.nodes.values():
-            assert n.mffc(node) == _mffc_by_deletion(n, node.id), \
+            assert n.mffc(node.id) == _mffc_by_deletion(n, node.id), \
                 "seed %d node %s" % (seed, node.output_net)
 
 
@@ -398,7 +398,7 @@ def test_simulate_exhaustive_matches_reference_grid(demo_netlist):
         out = simulate(n, {"a": a, "b": b, "c": c, "d": d})
         assert out["Y"] == Y and out["F"] == F
         # X is internal; check through the bit-parallel evaluator
-        vals = n.eval_masks({"a": a, "b": b, "c": c, "d": d}, 1)
+        vals = eval_netlist(n, {"a": a, "b": b, "c": c, "d": d}, 1)
         assert vals["X"] == X
 
 
@@ -429,7 +429,7 @@ def test_simulate_matches_masks_on_random_netlists():
     for seed in range(10):
         n = random_netlist(seed, num_pis=5, num_nodes=20, k=4, num_pos=4)
         sources = sorted(n.source_nets())
-        values = n.eval_masks(minterm_masks(sources), 1 << len(sources))
+        values = eval_netlist(n, minterm_masks(sources), 1 << len(sources))
         for _ in range(20):
             m = rng.randrange(1 << len(sources))
             assignment = {net: (m >> i) & 1 for i, net in enumerate(sources)}

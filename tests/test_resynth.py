@@ -12,7 +12,8 @@ from sllresub.partition import DieAssignment, partition_hash
 from sllresub.resynth import (ResubCandidate, ResynConfig, apply_resubstitution,
                               find_equiv_func, resynthesize, select_cross_die_fanin)
 from sllresub.truthtab import TruthTable
-from sllresub.windows import ResynthError, WindowSim, build_window, extract_care_set
+from sllresub.windows import (ResynthError, ValueCache, WindowSim, build_window,
+                              extract_care_set)
 
 from conftest import TABLE2, random_netlist, simulate
 
@@ -22,7 +23,7 @@ WIDE = ResynConfig(d1=30, d2=30, window_pi_cap=14)
 def _find(netlist, assignment, pivot_name, config=WIDE, care_net=None):
     pivot = netlist.node_of_net(pivot_name)
     window = build_window(netlist, pivot, config)
-    sim = WindowSim(netlist, window, injected_care=care_net)
+    sim = WindowSim(netlist, window, ValueCache(), care_net)
     care = extract_care_set(netlist, sim)
     cross = node_cross_die_fanins(netlist, assignment, pivot)
     return find_equiv_func(netlist, sim, care, cross, assignment, config)

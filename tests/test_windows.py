@@ -11,8 +11,9 @@ from sllresub.partition import DieAssignment, partition_hash
 from sllresub.metrics import node_cross_die_fanins
 from sllresub.resynth import ResynConfig, resynthesize, select_cross_die_fanin
 from sllresub.truthtab import TruthTable
-from sllresub.windows import (ResynthError, WindowSim, build_window, collect_divisors,
-                              exist_check, extract_care_set, interpolate, observable)
+from sllresub.windows import (ResynthError, ValueCache, WindowSim, build_window,
+                              collect_divisors, exist_check, extract_care_set, interpolate,
+                              observable)
 
 from conftest import TABLE2, random_netlist
 
@@ -193,7 +194,7 @@ def test_divisors_match_sort_everything_reference_with_latches():
 
 def test_care_pivot_is_window_output(demo_netlist, demo_assignment):
     w = build_window(demo_netlist, demo_netlist.node_of_net("F"), WIDE)
-    care = extract_care_set(demo_netlist, WindowSim(demo_netlist, w))
+    care = extract_care_set(demo_netlist, WindowSim(demo_netlist, w, ValueCache()))
     assert care == (1 << 16) - 1  # F is a PO: every minterm matters
 
 
@@ -204,13 +205,13 @@ def test_care_constant_masked_pivot_all_dont_care():
             ".names zero\n.end")
     n = parse_blif(text)
     w = build_window(n, n.node_of_net("p"), WIDE)
-    care = extract_care_set(n, WindowSim(n, w))
+    care = extract_care_set(n, WindowSim(n, w, ValueCache()))
     assert care == 0
 
 
 def test_care_demo_with_injected_predicate(demo_netlist, demo_care):
     w = build_window(demo_netlist, demo_netlist.node_of_net("F"), WIDE)
-    care = extract_care_set(demo_netlist, WindowSim(demo_netlist, w, injected_care=demo_care))
+    care = extract_care_set(demo_netlist, WindowSim(demo_netlist, w, ValueCache(), demo_care))
     expected = set()
     for a, b, c, d, _X, _Y, _F, _Fp, is_care in TABLE2:
         idx = {"a": a, "b": b, "c": c, "d": d}
@@ -228,13 +229,13 @@ def test_care_ignores_predicate_outside_window():
     n = parse_blif(text)
     pred = parse_blif(".model p\n.inputs e\n.outputs c\n.names e c\n1 1\n.end")
     w = build_window(n, n.node_of_net("y"), ResynConfig(d1=1, d2=1))
-    care = extract_care_set(n, WindowSim(n, w, injected_care=pred))
+    care = extract_care_set(n, WindowSim(n, w, ValueCache(), pred))
     assert care == (1 << w.width) - 1
 
 
 def test_exist_check_demo(demo_netlist, demo_care):
     w = build_window(demo_netlist, demo_netlist.node_of_net("F"), WIDE)
-    sim = WindowSim(demo_netlist, w, injected_care=demo_care)
+    sim = WindowSim(demo_netlist, w, ValueCache(), demo_care)
     care = extract_care_set(demo_netlist, sim)
     assert exist_check(sim, care, ["a", "d"])      # own fanins
     assert not exist_check(sim, care, ["d"])       # base divisors alone fail
@@ -243,7 +244,7 @@ def test_exist_check_demo(demo_netlist, demo_care):
 
 def test_interpolate_demo(demo_netlist, demo_care):
     w = build_window(demo_netlist, demo_netlist.node_of_net("F"), WIDE)
-    sim = WindowSim(demo_netlist, w, injected_care=demo_care)
+    sim = WindowSim(demo_netlist, w, ValueCache(), demo_care)
     care = extract_care_set(demo_netlist, sim)
     table = interpolate(sim, care, ["d", "Y"])
     assert table == TruthTable(2, 0b0110)  # F' = Y xor d
@@ -256,7 +257,7 @@ def test_interpolate_demo(demo_netlist, demo_care):
 
 def test_interpolate_own_fanins_recovers_function(demo_netlist):
     w = build_window(demo_netlist, demo_netlist.node_of_net("F"), WIDE)
-    sim = WindowSim(demo_netlist, w)
+    sim = WindowSim(demo_netlist, w, ValueCache())
     care = extract_care_set(demo_netlist, sim)  # full care
     table = interpolate(sim, care, ["a", "d"])
     assert table == demo_netlist.node_of_net("F").function
@@ -264,7 +265,7 @@ def test_interpolate_own_fanins_recovers_function(demo_netlist):
 
 def test_interpolate_contract_violation(demo_netlist, demo_care):
     w = build_window(demo_netlist, demo_netlist.node_of_net("F"), WIDE)
-    sim = WindowSim(demo_netlist, w, injected_care=demo_care)
+    sim = WindowSim(demo_netlist, w, ValueCache(), demo_care)
     care = extract_care_set(demo_netlist, sim)
     with pytest.raises(ResynthError):
         interpolate(sim, care, ["d"])
@@ -272,7 +273,7 @@ def test_interpolate_contract_violation(demo_netlist, demo_care):
 
 def test_exist_check_unknown_net(demo_netlist):
     w = build_window(demo_netlist, demo_netlist.node_of_net("F"), WIDE)
-    sim = WindowSim(demo_netlist, w)
+    sim = WindowSim(demo_netlist, w, ValueCache())
     care = extract_care_set(demo_netlist, sim)
     with pytest.raises(ResynthError):
         exist_check(sim, care, ["nope"])
@@ -308,7 +309,7 @@ def test_exist_and_interpolate_match_bruteforce_oracle():
             w = build_window(n, node, cfg)
             if w is None or w.num_pis > 10:
                 continue
-            sim = WindowSim(n, w)
+            sim = WindowSim(n, w, ValueCache())
             care = extract_care_set(n, sim)
             divisors = collect_divisors(n, w, asg, cfg)
             pool = [net for net, _d, _l in divisors.candidates]
@@ -341,7 +342,7 @@ def test_exist_check_memo_answers_every_care_mask_of_one_sim():
             w = build_window(n, node, cfg) if u is not None else None
             if w is None:
                 continue
-            sim = WindowSim(n, w)
+            sim = WindowSim(n, w, ValueCache())
             base = [f for f in node.fanins if f != u]
             usable = [d for d in collect_divisors(n, w, asg, cfg).in_die if d not in base]
             cares = [extract_care_set(n, sim), sim.full, rng.getrandbits(w.width)]
