@@ -29,12 +29,13 @@ class ResynthError(Exception):
 @dataclass
 class Window:
     """A pivot's window. `nodes` is the one record of its members, the LUTs
-    as they were at build time; `WindowSim` and `collect_divisors` read it."""
+    as they were at build time, and `fanout` lists those the pivot feeds;
+    `WindowSim` and `collect_divisors` read both."""
 
     pivot: int                      # node id
     window_pis: list[str]           # sorted; index i = input i of the minterm space
     nodes: dict[str, LutNode]       # the window's LUTs by output net, in (level, id) order
-    tfo: set[int]                   # the pivot's TFO up to the level bound of build_window
+    fanout: list[LutNode]           # the members in the pivot's TFO, in (level, id) order
 
     @property
     def num_pis(self) -> int:
@@ -78,36 +79,25 @@ def _fanin_layers(netlist: Netlist, pivot: LutNode,
 
 
 def _fanout_layers(netlist: Netlist, pivot: int, d1: int, d2: int,
-                   level: dict[int, int]) -> tuple[list[list[LutNode]], set[int], int]:
-    """The pivot's TFO by BFS distance up to `d1`, its TFO up to a level,
-    and that level.
+                   level: dict[int, int]) -> tuple[list[list[LutNode]], int]:
+    """The pivot's TFO by BFS distance up to `d1` + 1, and a level.
 
-    Layer 0 holds the pivot. The set holds the id of every TFO node at
-    level at most L0 + d1 + d2, where L0 is the highest level in layers
-    0..d1. Every node on a path to a TFO node sits below it, so the walk
-    can skip the nodes above that level.
+    Layer 0 holds the pivot. The level is L0 + d1 + d2, where L0 is the
+    highest level in layers 0..d1.
     """
     nodes = netlist.nodes
     readers = netlist.reader_ids.get
     seen: set[int] = set()
-
-    def next_layer(frontier, bound):
+    layers = [[nodes[pivot]]]
+    for _ in range(d1 + 1):
         layer = []
-        for cur in frontier:
+        for cur in layers[-1]:
             for r in readers(cur.output_net, ()):
-                if r not in seen and level[r] <= bound:
+                if r not in seen:
                     seen.add(r)
                     layer.append(nodes[r])
-        return layer
-
-    layers = [[nodes[pivot]]]
-    for _ in range(d1):
-        layers.append(next_layer(layers[-1], float("inf")))
-    bound = max(level[n.id] for layer in layers for n in layer) + d1 + d2
-    frontier = layers[-1]
-    while frontier:
-        frontier = next_layer(frontier, bound)
-    return layers, seen, bound
+        layers.append(layer)
+    return layers, max(level[n.id] for layer in layers[:-1] for n in layer) + d1 + d2
 
 
 def build_window(netlist: Netlist, pivot: LutNode, config) -> Window | None:
@@ -145,11 +135,15 @@ def build_window(netlist: Netlist, pivot: LutNode, config) -> Window | None:
 
     A side node of depth d sits at level at most L0 + d, where L0 is the
     highest level among the pivot and its TFO up to d1: core nets and
-    leaves sit at or below L0. So the pivot's TFO up to level L0 + d1 + d2
-    keeps out the same side logic as its whole TFO at every step, and it
-    covers every window node and window PI in the TFO. `Window.tfo` is
-    that set. No node above that level can join at any step, so none is
-    queued.
+    leaves sit at or below L0. No node above level L0 + d1 + d2 can join
+    at any step, so none is queued. The pivot's TFO up to distance d1 + 1
+    is queued from the start, so it is never decided, and that keeps the
+    whole TFO out of the side logic at every step: a TFO node at distance
+    k >= d1 + 2 reads its BFS parent, a TFO net at distance k - 1 >= d1 + 1.
+    That net is not a base net (the base holds TFI nets, leaves and the
+    TFO up to d1) and not a source, and by induction on level it is not a
+    side net. This holds after d1 shrinks too, as the configured layers
+    stay queued. So `Window.fanout`, the members in the TFO, is the core TFO.
 
     A step's window PIs are the leaves, the fanins of the TFO up to d1 and
     the free sources side nodes read, less the window nets. The side
@@ -167,12 +161,13 @@ def build_window(netlist: Netlist, pivot: LutNode, config) -> Window | None:
     level = netlist.levels()
     d1, d2 = config.d1, config.d2
     ins, drivers = _fanin_layers(netlist, pivot, d2 + 1)
-    outs, tfo, top = _fanout_layers(netlist, pivot.id, d1, d2, level)
+    outs, top = _fanout_layers(netlist, pivot.id, d1, d2, level)
     free = netlist._sources        # read directly: no copy of every source per pivot
 
     core_nodes = [drivers[net] for layer in ins[:d2 + 1] for net in layer if net in drivers]
-    core_nodes += [n for layer in outs[1:] for n in layer]
+    core_nodes += [n for layer in outs[1:d1 + 1] for n in layer]
     core = {n.id for n in core_nodes}
+    tfo = {n.id for layer in outs[1:] for n in layer}      # queued at every step
     core_nets = {n.output_net for n in core_nodes}
     leaves = set(ins[d2 + 1])
     leaves.update(net for layer in ins[1:d2 + 1] for net in layer if net not in drivers)
@@ -271,7 +266,9 @@ def build_window(netlist: Netlist, pivot: LutNode, config) -> Window | None:
 
     pis.difference_update(absorbed)
     ids = netlist.level_order(core.union(map(node_of_net.__getitem__, [*depth, *absorbed])))
-    return Window(pivot.id, sorted(pis), {nodes[i].output_net: nodes[i] for i in ids}, tfo)
+    members = [nodes[i] for i in ids]
+    return Window(pivot.id, sorted(pis), {n.output_net: n for n in members},
+                  [n for n in members if n.id in tfo])
 
 
 # Window-PI tuples whose masks one run keeps. On `chain` seed 1 a run
@@ -338,10 +335,10 @@ class WindowSim:
     The window's nodes are those of `window.nodes`, as they were at build
     time. Each net is evaluated on its first read through `value_of` and
     then kept, so a pivot pays only for the nets its decision reads: the
-    pivot's input cone (`pivot_mask`), the nets the pivot feeds and their
-    side inputs, and the divisors it tries. The values are those of a full
-    simulation, and `value_of` is the one writer of every mask after the
-    window PIs.
+    pivot's input cone (`pivot_mask`), the nets it feeds (`window.fanout`)
+    and their side inputs, and the divisors it tries. The values are those
+    of a full simulation, and `value_of` is the one writer of every mask
+    after the window PIs.
 
     The pivots of a run share their masks through a `ValueCache`:
     `value_of` takes a window net's mask from the table of the window's PI
@@ -373,9 +370,6 @@ class WindowSim:
             self.care_mask = self.full
         self.shared = cache.table(tuple(window.window_pis))
         self.pivot_net = netlist.nodes[window.pivot].output_net
-        # window nodes the pivot feeds, in topological order: the core TFO
-        # nodes, since side logic lies outside the pivot's TFO
-        self.pivot_fanout = [node for node in window.nodes.values() if node.id in window.tfo]
         self.pivot_mask = self.value_of(self.pivot_net)
         # support prefix and care mask -> mixed care cofactors (exist_check)
         self.mixed_blocks: dict[tuple[tuple[str, ...], int], list[int]] = {}
@@ -512,7 +506,7 @@ def extract_care_set(netlist: Netlist, sim: WindowSim) -> int:
         flipped = {sim.pivot_net: sim.full ^ sim.pivot_mask}
         value_of = sim.value_of
         care = 0
-        for node in sim.pivot_fanout:
+        for node in sim.window.fanout:
             net = node.output_net
             flipped[net] = node.function.eval_masks(
                 [flipped[f] if f in flipped else value_of(f) for f in node.fanins], sim.width)
@@ -537,8 +531,11 @@ def collect_divisors(netlist: Netlist, window: Window, assignment: DieAssignment
     """Divisor candidates: window signals reusable to re-express the pivot.
 
     Every window PI and window node qualifies except the pivot itself,
-    its MFFC, and window nodes in the pivot's TFO (those would create
-    cycles). Candidates are ordered by (window level, name), truncated at
+    its MFFC, and `window.fanout`, the window nodes in the pivot's TFO
+    (those would create cycles). A window PI can lie in the TFO too, as a
+    fanin of a TFO node deeper than the window; it stays a candidate, and
+    `apply_resubstitution` refuses a rewrite onto it (`cycle-rejected`).
+    Candidates are ordered by (window level, name), truncated at
     the divisor cap; `in_die` keeps the ones sharing the pivot's die.
 
     Window levels are computed in one pass over `window.nodes`, and each
@@ -549,8 +546,7 @@ def collect_divisors(netlist: Netlist, window: Window, assignment: DieAssignment
     nodes = netlist.nodes
     pivot_node = nodes[window.pivot]
     excluded = {nodes[n].output_net for n in netlist.mffc(window.pivot)}
-    tfo = window.tfo
-    excluded.update(net for net, node in window.nodes.items() if node.id in tfo)
+    excluded.update(node.output_net for node in window.fanout)
     excluded.add(pivot_node.output_net)
 
     top = config.d2

@@ -98,8 +98,10 @@ def _commits_against_exhaustive(netlist, assignment, config, injected_care=None)
         assert window_verdict(sim, post) is None
         assert exact(pre, post)
         seen["commits"] += 1
+        # `window.fanout` holds the members only; a PI may lie deeper in the TFO
+        tfo = pre.tfo(pre.node_of_net(sim.pivot_net).id)
         seen["tfo_pi"] += any(
-            (drv := post.node_of_net(p)) is not None and drv.id in sim.window.tfo
+            (drv := pre.node_of_net(p)) is not None and drv.id in tfo
             for p in sim.window.window_pis)
         seen["care"] += sim.care_mask != sim.full
         care_bits = extract_care_set(post, sim)
@@ -241,7 +243,7 @@ def test_an_observable_change_before_an_outside_read_is_reported_first():
 
 def _count_check_evals(monkeypatch):
     """Count the `eval_masks` calls inside each `check_commit`. Returns the
-    list that gets one row per check: the calls, `len(pivot_fanout)`,
+    list that gets one row per check: the calls, `len(window.fanout)`,
     whether the new pivot keeps its window mask, whether the pivot is
     `observable` and whether `care_mask` is partial."""
     real_eval = TruthTable.eval_masks
@@ -262,7 +264,7 @@ def _count_check_evals(monkeypatch):
             calls = counting.pop()
         new = post.node_of_net(sim.pivot_net)
         mask = real_eval(new.function, [sim.value_of(f) for f in new.fanins], sim.width)
-        rows.append((calls, len(sim.pivot_fanout), mask == sim.pivot_mask,
+        rows.append((calls, len(sim.window.fanout), mask == sim.pivot_mask,
                      observable(post, sim.pivot_net, sim.window.nodes), sim.care_mask != sim.full))
 
     monkeypatch.setattr(TruthTable, "eval_masks", eval_masks)

@@ -118,11 +118,11 @@ def test_fm_die_maps_are_byte_identical():
 
 
 # sha256 over every window `resynthesize` builds, by nets: the pivot, the
-# window PIs, the member nets in order and the sorted TFO nets, or "none"
+# window PIs, the member nets in order and the fanout nets in order, or "none"
 # for a pivot without a window. Inputs: the benchmark's `suite` netlists
 # (BLIF round trip, FM seed 0 on 2 dies, per-commit check on) and `chain`
 # seeds 1 and 3 (hash labels on 4 dies, check off)
-WINDOWS = "272b8387681d42326190610b2d7ccd7fd9ca7b9c67c37488fda9fafcd828379f"
+WINDOWS = "968ae7652242df0b3a6e0309980492a831267f6f70e3f7251705f140e40d00f7"
 
 
 def _hash_windows(digest, text, partition, config):
@@ -136,7 +136,7 @@ def _hash_windows(digest, text, partition, config):
         else:
             line = "%s | %s | %s | %s" % (
                 pivot.output_net, " ".join(window.window_pis), " ".join(window.nodes),
-                " ".join(sorted(work.nodes[i].output_net for i in window.tfo)))
+                " ".join(node.output_net for node in window.fanout))
         digest.update((line + "\n").encode())
         return window
 

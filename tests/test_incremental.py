@@ -131,7 +131,7 @@ def _shrink_steps(config):
 
 def _reference_build_window(netlist, pivot, config, full_tfo):
     """build_window by regrowing the window from scratch at every shrink step;
-    `full_tfo` is the pivot's whole TFO, kept as `tfo`."""
+    `full_tfo`, the pivot's whole TFO, is kept out of the side logic."""
     for d1, d2 in _shrink_steps(config):
         internal_set = _grow_window(netlist, pivot, d1, d2, full_tfo)
         internal_nets = {netlist.nodes[n].output_net for n in internal_set}
@@ -152,9 +152,9 @@ def _reference_build_window(netlist, pivot, config, full_tfo):
     else:
         return None
     level = netlist.levels()
-    internal = sorted(internal_set, key=lambda n: (level[n], n))
-    return Window(pivot, sorted(pis),
-                  {netlist.nodes[n].output_net: netlist.nodes[n] for n in internal}, full_tfo)
+    internal = [netlist.nodes[n] for n in sorted(internal_set, key=lambda n: (level[n], n))]
+    return Window(pivot, sorted(pis), {node.output_net: node for node in internal},
+                  [node for node in internal if node.id in full_tfo])
 
 
 def _reference_outputs(netlist, window):
@@ -209,11 +209,8 @@ def _assert_window_matches_regrowth(netlist, got, pivot, config, full_tfo):
     assert (got.window_pis, list(got.nodes.items())) \
         == (want.window_pis, list(want.nodes.items())), pivot
     _assert_observable_matches_reference(netlist, got)
-    # Window.tfo: the pivot's TFO up to L0 + d1 + d2, L0 the highest level
-    # among the pivot and its TFO up to d1
-    level = netlist.levels()
-    top = max(level[n] for n in netlist.tfo(pivot, config.d1) | {pivot})
-    assert got.tfo == {n for n in full_tfo if level[n] <= top + config.d1 + config.d2}
+    # Window.fanout: the members in the pivot's whole TFO, in window order
+    assert got.fanout == [n for n in got.nodes.values() if n.id in full_tfo], pivot
 
 
 SHRINK_CONFIGS = [ResynConfig(d1=2, d2=8, window_pi_cap=14),
@@ -535,7 +532,7 @@ def test_every_window_mask_is_written_by_value_of(name, monkeypatch):
         sim = WindowSim(n, window, ValueCache())
         extract_care_set(n, sim)
         assert sim.values.keys() <= set(window.window_pis) | written, (name, sim.pivot_net)
-        hidden += bool(sim.pivot_fanout) and not observable(n, sim.pivot_net, sim.window.nodes)
+        hidden += bool(sim.window.fanout) and not observable(n, sim.pivot_net, sim.window.nodes)
     assert hidden     # some pivot's fanout was simulated
 
 
@@ -545,16 +542,16 @@ def _two_forcing_care(netlist, sim):
     one of them differs between the two."""
     if observable(netlist, sim.pivot_net, sim.window.nodes):
         return sim.full & sim.care_mask
-    fed = {sim.pivot_net}.union(node.output_net for node in sim.pivot_fanout)
+    fed = {sim.pivot_net}.union(node.output_net for node in sim.window.fanout)
     forced = []
     for const in (0, sim.full):
-        values = {f: sim.value_of(f) for node in sim.pivot_fanout
+        values = {f: sim.value_of(f) for node in sim.window.fanout
                   for f in node.fanins if f not in fed}
         values[sim.pivot_net] = const
-        eval_nodes(sim.pivot_fanout, values, sim.width)
+        eval_nodes(sim.window.fanout, values, sim.width)
         forced.append(values)
     care = 0
-    for node in sim.pivot_fanout:
+    for node in sim.window.fanout:
         net = node.output_net
         if observable(netlist, net, sim.window.nodes):
             care |= forced[0][net] ^ forced[1][net]
@@ -664,7 +661,7 @@ def test_shared_table_serves_window_nets_only(demo_netlist):
     assert top.output_net in cache.table(tuple(window.window_pis))
     # the same PIs without the top node: its cached mask must not be served
     smaller = Window(window.pivot, window.window_pis, {n.output_net: n for n in lower},
-                     window.tfo)
+                     [n for n in window.fanout if n is not top])
     with pytest.raises(ResynthError, match="not evaluable"):
         WindowSim(demo_netlist, smaller, cache).value_of(top.output_net)
 
@@ -680,6 +677,6 @@ def test_invalidation_drops_the_pivot_and_its_cached_readers_only():
         sim.value_of(net)
     table = cache.table(tuple(window.window_pis))
     assert table.keys() == sim.window.nodes.keys()
-    fed = {pivot.output_net} | {node.output_net for node in sim.pivot_fanout}
+    fed = {pivot.output_net} | {node.output_net for node in sim.window.fanout}
     cache.invalidate(n, pivot.output_net)
     assert table.keys() == sim.window.nodes.keys() - fed

@@ -128,7 +128,8 @@ def _reference_collect_divisors(netlist, window, assignment, config):
     """Divisors by sorting every window net by (window level, name)."""
     pivot_node = netlist.nodes[window.pivot]
     excluded = {netlist.nodes[n].output_net for n in netlist.mffc(window.pivot)}
-    excluded.update(net for net, node in window.nodes.items() if node.id in window.tfo)
+    tfo = netlist.tfo(window.pivot)
+    excluded.update(net for net, node in window.nodes.items() if node.id in tfo)
     excluded.add(pivot_node.output_net)
     levels = {net: 0 for net in window.window_pis}
     for node in window.nodes.values():
